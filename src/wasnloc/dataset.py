@@ -232,7 +232,11 @@ def read_feature_cache(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def load_example_dir(example_dir) -> tuple[MultichannelSignal, Scene]:
     """Read one example's channels and scene back from its directory."""
     example_dir = Path(example_dir)
-    scene = scene_from_json((example_dir / "scene.json").read_text())
+    scene_path = example_dir / "scene.json"
+    try:
+        scene = scene_from_json(scene_path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{scene_path}: {exc}") from exc
     channels = []
     fs = None
     for k in range(scene.m):

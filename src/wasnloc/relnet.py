@@ -18,6 +18,7 @@ and decays exponentially with distance in meters.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -47,7 +48,8 @@ FEATURE_KINDS = ("gcc", "slf")
 
 
 class CheckpointError(RuntimeError):
-    """Checkpoint file is unreadable: bad magic, version, size or checksum."""
+    """Checkpoint file is unreadable: bad magic, version, size or checksum, or
+    a header field or array shape that is missing, mistyped or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -286,7 +288,34 @@ def save_checkpoint(model: RelNetModel, path) -> None:
         fh.write(blob)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(obj, key: str, path, where: str = "header", kind: str = "int"):
+    """obj[key] checked to be of kind "int", "str", "list" or "ints" (a list
+    of non-negative ints); CheckpointError naming the file and the field."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise CheckpointError(f"{path}: {where} has no field {key!r}")
+    value = obj[key]
+    ok = {
+        "int": _is_int(value),
+        "str": isinstance(value, str),
+        "list": isinstance(value, list),
+        "ints": isinstance(value, list) and all(_is_int(v) and v >= 0 for v in value),
+    }[kind]
+    if not ok:
+        raise CheckpointError(f"{path}: {where} field {key!r} is {value!r}, expected {kind}")
+    return value
+
+
 def load_checkpoint(path) -> RelNetModel:
+    """Read a model written by save_checkpoint.
+
+    Every header field and every array shape is checked against the
+    architecture the header declares; anything malformed, stale or
+    inconsistent raises CheckpointError naming the file and the field.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 8 or data[:4] != CHECKPOINT_MAGIC:
@@ -298,43 +327,68 @@ def load_checkpoint(path) -> RelNetModel:
         header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: version {header.get('version')!r}, expected {CHECKPOINT_VERSION}"
         )
     blob = data[8 + header_len :]
-    expected = int(header["blob_floats"])
-    declared = sum(int(np.prod(e["shape"])) for e in header["arrays"])
+    expected = _field(header, "blob_floats", path)
+    entries = []
+    for k, entry in enumerate(_field(header, "arrays", path, kind="list")):
+        name = _field(entry, "name", path, f"array entry {k}", "str")
+        shape = tuple(_field(entry, "shape", path, f"array {name!r}", "ints"))
+        entries.append((name, shape, _field(entry, "offset", path, f"array {name!r}")))
+    declared = sum(math.prod(shape) for _, shape, _ in entries)
     if declared != expected:
         raise CheckpointError(f"{path}: array table covers {declared} floats, header says {expected}")
     if len(blob) != 4 * expected:
         raise CheckpointError(f"{path}: blob is {len(blob)} bytes, expected {4 * expected}")
-    if zlib.crc32(blob) != header["blob_crc32"]:
+    if zlib.crc32(blob) != _field(header, "blob_crc32", path):
         raise CheckpointError(f"{path}: checksum failure")
 
     flat = np.frombuffer(blob, dtype="<f4")
-    values = {
-        e["name"]: flat[e["offset"] : e["offset"] + int(np.prod(e["shape"]))]
-        .reshape(e["shape"])
-        .copy()
-        for e in header["arrays"]
-    }
-    config = RelNetConfig(
-        feature_kind=header["feature_kind"],
-        grid_n=int(header["grid_n"]),
-        fft_size=int(header["fft_size"]),
-        n_central=int(header["n_central"]),
-        f_spec=MlpSpec(tuple(header["f_sizes"])),
-        g_spec=MlpSpec(tuple(header["g_sizes"])),
-    )
+    values = {}
+    for name, shape, offset in entries:
+        size = math.prod(shape)
+        if not 0 <= offset <= expected - size:
+            raise CheckpointError(f"{path}: array {name!r} at float {offset} overruns the blob")
+        values[name] = flat[offset : offset + size].reshape(shape).copy()
+    try:
+        config = RelNetConfig(
+            feature_kind=_field(header, "feature_kind", path, kind="str"),
+            grid_n=_field(header, "grid_n", path),
+            fft_size=_field(header, "fft_size", path),
+            n_central=_field(header, "n_central", path),
+            f_spec=MlpSpec(tuple(_field(header, "f_sizes", path, kind="ints"))),
+            g_spec=MlpSpec(tuple(_field(header, "g_sizes", path, kind="ints"))),
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: inconsistent architecture: {exc}") from exc
+    input_size = _field(header, "input_size", path)
+    if input_size != config.input_size:
+        raise CheckpointError(
+            f"{path}: header field 'input_size' is {input_size}, the architecture needs "
+            f"{config.input_size}"
+        )
 
     def build(prefix: str, input_size: int, spec: MlpSpec) -> Mlp:
         layers = []
-        for k in range(len(spec.layer_output_sizes)):
-            try:
-                layers.append((values[f"{prefix}.{k}.w"], values[f"{prefix}.{k}.b"]))
-            except KeyError as exc:
-                raise CheckpointError(f"{path}: missing array {exc}") from exc
+        fan_in = input_size
+        for k, size in enumerate(spec.layer_output_sizes):
+            layer = []
+            for part, want in (("w", (fan_in, size)), ("b", (size,))):
+                name = f"{prefix}.{k}.{part}"
+                if name not in values:
+                    raise CheckpointError(f"{path}: missing array {name!r}")
+                if values[name].shape != want:
+                    raise CheckpointError(
+                        f"{path}: array {name!r} has shape {values[name].shape}, expected {want}"
+                    )
+                layer.append(values[name])
+            layers.append(tuple(layer))
+            fan_in = size
         return Mlp(input_size, spec, layers)
 
     f = build("f", config.input_size, config.f_spec)

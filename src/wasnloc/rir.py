@@ -31,8 +31,18 @@ DEFAULT_FS = 16_000
 # the matching path length.
 RIR_LENGTH_T60_FACTOR = 1.25
 
-# Largest number of image positions processed per vectorized block.
+# Image positions per summation block (rounded to whole x-rows). Each block
+# sums its taps from zero in enumeration order, then adds them to the
+# response, so this partition alone fixes the floating-point summation
+# order: another value moves taps by ~1e-16 and changes dataset bytes.
 _CHUNK = 2_000_000
+
+# Image positions per elementwise tile (rounded to whole x-rows, at least
+# one). Distances and masks are computed a tile at a time into buffers
+# reused across the call, which keeps the working set in cache; tiles only
+# split a block's work, not its summation order, so any value gives the
+# same taps.
+_TILE = 65_536
 
 
 class DegenerateGeometryError(ValueError):
@@ -129,9 +139,10 @@ def simulate_rir(
 
     ax = [_axis_images(source[d], dims[d], path_limit) for d in range(3)]
     (cx, rx), (cy, ry), (cz, rz) = ax
-    # Broadcast y/z once; walk the x-axis images in blocks to bound memory.
-    # Powers of beta come from a lookup table over the (small-integer)
-    # reflection counts.
+    # Broadcast y/z once and walk the x-axis images in blocks of _CHUNK
+    # and tiles of _TILE positions (see there). Powers of beta come from a
+    # lookup table over the (small-integer) reflection counts.
+    dx2 = (cx - mic[0]) ** 2
     dy2 = (cy - mic[1])[:, None] ** 2
     dz2 = (cz - mic[2])[None, :] ** 2
     dyz2 = (dy2 + dz2)[None, :, :]
@@ -140,22 +151,35 @@ def simulate_rir(
     beta_pow = beta ** np.arange(max_refl + 1, dtype=float)
     limit2 = (c * n_taps / fs) ** 2
     block = max(1, _CHUNK // dyz2.size)
+    rows = min(max(1, _TILE // dyz2.size), cx.size)
+    d2_buf = np.empty((rows,) + dyz2.shape[1:])
+    keep_buf = np.empty(d2_buf.shape, dtype=bool)
     for start in range(0, cx.size, block):
-        sl = slice(start, start + block)
-        d2 = (cx[sl] - mic[0])[:, None, None] ** 2 + dyz2
-        keep = d2 < limit2
-        if max_order is not None:
-            keep &= (rx[sl][:, None, None] + ryz) <= max_order
-        if not np.any(keep):
-            continue
-        dist = np.sqrt(d2[keep])
-        refl = np.broadcast_to(ryz, keep.shape)[keep] + np.repeat(
-            rx[sl], keep.reshape(keep.shape[0], -1).sum(axis=1)
-        )
-        idx = np.rint(fs * dist / c).astype(np.int64)
-        inside = idx < n_taps
-        amp = beta_pow[refl[inside]] / (4.0 * math.pi * dist[inside])
-        taps += np.bincount(idx[inside], weights=amp, minlength=n_taps)
+        stop = min(start + block, cx.size)
+        # np.add.at sums in input order, tile after tile, so the block's sum
+        # order does not depend on _TILE. d2 < limit2 rounds to at most tap
+        # n_taps; the extra bin absorbs the images that land there.
+        partial = np.zeros(n_taps + 1)
+        for lo in range(start, stop, rows):
+            hi = min(lo + rows, stop)
+            d2 = np.add(dx2[lo:hi, None, None], dyz2, out=d2_buf[: hi - lo])
+            keep = np.less(d2, limit2, out=keep_buf[: hi - lo])
+            if max_order is not None:
+                keep &= (rx[lo:hi, None, None] + ryz) <= max_order
+            counts = np.count_nonzero(keep.reshape(hi - lo, -1), axis=1)
+            dist = d2[keep]
+            if dist.size == 0:
+                continue
+            np.sqrt(dist, out=dist)
+            refl = np.broadcast_to(ryz, keep.shape)[keep] + np.repeat(rx[lo:hi], counts)
+            idx = dist * fs
+            idx /= c
+            np.rint(idx, out=idx)
+            dist *= 4.0 * math.pi
+            amp = beta_pow.take(refl)
+            amp /= dist
+            np.add.at(partial, idx.astype(np.intp), amp)
+        taps += partial[:n_taps]
     return Rir(taps=taps, fs=fs)
 
 

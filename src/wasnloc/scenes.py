@@ -249,17 +249,51 @@ def scene_to_json(scene: Scene) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _json_field(obj: dict, key: str, kind: type, where: str = ""):
+    """obj[key] checked to be a kind (float accepts any JSON number)."""
+    field = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise ValueError(f"scene JSON has no field {field!r}")
+    value = obj[key]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"scene JSON field {field!r} is {value!r}, expected {kind.__name__}")
+    return float(value) if kind is float else value
+
+
+def _json_points(obj: dict, key: str, ndim: int, where: str = "") -> np.ndarray:
+    """obj[key] as one 3-D point (ndim 1) or a non-empty (N, 3) array (ndim 2)."""
+    field = f"{where}.{key}" if where else key
+    value = _json_field(obj, key, list, where)
+    try:
+        points = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"scene JSON field {field!r} is not numeric: {exc}") from exc
+    if points.ndim != ndim or points.shape[-1] != 3 or points.size == 0:
+        raise ValueError(f"scene JSON field {field!r} has shape {points.shape}, expected 3-D points")
+    return points
+
+
 def scene_from_json(text: str) -> Scene:
+    """Parse a scene_to_json document; ValueError naming any bad field."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("scene JSON is not an object")
     if obj.get("version") != SCENE_JSON_VERSION:
         raise ValueError(f"unsupported scene JSON version {obj.get('version')!r}")
-    room = RoomSpec(**obj["room"])
-    mics = MicArray(np.array(obj["mics"], dtype=float))
-    src = SourceSpec(
-        np.array(obj["source"]["position"], dtype=float),
-        signal_id=obj["source"]["signal_id"],
+    room = _json_field(obj, "room", dict)
+    source = _json_field(obj, "source", dict)
+    return Scene(
+        room=RoomSpec(
+            *(_json_field(room, k, float, "room") for k in ("width", "length", "height", "t60"))
+        ),
+        mics=MicArray(_json_points(obj, "mics", 2)),
+        source=SourceSpec(
+            _json_points(source, "position", 1, "source"),
+            signal_id=_json_field(source, "signal_id", str, "source"),
+        ),
+        seed=_json_field(obj, "seed", int),
     )
-    return Scene(room=room, mics=mics, source=src, seed=int(obj["seed"]))
 
 
 def with_signal_id(scene: Scene, signal_id: str) -> Scene:

@@ -109,6 +109,17 @@ class TestLoadExample:
             snr = 10 * np.log10(p_sig / p_noise)
             assert snr == pytest.approx(30.0, abs=0.6)  # float32 WAV quantization on top
 
+    def test_bad_scene_json_names_file(self, tiny_dataset, tmp_path):
+        root, manifest = tiny_dataset
+        entry = manifest["splits"]["train"]["examples"][0]
+        copy = tmp_path / entry["dir"]
+        shutil.copytree(root / entry["dir"], copy)
+        obj = json.loads((copy / "scene.json").read_text())
+        del obj["seed"]
+        (copy / "scene.json").write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=r"scene\.json: .*'seed'"):
+            load_example(tmp_path, entry)
+
 
 class TestFeatureCache:
     def test_cache_matches_recompute(self, tiny_dataset):

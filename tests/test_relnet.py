@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -220,6 +221,16 @@ class TestGnnLocalize:
         assert 0.0 < x < scene.room.width and 0.0 < y < scene.room.length
 
 
+def rewrite_header(path, edit):
+    """Apply edit to a saved checkpoint's JSON header in place."""
+    raw = path.read_bytes()
+    header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+    header = json.loads(raw[8 : 8 + header_len])
+    edit(header)
+    payload = json.dumps(header).encode()
+    path.write_bytes(raw[:4] + np.uint32(len(payload)).tobytes() + payload + raw[8 + header_len :])
+
+
 class TestCheckpoint:
     def test_round_trip_forward_identical(self, tmp_path):
         config = small_config()
@@ -256,18 +267,11 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_header_blob_inconsistency(self, tmp_path):
-        import json
-
         config = small_config()
         model = RelNetModel.init_random(config, rng_seed=9)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        raw = path.read_bytes()
-        header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-        header = json.loads(raw[8 : 8 + header_len])
-        header["blob_floats"] += 1
-        payload = json.dumps(header).encode()
-        path.write_bytes(raw[:4] + np.uint32(len(payload)).tobytes() + payload + raw[8 + header_len :])
+        rewrite_header(path, lambda header: header.update(blob_floats=header["blob_floats"] + 1))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
@@ -278,36 +282,45 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
-        import json
-
         config = small_config()
         model = RelNetModel.init_random(config, rng_seed=10)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        raw = path.read_bytes()
-        header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-        header = json.loads(raw[8 : 8 + header_len])
-        header["version"] = 99
-        payload = json.dumps(header).encode()
-        path.write_bytes(raw[:4] + np.uint32(len(payload)).tobytes() + payload + raw[8 + header_len :])
+        rewrite_header(path, lambda header: header.update(version=99))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
 
     def test_version_1_checkpoint_rejected(self, tmp_path):
         # version 1 models were trained on summed, per-example-scaled input
-        import json
-
         model = RelNetModel.init_random(small_config(), rng_seed=13)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        raw = path.read_bytes()
-        header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-        header = json.loads(raw[8 : 8 + header_len])
-        header["version"] = 1
-        payload = json.dumps(header).encode()
-        path.write_bytes(raw[:4] + np.uint32(len(payload)).tobytes() + payload + raw[8 + header_len :])
+        rewrite_header(path, lambda header: header.update(version=1))
         with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["blob_floats", "feature_kind", "grid_n", "g_sizes", "input_size"])
+    def test_missing_header_field_named(self, tmp_path, field):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=14), path)
+        rewrite_header(path, lambda header: header.pop(field))
+        with pytest.raises(CheckpointError, match=f"'{field}'"):
+            load_checkpoint(path)
+
+    def test_missing_array_shape_named(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=15), path)
+        rewrite_header(path, lambda header: header["arrays"][2].pop("shape"))
+        with pytest.raises(CheckpointError, match="'f.1.w'.*'shape'"):
+            load_checkpoint(path)
+
+    def test_transposed_weight_rejected(self, tmp_path):
+        # same floats, same count, but W of f.0 declared (16, in) not (in, 16)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=16), path)
+        rewrite_header(path, lambda header: header["arrays"][0]["shape"].reverse())
+        with pytest.raises(CheckpointError, match="'f.0.w' has shape"):
             load_checkpoint(path)
 
 

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wasnloc import rir as rir_module
 from wasnloc.rir import (
     DegenerateGeometryError,
+    RIR_LENGTH_T60_FACTOR,
     Rir,
     SPEED_OF_SOUND,
+    _axis_images,
     eyring_absorption,
     schroeder_decay_time,
     simulate_rir,
@@ -133,6 +138,77 @@ class TestSimulateRir:
         room = RoomSpec(4.0, 4.0, 3.0, 0.4)
         with pytest.raises(ValueError):
             simulate_rir(room, [5.0, 2.0, 1.5], [2, 2, 1.5], FS)
+
+
+def _reference_taps(room, source, mic, fs, max_order=None, c=SPEED_OF_SOUND, chunk=2_000_000):
+    """Frozen copy of the untiled vectorized image loop simulate_rir used to
+    run: one distance array per x-block, one bincount per block. The taps
+    of the tiled loop must equal these bit for bit."""
+    source = np.asarray(source, dtype=float)
+    mic = np.asarray(mic, dtype=float)
+    dims = room.dims
+    beta = -math.sqrt(1.0 - eyring_absorption(room))
+    n_taps = int(math.ceil(RIR_LENGTH_T60_FACTOR * room.t60 * fs))
+    path_limit = c * n_taps / fs
+    taps = np.zeros(n_taps)
+    (cx, rx), (cy, ry), (cz, rz) = [_axis_images(source[d], dims[d], path_limit) for d in range(3)]
+    dy2 = (cy - mic[1])[:, None] ** 2
+    dz2 = (cz - mic[2])[None, :] ** 2
+    dyz2 = (dy2 + dz2)[None, :, :]
+    ryz = (ry[:, None] + rz[None, :])[None, :, :]
+    max_refl = int(rx.max() + ry.max() + rz.max())
+    beta_pow = beta ** np.arange(max_refl + 1, dtype=float)
+    limit2 = (c * n_taps / fs) ** 2
+    block = max(1, chunk // dyz2.size)
+    for start in range(0, cx.size, block):
+        sl = slice(start, start + block)
+        d2 = (cx[sl] - mic[0])[:, None, None] ** 2 + dyz2
+        keep = d2 < limit2
+        if max_order is not None:
+            keep &= (rx[sl][:, None, None] + ryz) <= max_order
+        if not np.any(keep):
+            continue
+        dist = np.sqrt(d2[keep])
+        refl = np.broadcast_to(ryz, keep.shape)[keep] + np.repeat(
+            rx[sl], keep.reshape(keep.shape[0], -1).sum(axis=1)
+        )
+        idx = np.rint(fs * dist / c).astype(np.int64)
+        inside = idx < n_taps
+        amp = beta_pow[refl[inside]] / (4.0 * math.pi * dist[inside])
+        taps += np.bincount(idx[inside], weights=amp, minlength=n_taps)
+    return taps
+
+
+_unit = st.floats(0.05, 0.95)
+
+
+class TestTiledImageLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dims=st.tuples(st.floats(3.0, 6.0), st.floats(3.0, 6.0), st.floats(3.0, 6.0)),
+        t60=st.floats(0.15, 0.6),
+        src=st.tuples(_unit, _unit, _unit),
+        mic=st.tuples(_unit, _unit, _unit),
+        max_order=st.sampled_from([None, 1, 2, 5]),
+    )
+    def test_bit_identical_to_reference(self, dims, t60, src, mic, max_order):
+        room = RoomSpec(*dims, t60)
+        src = np.array(src) * room.dims
+        mic = np.array(mic) * room.dims
+        if np.linalg.norm(src - mic) < 0.01:
+            return
+        rir = simulate_rir(room, src, mic, 8000, max_order=max_order)
+        assert np.array_equal(rir.taps, _reference_taps(room, src, mic, 8000, max_order))
+
+    @pytest.mark.parametrize("tile", [1, 10**9])
+    @pytest.mark.parametrize("max_order", [None, 2])
+    def test_tile_size_leaves_taps_unchanged(self, monkeypatch, tile, max_order):
+        room = RoomSpec(3.7, 5.2, 2.9, 0.45)
+        src, mic = [1.1, 3.9, 1.6], [2.8, 1.3, 1.0]
+        default = simulate_rir(room, src, mic, FS, max_order=max_order)
+        monkeypatch.setattr(rir_module, "_TILE", tile)
+        tiled = simulate_rir(room, src, mic, FS, max_order=max_order)
+        assert np.array_equal(tiled.taps, default.taps)
 
 
 class TestSchroeder:

@@ -181,3 +181,21 @@ class TestSceneJson:
         obj["version"] = 999
         with pytest.raises(ValueError):
             scene_from_json(json.dumps(obj))
+
+    def test_missing_field_named(self):
+        obj = json.loads(scene_to_json(sample_scene(SceneDistribution(), 5)))
+        del obj["source"]["signal_id"]
+        with pytest.raises(ValueError, match="'source.signal_id'"):
+            scene_from_json(json.dumps(obj))
+
+    def test_mistyped_field_named(self):
+        obj = json.loads(scene_to_json(sample_scene(SceneDistribution(), 5)))
+        obj["room"]["t60"] = "0.4"
+        with pytest.raises(ValueError, match="'room.t60'"):
+            scene_from_json(json.dumps(obj))
+
+    def test_malformed_points_named(self):
+        obj = json.loads(scene_to_json(sample_scene(SceneDistribution(), 5)))
+        obj["mics"][1] = obj["mics"][1][:2]
+        with pytest.raises(ValueError, match="'mics'"):
+            scene_from_json(json.dumps(obj))
