@@ -199,12 +199,45 @@ def _config_to_json(config: DatasetConfig) -> dict:
     return obj
 
 
+# Fields every manifest entry must carry, with the JSON type each must have.
+_ENTRY_FIELDS = {"dir": str, "m": int, "room": list, "source_xy": list}
+
+
 def load_manifest(data_dir) -> dict:
+    """The dataset's manifest. Invalid JSON, another version, or a missing or
+    mistyped field raises ValueError naming the manifest file and the field."""
     path = Path(data_dir) / MANIFEST_NAME
-    manifest = json.loads(path.read_text())
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise ValueError(f"{path}: unsupported manifest version {manifest.get('version')!r}")
+    try:
+        manifest = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or "version" not in manifest:
+        raise ValueError(f"{path}: manifest has no field 'version'")
+    if manifest["version"] != MANIFEST_VERSION:
+        raise ValueError(f"{path}: unsupported manifest version {manifest['version']!r}")
+    if not isinstance(manifest.get("splits"), dict):
+        raise ValueError(f"{path}: field 'splits' is missing or not an object")
+    for name, split in manifest["splits"].items():
+        if not isinstance(split, dict) or not isinstance(split.get("examples"), list):
+            raise ValueError(f"{path}: field 'splits.{name}.examples' is missing or not a list")
+        for k, entry in enumerate(split["examples"]):
+            for key, kind in _ENTRY_FIELDS.items():
+                if not isinstance(entry, dict) or not isinstance(entry.get(key), kind):
+                    raise ValueError(
+                        f"{path}: field 'splits.{name}.examples[{k}].{key}' is missing or not {kind.__name__}"
+                    )
     return manifest
+
+
+def split_entries(data_dir, manifest: dict, split: str) -> list[dict]:
+    """The manifest entries of one split; ValueError naming the manifest if
+    it has no such split."""
+    if split not in manifest["splits"]:
+        raise ValueError(
+            f"{Path(data_dir) / MANIFEST_NAME}: no split {split!r}, "
+            f"the manifest has {sorted(manifest['splits'])}"
+        )
+    return manifest["splits"][split]["examples"]
 
 
 def write_feature_cache(path, gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray) -> None:
@@ -240,7 +273,15 @@ def load_example_dir(example_dir) -> tuple[MultichannelSignal, Scene]:
     channels = []
     fs = None
     for k in range(scene.m):
-        samples, fs = read_wav_mono(example_dir / f"ch_{k:02d}.wav")
+        wav = example_dir / f"ch_{k:02d}.wav"
+        samples, rate = read_wav_mono(wav)
+        if not channels:
+            fs = rate
+        elif (rate, samples.size) != (fs, channels[0].size):
+            raise ValueError(
+                f"{wav}: {samples.size} samples at {rate} Hz, but ch_00.wav has "
+                f"{channels[0].size} samples at {fs} Hz"
+            )
         channels.append(samples)
     return MultichannelSignal(np.vstack(channels), fs), scene
 
@@ -289,7 +330,7 @@ def load_split_features(
 ) -> list[FeatureExample]:
     """FeatureExamples (inputs + target maps) for a whole split."""
     examples = []
-    for entry in manifest["splits"][split]["examples"]:
+    for entry in split_entries(data_dir, manifest, split):
         features = example_features(data_dir, entry, config, frame_ms, dtype)
         width, length, _ = entry["room"]
         grid = Grid(width, length, config.grid_n)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .classical import slf_localize, tdoa_localize
-from .dataset import example_features, load_example, load_manifest
+from .dataset import example_features, load_example, load_manifest, split_entries
 from .features import DEFAULT_FRAME_MS, Grid, extract_frame, heatmap_to_pgm
 from .relnet import RelNetModel, load_checkpoint, relnet_forward_features
 from .classical import pick_peak
@@ -120,8 +120,7 @@ def evaluate(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    manifest = load_manifest(data_dir)
-    entries = manifest["splits"][split]["examples"]
+    entries = split_entries(data_dir, load_manifest(data_dir), split)
     if not entries:
         raise ValueError(f"split {split!r} is empty")
     if heatmap_dir is not None:

@@ -105,7 +105,8 @@ class RelNetModel:
         return cls(config, f, g)
 
     def parameters(self) -> list[np.ndarray]:
-        return self.f.parameters() + self.g.parameters()
+        """The flat parameter buffers [F, G], in checkpoint table order."""
+        return [self.f.flat, self.g.flat]
 
     def copy(self) -> "RelNetModel":
         return RelNetModel(self.config, self.f.copy(), self.g.copy())
@@ -354,7 +355,7 @@ def load_checkpoint(path) -> RelNetModel:
         size = math.prod(shape)
         if not 0 <= offset <= expected - size:
             raise CheckpointError(f"{path}: array {name!r} at float {offset} overruns the blob")
-        values[name] = flat[offset : offset + size].reshape(shape).copy()
+        values[name] = flat[offset : offset + size].reshape(shape)
     try:
         config = RelNetConfig(
             feature_kind=_field(header, "feature_kind", path, kind="str"),
@@ -373,24 +374,20 @@ def load_checkpoint(path) -> RelNetModel:
             f"{config.input_size}"
         )
 
-    def build(prefix: str, input_size: int, spec: MlpSpec) -> Mlp:
-        layers = []
-        fan_in = input_size
-        for k, size in enumerate(spec.layer_output_sizes):
-            layer = []
-            for part, want in (("w", (fan_in, size)), ("b", (size,))):
+    f = Mlp.empty(config.input_size, config.f_spec)
+    g = Mlp.empty(f.output_size, config.g_spec)
+    copies = []  # (blob view, parameter view), filled once every array is checked
+    for prefix, net in (("f", f), ("g", g)):
+        for k, layer in enumerate(net.layers):
+            for part, dest in zip("wb", layer):
                 name = f"{prefix}.{k}.{part}"
                 if name not in values:
                     raise CheckpointError(f"{path}: missing array {name!r}")
-                if values[name].shape != want:
+                if values[name].shape != dest.shape:
                     raise CheckpointError(
-                        f"{path}: array {name!r} has shape {values[name].shape}, expected {want}"
+                        f"{path}: array {name!r} has shape {values[name].shape}, expected {dest.shape}"
                     )
-                layer.append(values[name])
-            layers.append(tuple(layer))
-            fan_in = size
-        return Mlp(input_size, spec, layers)
-
-    f = build("f", config.input_size, config.f_spec)
-    g = build("g", f.output_size, config.g_spec)
+                copies.append((values[name], dest))
+    for src, dest in copies:
+        dest[...] = src
     return RelNetModel(config, f, g)

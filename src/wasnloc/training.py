@@ -4,7 +4,12 @@ Examples arrive as precomputed pair-feature matrices plus target maps.
 Within a batch, the pair rows of all examples are stacked into one matrix
 so the relation stack runs as a single matmul; a segment mean then pools
 pairs back to per-example vectors for the fusion stack. Gradients flow
-through the same stacking in reverse. Training is deterministic given the
+through the same stacking in reverse. Each stack's backward pass writes
+its gradients into the stack's flat gradient buffer (the twin of its flat
+parameter buffer), and Adam updates the two parameter buffers from those
+in place, so a training step allocates no per-tensor gradient arrays.
+The relation stack's input gradient is never computed: nothing upstream
+of the pair features is trained. Training is deterministic given the
 seed: the same seed and data reproduce the loss history bit for bit.
 """
 
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import AdamConfig, AdamState, adam_step, flatten_grads
+from .mlp import AdamConfig, AdamState, adam_step
 from .relnet import RelNetModel, mae_loss
 
 
@@ -68,12 +73,12 @@ def _batch_forward(model: RelNetModel, batch: list[FeatureExample]):
     return preds, (f_cache, g_cache, counts, sizes)
 
 
-def _batch_backward(model: RelNetModel, caches, d_preds: np.ndarray):
+def _batch_backward(model: RelNetModel, caches, d_preds: np.ndarray) -> None:
+    """Fill ``model.f.grad`` and ``model.g.grad`` for one batch."""
     f_cache, g_cache, counts, sizes = caches
-    g_grads, d_pooled = model.g.backward(g_cache, d_preds)
+    d_pooled = model.g.backward(g_cache, d_preds)
     d_relations = np.repeat(d_pooled / sizes, counts, axis=0)
-    f_grads, _ = model.f.backward(f_cache, d_relations)
-    return flatten_grads(f_grads) + flatten_grads(g_grads)
+    model.f.backward(f_cache, d_relations, input_grad=False)
 
 
 def _dataset_loss(model: RelNetModel, dataset: list[FeatureExample], batch_size: int) -> float:
@@ -103,7 +108,8 @@ def train(
         raise ValueError("train and validation sets must be non-empty")
     rng = np.random.default_rng(config.seed)
     adam_cfg = AdamConfig(lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
-    adam = AdamState(model.parameters())
+    params = model.parameters()
+    adam = AdamState(params)
 
     history: list[EpochStats] = []
     best_val = np.inf
@@ -120,8 +126,8 @@ def train(
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             running += loss * len(batch)
-            grads = _batch_backward(model, caches, d_preds)
-            adam_step(adam, model.parameters(), grads, adam_cfg)
+            _batch_backward(model, caches, d_preds)
+            adam_step(adam, params, [model.f.grad, model.g.grad], adam_cfg)
         train_loss = running / len(train_set)
         val_loss = _dataset_loss(model, val_set, config.batch_size)
         history.append(EpochStats(epoch, train_loss, val_loss))

@@ -24,7 +24,7 @@ from wasnloc.dataset import (
 )
 from wasnloc.evaluate import evaluate
 from wasnloc.features import Grid, extract_frame, gcc_phat, mean_mic_height
-from wasnloc.mlp import Mlp, MlpSpec, flatten_grads
+from wasnloc.mlp import Mlp, MlpSpec
 from wasnloc.relnet import (
     RelNetConfig,
     RelNetModel,
@@ -167,26 +167,25 @@ def test_criterion_4_gradient_correctness():
             skipped += 1
             continue
         _, upstream = mae_loss(out, target)
-        grads, _ = net.backward(cache, upstream)
+        net.backward(cache, upstream)
 
         def loss():
             y, _ = net.forward(x)
             return float(np.mean(np.abs(y - target)))
 
-        for p, g in zip(net.parameters(), flatten_grads(grads)):
-            flat_p, flat_g = p.ravel(), g.ravel()
-            for idx in range(flat_p.size):
-                orig = flat_p[idx]
-                flat_p[idx] = orig + h
-                up = loss()
-                flat_p[idx] = orig - h
-                down = loss()
-                flat_p[idx] = orig
-                fd = (up - down) / (2.0 * h)
-                rel = abs(fd - flat_g[idx]) / max(abs(fd), abs(flat_g[idx]), 1e-8)
-                worst = max(worst, rel)
-                checked += 1
-                assert rel < 1e-4, f"net {net_seed}, param {idx}: rel error {rel:.2e}"
+        flat_p, flat_g = net.flat, net.grad
+        for idx in range(flat_p.size):
+            orig = flat_p[idx]
+            flat_p[idx] = orig + h
+            up = loss()
+            flat_p[idx] = orig - h
+            down = loss()
+            flat_p[idx] = orig
+            fd = (up - down) / (2.0 * h)
+            rel = abs(fd - flat_g[idx]) / max(abs(fd), abs(flat_g[idx]), 1e-8)
+            worst = max(worst, rel)
+            checked += 1
+            assert rel < 1e-4, f"net {net_seed}, param {idx}: rel error {rel:.2e}"
     elapsed = time.monotonic() - started
     ok = checked > 1000 and worst < 1e-4 and elapsed < 60.0
     report(

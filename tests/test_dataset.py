@@ -18,9 +18,11 @@ from wasnloc.dataset import (
     load_split_features,
     read_feature_cache,
 )
+from wasnloc.evaluate import evaluate
 from wasnloc.features import Grid, extract_frame
 from wasnloc.relnet import RelNetConfig, assemble_input, raw_pair_features, target_map
 from wasnloc.scenes import scene_from_json
+from wasnloc.signals import read_wav_mono, write_wav
 
 
 class TestGenerateDataset:
@@ -119,6 +121,55 @@ class TestLoadExample:
         (copy / "scene.json").write_text(json.dumps(obj))
         with pytest.raises(ValueError, match=r"scene\.json: .*'seed'"):
             load_example(tmp_path, entry)
+
+    @pytest.mark.parametrize("bad", ["length", "rate"])
+    def test_mismatched_channel_names_wav(self, tiny_dataset, tmp_path, bad):
+        root, manifest = tiny_dataset
+        entry = manifest["splits"]["train"]["examples"][0]
+        copy = tmp_path / entry["dir"]
+        shutil.copytree(root / entry["dir"], copy)
+        samples, fs = read_wav_mono(copy / "ch_01.wav")
+        if bad == "length":
+            write_wav(copy / "ch_01.wav", samples[:-1], fs)
+        else:
+            write_wav(copy / "ch_01.wav", samples, fs // 2)
+        with pytest.raises(ValueError, match=r"ch_01\.wav: .*ch_00\.wav"):
+            load_example(tmp_path, entry)
+
+
+class TestManifest:
+    def _write(self, tiny_dataset, tmp_path, edit):
+        root, _ = tiny_dataset
+        obj = json.loads((root / "manifest.json").read_text())
+        edit(obj)
+        (tmp_path / "manifest.json").write_text(json.dumps(obj))
+
+    def test_invalid_json_names_file(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"version": 1,')
+        with pytest.raises(ValueError, match=r"manifest\.json: not valid JSON"):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda m: m.pop("version"), "'version'"),
+            (lambda m: m.pop("splits"), "'splits'"),
+            (lambda m: m["splits"]["val"].pop("examples"), r"'splits\.val\.examples'"),
+            (lambda m: m["splits"]["test"]["examples"][1].pop("dir"), r"'splits\.test\.examples\[1\]\.dir'"),
+            (lambda m: m["splits"]["train"]["examples"][0].update(m="4"), r"'splits\.train\.examples\[0\]\.m'"),
+        ],
+    )
+    def test_missing_field_named(self, tiny_dataset, tmp_path, edit, field):
+        self._write(tiny_dataset, tmp_path, edit)
+        with pytest.raises(ValueError, match=rf"manifest\.json: .*{field}"):
+            load_manifest(tmp_path)
+
+    def test_unknown_split_named(self, tiny_dataset):
+        root, manifest = tiny_dataset
+        with pytest.raises(ValueError, match=r"manifest\.json: no split 'dev'"):
+            load_split_features(root, manifest, "dev", RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N))
+        with pytest.raises(ValueError, match=r"manifest\.json: no split 'dev'"):
+            evaluate("tdoa", root, "dev", grid_n=TINY_GRID_N)
 
 
 class TestFeatureCache:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from conftest import FS, anechoic_frame, planar_scene
 from wasnloc.features import Grid
 from wasnloc.mlp import MlpSpec
 from wasnloc.relnet import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CheckpointError,
     RelNetConfig,
     RelNetModel,
@@ -231,7 +234,52 @@ def rewrite_header(path, edit):
     path.write_bytes(raw[:4] + np.uint32(len(payload)).tobytes() + payload + raw[8 + header_len :])
 
 
+def _reference_checkpoint_bytes(model):
+    """Frozen copy of the checkpoint writer from before the parameters moved
+    into flat buffers: a table entry and a blob slice per (W, b) array."""
+    cfg = model.config
+    arrays, blobs = [], []
+    offset = 0
+    for prefix, net in (("f", model.f), ("g", model.g)):
+        for k, (w, b) in enumerate(net.layers):
+            for part, p in (("w", w), ("b", b)):
+                arrays.append({"name": f"{prefix}.{k}.{part}", "shape": list(p.shape), "offset": offset})
+                offset += p.size
+                blobs.append(np.ascontiguousarray(p, dtype="<f4").tobytes())
+    blob = b"".join(blobs)
+    header = {
+        "version": CHECKPOINT_VERSION,
+        "feature_kind": cfg.feature_kind,
+        "grid_n": cfg.grid_n,
+        "fft_size": cfg.fft_size,
+        "n_central": cfg.n_central,
+        "input_size": cfg.input_size,
+        "f_sizes": list(cfg.f_spec.layer_output_sizes),
+        "g_sizes": list(cfg.g_spec.layer_output_sizes),
+        "arrays": arrays,
+        "blob_floats": offset,
+        "blob_crc32": zlib.crc32(blob),
+    }
+    payload = json.dumps(header).encode("utf-8")
+    return CHECKPOINT_MAGIC + np.uint32(len(payload)).tobytes() + payload + blob
+
+
 class TestCheckpoint:
+    def test_bytes_match_per_array_layout(self, tmp_path):
+        model = RelNetModel.init_random(small_config(), rng_seed=17)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        assert path.read_bytes() == _reference_checkpoint_bytes(model)
+
+    def test_per_array_file_loads_to_identical_buffers(self, tmp_path):
+        model = RelNetModel.init_random(small_config(), rng_seed=18)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(_reference_checkpoint_bytes(model))
+        loaded = load_checkpoint(path)
+        for net, want in ((loaded.f, model.f), (loaded.g, model.g)):
+            assert net.flat.dtype == np.float32 and np.array_equal(net.flat, want.flat)
+            assert net.grad is None
+
     def test_round_trip_forward_identical(self, tmp_path):
         config = small_config()
         model = RelNetModel.init_random(config, rng_seed=6)

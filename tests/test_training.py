@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from test_mlp import _reference_adam_step, _reference_backward
 
-from wasnloc.mlp import MlpSpec
-from wasnloc.relnet import RelNetConfig, RelNetModel, relnet_forward_features
+from wasnloc.mlp import AdamConfig, MlpSpec
+from wasnloc.relnet import RelNetConfig, RelNetModel, mae_loss, relnet_forward_features
 from wasnloc.training import (
     EpochStats,
     FeatureExample,
     TrainConfig,
     TrainingDivergedError,
+    _batch_forward,
+    _dataset_loss,
     train,
     write_history_csv,
 )
@@ -125,3 +128,39 @@ def test_history_csv(tmp_path):
     assert lines[0] == "epoch,train_loss,val_loss"
     assert lines[1] == "1,0.5,0.6"
     assert len(lines) == 3
+
+
+def test_history_matches_per_layer_reference():
+    """Criterion 8's architecture and settings on synthetic data: the loss
+    history and the final weights equal those of the training loop run on
+    the frozen per-layer backward pass and per-tensor Adam, bit for bit."""
+    config = RelNetConfig(feature_kind="slf", grid_n=10, f_spec=MlpSpec((64, 100)), g_spec=MlpSpec((64, 100)))
+    train_set = synthetic_dataset(config, 6, seed=7)
+    val_set = synthetic_dataset(config, 3, seed=8)
+    cfg = TrainConfig(max_epochs=4, batch_size=2, seed=5)
+    model = RelNetModel.init_random(config, rng_seed=1)
+    ref = model.copy()
+    _, history = train(model, train_set, val_set, cfg)
+
+    params = [p for net in (ref.f, ref.g) for layer in net.layers for p in layer]
+    state = {"m": [np.zeros_like(p) for p in params], "v": [np.zeros_like(p) for p in params], "t": 0}
+    adam_cfg = AdamConfig(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    rng = np.random.default_rng(cfg.seed)
+    ref_history = []
+    for epoch in range(1, len(history) + 1):
+        order = rng.permutation(len(train_set))
+        running = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [train_set[k] for k in order[start : start + cfg.batch_size]]
+            preds, (f_cache, g_cache, counts, sizes) = _batch_forward(ref, batch)
+            loss, d_preds = mae_loss(preds, np.vstack([ex.target for ex in batch]))
+            running += loss * len(batch)
+            g_grads, d_pooled = _reference_backward(ref.g.layers, g_cache, d_preds)
+            d_relations = np.repeat(d_pooled / sizes, counts, axis=0)
+            f_grads, _ = _reference_backward(ref.f.layers, f_cache, d_relations)
+            grads = [p for layer in f_grads + g_grads for p in layer]
+            _reference_adam_step(state, params, grads, adam_cfg)
+        ref_history.append((epoch, running / len(train_set), _dataset_loss(ref, val_set, cfg.batch_size)))
+
+    assert [(h.epoch, h.train_loss, h.val_loss) for h in history] == ref_history
+    assert np.array_equal(model.f.flat, ref.f.flat) and np.array_equal(model.g.flat, ref.g.flat)
