@@ -14,9 +14,8 @@ from .classical import (
     tdoa_localize,
 )
 from .dataset import DatasetConfig, generate_dataset, load_manifest
-from .evaluate import EvalReport, evaluate, mean_euclid_error
+from .evaluate import EvalReport, evaluate
 from .features import (
-    CorrelationVector,
     Grid,
     extract_frame,
     gcc_phat,
@@ -47,8 +46,6 @@ from .scenes import (
     Scene,
     SceneDistribution,
     SourceSpec,
-    build_metadata,
-    pair_metadata,
     sample_scene,
 )
 from .signals import (

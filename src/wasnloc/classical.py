@@ -7,6 +7,11 @@ theoretical pair TDOA and the measured GCC-PHAT peak (minimum wins); the
 SLF method averages the correlation over the lags each cell's footprint
 spans (maximum wins). Both run for any M >= 2 with no training or
 configuration.
+
+:func:`pair_correlations` is the pair step they share with the relation
+network's features: it picks the pairs and the grid plane once and
+correlates all pairs in one batched call. Each localizer is a reduction
+of its rows over the pairs.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ from .features import (
     DEFAULT_FFT_SIZE,
     DEFAULT_N_CENTRAL,
     Grid,
+    central_lags,
     gcc_phat,
     mean_mic_height,
     slf_project,
     theoretical_tdoa_grid,
 )
-from .rir import SPEED_OF_SOUND
 from .scenes import Scene
 from .signals import MultichannelSignal
 
@@ -36,7 +41,6 @@ class LocalizationResult:
 
     estimate: np.ndarray
     heatmap: np.ndarray
-    per_pair_maps: list[np.ndarray] | None = None
 
 
 def enumerate_pairs(m: int) -> list[tuple[int, int]]:
@@ -44,6 +48,27 @@ def enumerate_pairs(m: int) -> list[tuple[int, int]]:
     if m < 2:
         raise ValueError(f"need at least 2 microphones, got {m}")
     return list(itertools.combinations(range(m), 2))
+
+
+def pair_correlations(
+    frame: MultichannelSignal, scene: Scene, fft_size: int = DEFAULT_FFT_SIZE
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The pair step every localizer shares: (pairs, corr, z_plane).
+
+    ``pairs`` is the (P, 2) array of :func:`enumerate_pairs`, each pair
+    ordered by mic position (lexicographic x, y, z) rather than by channel
+    index, so relabeling the microphones only reorders the rows. ``corr``
+    holds their (P, fft_size) :func:`gcc_phat` correlations and z_plane is
+    the mean mic height, the plane the search grid lies in.
+    """
+    if frame.m != scene.m:
+        raise ValueError(f"frame has {frame.m} channels but scene has {scene.m} mics")
+    mics = scene.mics.positions
+    pairs = np.array(enumerate_pairs(scene.m))
+    rank = np.argsort(np.lexsort(mics.T[::-1]))  # position order; ties keep index order
+    swap = rank[pairs[:, 1]] < rank[pairs[:, 0]]
+    pairs[swap] = pairs[swap, ::-1]
+    return pairs, gcc_phat(frame.channels, pairs, fft_size), mean_mic_height(mics)
 
 
 def pick_peak(heatmap: np.ndarray, grid: Grid, mode: str = "max") -> np.ndarray:
@@ -71,86 +96,32 @@ def _default_grid(scene: Scene, grid: Grid | None) -> Grid:
     return Grid(scene.room.width, scene.room.length)
 
 
-def _check_frame(frame: MultichannelSignal, scene: Scene) -> None:
-    if frame.m != scene.m:
-        raise ValueError(f"frame has {frame.m} channels but scene has {scene.m} mics")
-
-
 def tdoa_localize(
-    frame: MultichannelSignal,
-    scene: Scene,
-    grid: Grid | None = None,
-    *,
-    metric: str = "squared",
-    fft_size: int = DEFAULT_FFT_SIZE,
-    n_central: int = DEFAULT_N_CENTRAL,
-    search: str = "central",
-    z_plane: float | None = None,
-    c: float = SPEED_OF_SOUND,
-    keep_per_pair: bool = False,
+    frame: MultichannelSignal, scene: Scene, grid: Grid | None = None
 ) -> LocalizationResult:
     """Least-squares TDOA localization on the grid (minimum picks the source).
 
-    Per pair, the measured TDOA is the GCC-PHAT peak lag in seconds; each
-    cell accumulates the squared (or absolute, metric="abs") difference
-    against its theoretical TDOA. The peak search runs over the central
-    n_central correlation bins (search="central", matching the correlation
-    window the rest of the stack consumes) or the full lag axis
-    (search="full").
+    Per pair, the measured TDOA is the GCC-PHAT peak lag, searched over the
+    central correlation bins the relation network also consumes, in
+    seconds; each cell sums over the pairs the squared difference against
+    its theoretical TDOA.
     """
-    _check_frame(frame, scene)
-    if metric not in ("squared", "abs"):
-        raise ValueError(f"unknown metric {metric!r}")
-    if search not in ("central", "full"):
-        raise ValueError(f"unknown search {search!r}")
+    pairs, corr, z_plane = pair_correlations(frame, scene)
     grid = _default_grid(scene, grid)
-    if z_plane is None:
-        z_plane = mean_mic_height(scene.mics.positions)
-
-    mics = scene.mics.positions
-    total = np.zeros(grid.n * grid.n)
-    per_pair = [] if keep_per_pair else None
-    for i, j in enumerate_pairs(scene.m):
-        corr = gcc_phat(frame.channels[i], frame.channels[j], frame.fs, fft_size, n_central)
-        if search == "central":
-            measured = (int(np.argmax(corr.central)) - n_central // 2) / frame.fs
-        else:
-            measured = corr.peak_lag() / frame.fs
-        theo = theoretical_tdoa_grid(mics[i], mics[j], grid, z_plane, c)
-        diff = theo - measured
-        contrib = diff**2 if metric == "squared" else np.abs(diff)
-        total += contrib
-        if per_pair is not None:
-            per_pair.append(contrib)
-    return LocalizationResult(pick_peak(total, grid, "min"), total, per_pair)
+    measured = (np.argmax(central_lags(corr), axis=1) - DEFAULT_N_CENTRAL // 2) / frame.fs
+    theo = theoretical_tdoa_grid(scene.mics.positions, pairs, grid, z_plane)
+    total = np.sum((theo - measured[:, None]) ** 2, axis=0)
+    return LocalizationResult(pick_peak(total, grid, "min"), total)
 
 
 def slf_localize(
-    frame: MultichannelSignal,
-    scene: Scene,
-    grid: Grid | None = None,
-    *,
-    fft_size: int = DEFAULT_FFT_SIZE,
-    z_plane: float | None = None,
-    c: float = SPEED_OF_SOUND,
-    keep_per_pair: bool = False,
+    frame: MultichannelSignal, scene: Scene, grid: Grid | None = None
 ) -> LocalizationResult:
     """Spatial-likelihood localization on the grid (maximum picks the source).
 
     Sums the :func:`slf_project` maps of all pairs.
     """
-    _check_frame(frame, scene)
+    pairs, corr, z_plane = pair_correlations(frame, scene)
     grid = _default_grid(scene, grid)
-    if z_plane is None:
-        z_plane = mean_mic_height(scene.mics.positions)
-
-    mics = scene.mics.positions
-    total = np.zeros(grid.n * grid.n)
-    per_pair = [] if keep_per_pair else None
-    for i, j in enumerate_pairs(scene.m):
-        corr = gcc_phat(frame.channels[i], frame.channels[j], frame.fs, fft_size)
-        contrib = slf_project(corr, mics[i], mics[j], grid, z_plane, c)
-        total += contrib
-        if per_pair is not None:
-            per_pair.append(contrib)
-    return LocalizationResult(pick_peak(total, grid, "max"), total, per_pair)
+    total = np.sum(slf_project(corr, frame.fs, scene.mics.positions, pairs, grid, z_plane), axis=0)
+    return LocalizationResult(pick_peak(total, grid, "max"), total)

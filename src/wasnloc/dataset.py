@@ -62,11 +62,16 @@ _SPLIT_SEED_OFFSETS = {"train": 0, "val": 1_000_000, "test": 2_000_000}
 
 FEATURES_NAME = "features.bin"
 # Version 2: SLF rows average the correlation over each cell's lag interval.
-FEATURES_VERSION = 2
+# Version 3: the "version" member also holds the FEATURE_PARAMS values.
+FEATURES_VERSION = 3
+# The settings that shape the cached arrays, stored after the version so
+# that a cache built with other settings is never served.
+FEATURE_PARAMS = ("fft_size", "n_central", "grid_n", "frame_ms")
 
 
 class FeatureCacheError(ValueError):
-    """features.bin is stale (another format version) or unreadable."""
+    """features.bin is stale (another format version or other build
+    settings) or unreadable."""
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,9 @@ def generate_example(config: DatasetConfig, split: str, index: int, out_root) ->
     (example_dir / "scene.json").write_text(scene_to_json(scene))
     if config.precompute_features:
         frame = extract_frame(received, config.frame_ms)
-        gcc, slf, meta = raw_pair_features(frame, scene, config.feature_config())
-        write_feature_cache(example_dir / FEATURES_NAME, gcc, slf, meta)
+        feature_config = config.feature_config()
+        gcc, slf, meta = raw_pair_features(frame, scene, feature_config)
+        write_feature_cache(example_dir / FEATURES_NAME, feature_config, config.frame_ms, gcc, slf, meta)
 
     return {
         "dir": f"{split}/{index:05d}",
@@ -240,36 +246,61 @@ def split_entries(data_dir, manifest: dict, split: str) -> list[dict]:
     return manifest["splits"][split]["examples"]
 
 
-def write_feature_cache(path, gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray) -> None:
+def _feature_key(config: RelNetConfig, frame_ms: float) -> list[float]:
+    """FEATURES_VERSION followed by the FEATURE_PARAMS values."""
+    return [FEATURES_VERSION, config.fft_size, config.n_central, config.grid_n, frame_ms]
+
+
+def write_feature_cache(
+    path, config: RelNetConfig, frame_ms: float, gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray
+) -> None:
+    """Write the raw pair features built with config and frame_ms."""
     with open(path, "wb") as fh:
         np.savez(
             fh,
-            version=np.int32(FEATURES_VERSION),
+            version=np.array(_feature_key(config, frame_ms), dtype=np.float64),
             gcc=gcc.astype(np.float32),
             slf=slf.astype(np.float32),
             meta=meta.astype(np.float32),
         )
 
 
-def read_feature_cache(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gcc, slf, meta) from a features.bin; FeatureCacheError if stale."""
+def read_feature_cache(
+    path, config: RelNetConfig, frame_ms: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gcc, slf, meta) from a features.bin; FeatureCacheError naming the
+    file and the field if it has another version or was built with other
+    FEATURE_PARAMS values than config and frame_ms."""
+    wanted = _feature_key(config, frame_ms)
     with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"]) if "version" in data.files else None
-        if version != FEATURES_VERSION:
-            raise FeatureCacheError(
-                f"{path}: version {version!r}, expected {FEATURES_VERSION}"
-            )
+        stored = data["version"].ravel().tolist() if "version" in data.files else [None]
+        if stored[0] != FEATURES_VERSION:
+            raise FeatureCacheError(f"{path}: version {stored[0]!r}, expected {FEATURES_VERSION}")
+        if len(stored) != len(wanted):
+            raise FeatureCacheError(f"{path}: version field holds {len(stored)} values, expected {len(wanted)}")
+        for name, have, want in zip(FEATURE_PARAMS, stored[1:], wanted[1:]):
+            if have != want:
+                raise FeatureCacheError(f"{path}: built with {name} {have:g}, expected {want:g}")
         return data["gcc"], data["slf"], data["meta"]
 
 
 def load_example_dir(example_dir) -> tuple[MultichannelSignal, Scene]:
-    """Read one example's channels and scene back from its directory."""
+    """Read one example's channels and scene back from its directory.
+
+    The directory must hold exactly ch_00.wav .. ch_{M-1}.wav for the M of
+    scene.json; a missing or extra channel raises ValueError naming it.
+    """
     example_dir = Path(example_dir)
     scene_path = example_dir / "scene.json"
     try:
         scene = scene_from_json(scene_path.read_text())
     except ValueError as exc:
         raise ValueError(f"{scene_path}: {exc}") from exc
+    expected = {f"ch_{k:02d}.wav" for k in range(scene.m)}
+    odd = sorted(expected ^ {p.name for p in example_dir.glob("ch_*.wav")})
+    if odd:
+        state = "is missing" if odd[0] in expected else "is not a channel"
+        raise ValueError(f"{example_dir}: {odd[0]} {state}; scene.json has M = {scene.m}")
     channels = []
     fs = None
     for k in range(scene.m):
@@ -306,14 +337,11 @@ def example_features(
     cache_path = Path(data_dir) / entry["dir"] / FEATURES_NAME
     if cache_path.exists():
         try:
-            gcc, slf, meta = read_feature_cache(cache_path)
+            gcc, slf, meta = read_feature_cache(cache_path, config, frame_ms)
         except FeatureCacheError as exc:
             logger.info("recomputing features: %s", exc)
         else:
-            want = config.n_central if config.feature_kind == "gcc" else config.grid_n**2
-            have = gcc.shape[1] if config.feature_kind == "gcc" else slf.shape[1]
-            if have == want:
-                return assemble_input(gcc, slf, meta, config, dtype)
+            return assemble_input(gcc, slf, meta, config, dtype)
     received, scene = load_example(data_dir, entry)
     frame = extract_frame(received, frame_ms)
     gcc, slf, meta = raw_pair_features(frame, scene, config)

@@ -48,15 +48,6 @@ class EvalReport:
         return {r.m: r for r in self.rows}
 
 
-def mean_euclid_error(estimates, truths) -> float:
-    """Mean 2-D Euclidean distance between estimates and ground truths."""
-    est = np.atleast_2d(np.asarray(estimates, dtype=float))
-    tru = np.atleast_2d(np.asarray(truths, dtype=float))
-    if est.shape != tru.shape or est.shape[0] < 1 or est.shape[1] != 2:
-        raise ValueError(f"need equal non-empty 2-D point lists, got {est.shape} vs {tru.shape}")
-    return float(np.mean(np.linalg.norm(est - tru, axis=1)))
-
-
 def _classical_estimate(method: str, data_dir, entry, grid_n: int, frame_ms: float):
     received, scene = load_example(data_dir, entry)
     frame = extract_frame(received, frame_ms)

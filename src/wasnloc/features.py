@@ -10,6 +10,11 @@ split into 50%-overlapped DFT windows, each window's cross-spectrum is
 whitened to unit magnitude, the whitened spectra are averaged, and a single
 inverse transform yields the correlation, circularly shifted so lag 0 sits
 at the center. The peak lag approximates fs * (tau_i - tau_j).
+
+Each stage works on all microphone pairs of one example at once: a (P, 2)
+array of channel indices selects the pairs, and every result has one row
+per pair. Every row equals what the same stage computes for that pair
+alone, bit for bit, so batching changes no feature.
 """
 
 from __future__ import annotations
@@ -55,42 +60,6 @@ class Grid:
         return np.array([(u + 0.5) * self.width / self.n, (v + 0.5) * self.length / self.n])
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationVector:
-    """GCC-PHAT correlation: full centered lag axis plus a central slice.
-
-    ``full`` has fft_size entries for lags -fft_size/2 .. fft_size/2 - 1
-    (lag 0 at index fft_size // 2); ``central`` is the contiguous slice of
-    n_central lags centered at 0, e.g. [-100, 99] for 200 bins.
-    """
-
-    full: np.ndarray
-    central: np.ndarray
-    fs: int
-
-    @property
-    def fft_size(self) -> int:
-        return self.full.size
-
-    @property
-    def lags(self) -> np.ndarray:
-        half = self.fft_size // 2
-        return np.arange(-half, self.fft_size - half)
-
-    def peak_lag(self) -> int:
-        return int(np.argmax(self.full)) - self.fft_size // 2
-
-    def value_at_lag(self, lag, mode: str = "linear") -> np.ndarray:
-        """Correlation sampled at (possibly fractional) lags, edge-clamped."""
-        idx = np.asarray(lag, dtype=float) + self.fft_size // 2
-        if mode == "linear":
-            return np.interp(idx, np.arange(self.fft_size), self.full)
-        if mode == "nearest":
-            nearest = np.clip(np.rint(idx).astype(int), 0, self.fft_size - 1)
-            return self.full[nearest]
-        raise ValueError(f"unknown interpolation mode {mode!r}")
-
-
 def extract_frame(signals: MultichannelSignal, frame_ms: float = DEFAULT_FRAME_MS) -> MultichannelSignal:
     """Pick the non-overlapping window with maximal mean energy over channels.
 
@@ -112,67 +81,63 @@ def extract_frame(signals: MultichannelSignal, frame_ms: float = DEFAULT_FRAME_M
     return MultichannelSignal(signals.channels[:, start : start + frame_len].copy(), signals.fs)
 
 
-def gcc_phat(
-    x_i: np.ndarray,
-    x_j: np.ndarray,
-    fs: int,
-    fft_size: int = DEFAULT_FFT_SIZE,
-    n_central: int = DEFAULT_N_CENTRAL,
-    eps: float = PHAT_FLOOR,
-) -> CorrelationVector:
-    """PHAT-weighted generalized cross-correlation of two equal frames."""
-    x_i = np.asarray(x_i, dtype=float).ravel()
-    x_j = np.asarray(x_j, dtype=float).ravel()
-    if x_i.size != x_j.size:
-        raise ValueError("frames must have equal length")
-    if x_i.size < fft_size:
-        raise ValueError(f"frame of {x_i.size} samples shorter than fft_size {fft_size}")
+def gcc_phat(channels: np.ndarray, pairs: np.ndarray, fft_size: int = DEFAULT_FFT_SIZE) -> np.ndarray:
+    """PHAT-weighted generalized cross-correlations of channel pairs.
+
+    ``channels`` is an (M, N) frame and ``pairs`` a (P, 2) array of channel
+    indices. Row p of the (P, fft_size) result correlates channel
+    pairs[p, 0] against channel pairs[p, 1] over lags -fft_size/2 ..
+    fft_size/2 - 1, lag 0 at index fft_size // 2. Each channel is
+    transformed once, however many pairs it joins.
+    """
+    channels = np.asarray(channels, dtype=float)
+    if channels.shape[1] < fft_size:
+        raise ValueError(f"frame of {channels.shape[1]} samples shorter than fft_size {fft_size}")
 
     hop = fft_size // 2
-    n_windows = 1 + (x_i.size - fft_size) // hop
-    starts = np.arange(n_windows) * hop
-    idx = starts[:, None] + np.arange(fft_size)[None, :]
-    spec_i = np.fft.rfft(x_i[idx], axis=1)
-    spec_j = np.fft.rfft(x_j[idx], axis=1)
-    cross = spec_i * np.conj(spec_j)
-    cross /= np.maximum(np.abs(cross), eps)
-    cc = np.fft.irfft(cross.mean(axis=0), fft_size)
+    n_windows = 1 + (channels.shape[1] - fft_size) // hop
+    idx = (np.arange(n_windows) * hop)[:, None] + np.arange(fft_size)[None, :]
+    spec = np.fft.rfft(channels[:, idx], axis=-1)  # (M, windows, bins)
+    cross = spec[pairs[:, 0]] * np.conj(spec[pairs[:, 1]])
+    cross /= np.maximum(np.abs(cross), PHAT_FLOOR)
+    cc = np.fft.irfft(cross.mean(axis=1), fft_size, axis=-1)
 
     half = fft_size // 2
-    full = np.concatenate([cc[-half:], cc[: fft_size - half]])
-    c0 = half - n_central // 2
-    central = full[c0 : c0 + n_central].copy()
-    return CorrelationVector(full=full, central=central, fs=int(fs))
+    return np.concatenate([cc[:, -half:], cc[:, : fft_size - half]], axis=1)
+
+
+def central_lags(corr: np.ndarray, n_central: int = DEFAULT_N_CENTRAL) -> np.ndarray:
+    """The n_central lags around 0 of each :func:`gcc_phat` row, e.g. the
+    lags -100 .. 99 for 200 bins."""
+    c0 = corr.shape[-1] // 2 - n_central // 2
+    return corr[..., c0 : c0 + n_central]
 
 
 def theoretical_tdoa_grid(
-    p_i: np.ndarray,
-    p_j: np.ndarray,
-    grid: Grid,
-    z_plane: float,
-    c: float = SPEED_OF_SOUND,
+    mics: np.ndarray, pairs: np.ndarray, grid: Grid, z_plane: float
 ) -> np.ndarray:
-    """Per-cell theoretical TDOA (seconds) for a mic pair, at height z_plane.
+    """(P, n^2) theoretical TDOAs (seconds) of mic pairs, at height z_plane.
 
-    Cell value is (|q - p_i| - |q - p_j|) / c with q the 3-D point above the
-    cell center, matching the sign convention of :func:`gcc_phat` peaks.
+    Cell value is (|q - p_i| - |q - p_j|) / c for pair (i, j), with q the
+    3-D point above the cell center, matching the sign convention of
+    :func:`gcc_phat` peaks.
     """
     centers = grid.cell_centers()
     q = np.column_stack([centers, np.full(centers.shape[0], z_plane)])
-    d_i = np.linalg.norm(q - np.asarray(p_i, dtype=float)[None, :], axis=1)
-    d_j = np.linalg.norm(q - np.asarray(p_j, dtype=float)[None, :], axis=1)
-    return (d_i - d_j) / c
+    dist = np.linalg.norm(q[None, :, :] - np.asarray(mics, dtype=float)[:, None, :], axis=2)
+    return (dist[pairs[:, 0]] - dist[pairs[:, 1]]) / SPEED_OF_SOUND
 
 
 def slf_project(
-    corr: CorrelationVector,
-    p_i: np.ndarray,
-    p_j: np.ndarray,
+    corr: np.ndarray,
+    fs: int,
+    mics: np.ndarray,
+    pairs: np.ndarray,
     grid: Grid,
     z_plane: float,
-    c: float = SPEED_OF_SOUND,
 ) -> np.ndarray:
-    """Spatial likelihood map: mean correlation over each cell's lag interval.
+    """(P, n^2) spatial likelihood maps: mean correlation over each cell's
+    lag interval, one row per :func:`gcc_phat` row of ``pairs``.
 
     A cell's footprint spans the theoretical lags between the minimum and
     maximum over its four corners (at height z_plane, same sign convention
@@ -185,21 +150,25 @@ def slf_project(
     n = grid.n
     u = np.arange(n + 1) * grid.width / n
     v = np.arange(n + 1) * grid.length / n
-
-    def corner_dist(p):
-        return np.sqrt(np.add.outer((u - p[0]) ** 2, (v - p[1]) ** 2) + (z_plane - p[2]) ** 2)
-
-    # (n + 1, n + 1) corner lattice; row u, column v, like the flat cell index
-    lags = (corner_dist(p_i) - corner_dist(p_j)) * (corr.fs / c)
-    lo = np.minimum(lags[:-1], lags[1:])
-    hi = np.maximum(lags[:-1], lags[1:])
-    lo = np.minimum(lo[:, :-1], lo[:, 1:])
-    hi = np.maximum(hi[:, :-1], hi[:, 1:])
-    half = corr.fft_size // 2
-    first = np.clip(np.floor(lo).astype(int) + half, 0, corr.fft_size - 1)
-    last = np.clip(np.ceil(hi).astype(int) + half, 0, corr.fft_size - 1)
-    csum = np.concatenate([[0.0], np.cumsum(corr.full)])
-    return ((csum[last + 1] - csum[first]) / (last - first + 1)).ravel()
+    mics = np.asarray(mics, dtype=float)
+    # (M, n + 1, n + 1) corner lattice per mic; row u, column v, like the flat cell index
+    dist = np.sqrt(
+        (u[None, :, None] - mics[:, 0, None, None]) ** 2
+        + (v[None, None, :] - mics[:, 1, None, None]) ** 2
+        + ((z_plane - mics[:, 2]) ** 2)[:, None, None]
+    )
+    lags = (dist[pairs[:, 0]] - dist[pairs[:, 1]]) * (fs / SPEED_OF_SOUND)
+    lo = np.minimum(lags[:, :-1], lags[:, 1:])
+    hi = np.maximum(lags[:, :-1], lags[:, 1:])
+    lo = np.minimum(lo[:, :, :-1], lo[:, :, 1:]).reshape(len(pairs), -1)
+    hi = np.maximum(hi[:, :, :-1], hi[:, :, 1:]).reshape(len(pairs), -1)
+    fft_size = corr.shape[1]
+    half = fft_size // 2
+    first = np.clip(np.floor(lo).astype(int) + half, 0, fft_size - 1)
+    last = np.clip(np.ceil(hi).astype(int) + half, 0, fft_size - 1)
+    csum = np.concatenate([np.zeros((len(pairs), 1)), np.cumsum(corr, axis=1)], axis=1)
+    total = np.take_along_axis(csum, last + 1, axis=1) - np.take_along_axis(csum, first, axis=1)
+    return total / (last - first + 1)
 
 
 def mean_mic_height(mic_positions: np.ndarray) -> float:

@@ -1,14 +1,18 @@
 """Relation-network localizer: pairwise MLP relations averaged, then fused.
 
-For every unordered microphone pair (i < j, lexicographic) a feature vector
-is built from the pair's signals (central GCC-PHAT bins, or the SLF map)
-concatenated with the normalized pair metadata, pushed through the relation
-stack F; the relation vectors are averaged over pairs and the fusion stack G
-maps the mean to a heatmap over the room grid. Because the pair mean is
+For every unordered microphone pair a feature vector is built from the
+pair's signals (central GCC-PHAT bins, or the SLF map) concatenated with
+the normalized pair metadata, pushed through the relation stack F; the
+relation vectors are averaged over pairs and the fusion stack G maps the
+mean to a heatmap over the room grid. Because the pair mean is
 order-free and keeps its scale as the pair count grows (10 pairs at M = 5,
 21 at M = 7), the model accepts any number of microphones at inference no
 matter which counts it was trained on. The relation network of Santoro et
 al. (2017) sums its relations; the mean differs only by the factor 1 / P.
+
+The pair signals come from the batched pair step the classical localizers
+use (:func:`classical.pair_correlations`), so F sees the same correlations
+and SLF maps that classical SLF sums.
 
 The training target for a source at p_s assigns each grid cell
 exp(-distance(cell center, p_s)), so the map peaks at 1 on the source cell
@@ -24,14 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import LocalizationResult, enumerate_pairs, pick_peak
+from .classical import LocalizationResult, pair_correlations, pick_peak
 from .features import (
     DEFAULT_FFT_SIZE,
     DEFAULT_GRID_N,
     DEFAULT_N_CENTRAL,
     Grid,
-    gcc_phat,
-    mean_mic_height,
+    central_lags,
     slf_project,
 )
 from .mlp import Mlp, MlpSpec
@@ -134,36 +137,22 @@ def standardize_features(raw: np.ndarray, kind: str) -> np.ndarray:
 
 
 def raw_pair_features(
-    frame: MultichannelSignal,
-    scene: Scene,
-    config: RelNetConfig,
-    z_plane: float | None = None,
+    frame: MultichannelSignal, scene: Scene, config: RelNetConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unstandardized per-pair features for one example.
 
     Returns (gcc, slf, meta): (P, n_central), (P, grid_n^2) and (P, 9)
-    arrays over the unordered pairs. Each pair is oriented canonically by
-    position (lexicographic), not by channel index, so relabeling the
-    microphones reproduces the same feature rows. Computing both feature
-    kinds at once lets dataset caches serve either model.
+    arrays over the pairs of :func:`classical.pair_correlations`, which
+    orients each pair by position, not by channel index, so relabeling the
+    microphones only reorders the rows. Computing both feature kinds at
+    once lets dataset caches serve either model.
     """
-    if frame.m != scene.m:
-        raise ValueError(f"frame has {frame.m} channels but scene has {scene.m} mics")
-    if z_plane is None:
-        z_plane = mean_mic_height(scene.mics.positions)
+    pairs, corr, z_plane = pair_correlations(frame, scene, config.fft_size)
     grid = Grid(scene.room.width, scene.room.length, config.grid_n)
     mics = scene.mics.positions
-    gcc_rows, slf_rows, meta_rows = [], [], []
-    for i, j in enumerate_pairs(scene.m):
-        if tuple(mics[j]) < tuple(mics[i]):
-            i, j = j, i
-        corr = gcc_phat(
-            frame.channels[i], frame.channels[j], frame.fs, config.fft_size, config.n_central
-        )
-        gcc_rows.append(corr.central)
-        slf_rows.append(slf_project(corr, mics[i], mics[j], grid, z_plane))
-        meta_rows.append(pair_metadata_vector(mics[i], mics[j], scene.room.dims))
-    return np.array(gcc_rows), np.array(slf_rows), np.array(meta_rows)
+    slf = slf_project(corr, frame.fs, mics, pairs, grid, z_plane)
+    meta = pair_metadata_vector(mics[pairs[:, 0]], mics[pairs[:, 1]], scene.room.dims)
+    return central_lags(corr, config.n_central), slf, meta
 
 
 def assemble_input(
@@ -180,13 +169,9 @@ def assemble_input(
 
 
 def pair_feature_matrix(
-    frame: MultichannelSignal,
-    scene: Scene,
-    config: RelNetConfig,
-    z_plane: float | None = None,
-    dtype=np.float32,
+    frame: MultichannelSignal, scene: Scene, config: RelNetConfig, dtype=np.float32
 ) -> np.ndarray:
-    gcc, slf, meta = raw_pair_features(frame, scene, config, z_plane)
+    gcc, slf, meta = raw_pair_features(frame, scene, config)
     return assemble_input(gcc, slf, meta, config, dtype)
 
 
@@ -198,14 +183,9 @@ def relnet_forward_features(model: RelNetModel, features: np.ndarray) -> np.ndar
     return heatmap
 
 
-def relnet_forward(
-    model: RelNetModel,
-    frame: MultichannelSignal,
-    scene: Scene,
-    z_plane: float | None = None,
-) -> np.ndarray:
+def relnet_forward(model: RelNetModel, frame: MultichannelSignal, scene: Scene) -> np.ndarray:
     """End-to-end heatmap for one example (any M >= 2)."""
-    features = pair_feature_matrix(frame, scene, model.config, z_plane)
+    features = pair_feature_matrix(frame, scene, model.config)
     return relnet_forward_features(model, features)
 
 
@@ -214,12 +194,11 @@ def gnn_localize(
     frame: MultichannelSignal,
     scene: Scene,
     grid: Grid | None = None,
-    z_plane: float | None = None,
 ) -> LocalizationResult:
     """Localize with a trained relation network (grid maximum wins)."""
     if grid is None:
         grid = Grid(scene.room.width, scene.room.length, model.config.grid_n)
-    heatmap = relnet_forward(model, frame, scene, z_plane)
+    heatmap = relnet_forward(model, frame, scene)
     return LocalizationResult(pick_peak(heatmap, grid, "max"), heatmap)
 
 

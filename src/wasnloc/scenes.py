@@ -193,40 +193,15 @@ def validate_scene(scene: Scene, min_separation: float = DEFAULT_MIN_SEPARATION)
                 raise ValueError(f"devices {i} and {j} closer than min_separation")
 
 
-def build_metadata(scene: Scene) -> np.ndarray:
-    """Flat metadata vector: mic 1 xyz, ..., mic M xyz, room width/length/height.
-
-    Length is 3M + 3. Values are raw meters (no normalization).
-    """
-    return np.concatenate([scene.mics.positions.ravel(), scene.room.dims])
-
-
-def parse_metadata(vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`build_metadata`: returns ((M, 3) mics, (3,) room dims)."""
-    vec = np.asarray(vector, dtype=float).ravel()
-    if vec.size < 6 or (vec.size - 3) % 3 != 0:
-        raise ValueError(f"metadata vector length {vec.size} is not 3M + 3")
-    return vec[:-3].reshape(-1, 3), vec[-3:]
-
-
-def pair_metadata(scene: Scene, i: int, j: int) -> np.ndarray:
-    """Normalized 9-vector describing microphone pair (i, j) and its room.
+def pair_metadata_vector(p_i: np.ndarray, p_j: np.ndarray, room_dims: np.ndarray) -> np.ndarray:
+    """(P, 9) normalized rows describing mic pairs and their room.
 
     Layout: mic i xyz, mic j xyz (each coordinate divided by the matching
     room dimension, so in-room coordinates land in [0, 1]), then the room
-    dimensions divided by 10 m. Requires i < j < M.
+    dimensions divided by 10 m. p_i and p_j are (P, 3) arrays.
     """
-    m = scene.m
-    if not (0 <= i < j < m):
-        raise IndexError(f"need 0 <= i < j < M={m}, got i={i}, j={j}")
-    return pair_metadata_vector(
-        scene.mics.positions[i], scene.mics.positions[j], scene.room.dims
-    )
-
-
-def pair_metadata_vector(p_i: np.ndarray, p_j: np.ndarray, room_dims: np.ndarray) -> np.ndarray:
     dims = np.asarray(room_dims, dtype=float)
-    return np.concatenate([p_i / dims, p_j / dims, dims / 10.0])
+    return np.hstack([p_i / dims, p_j / dims, np.broadcast_to(dims / 10.0, np.shape(p_i))])
 
 
 def scene_to_json(scene: Scene) -> str:

@@ -76,11 +76,9 @@ class TestTdoaLocalize:
         frame = anechoic_frame(scene)
         result = tdoa_localize(frame, scene)
         grid = Grid(5.0, 4.0)
-        corr = gcc_phat(frame.channels[0], frame.channels[1], FS)
-        measured = corr.peak_lag() / FS
-        tdoa = theoretical_tdoa_grid(
-            scene.mics.positions[0], scene.mics.positions[1], grid, 1.5
-        )
+        pair = np.array([[0, 1]])
+        measured = (int(np.argmax(gcc_phat(frame.channels, pair)[0])) - 512) / FS
+        tdoa = theoretical_tdoa_grid(scene.mics.positions, pair, grid, 1.5)[0]
         est_flat = int(np.argmin(result.heatmap))
         # estimate sits among the cells closest to the measured hyperbola
         best = np.min(np.abs(tdoa - measured))
@@ -101,15 +99,6 @@ class TestTdoaLocalize:
         swapped = tdoa_localize(frame_p, scene_p)
         np.testing.assert_array_equal(base.estimate, swapped.estimate)
         np.testing.assert_allclose(swapped.heatmap, base.heatmap, rtol=1e-9)
-
-    def test_abs_metric_switch(self):
-        scene = planar_scene()
-        frame = anechoic_frame(scene)
-        result = tdoa_localize(frame, scene, metric="abs")
-        err = np.linalg.norm(result.estimate - scene.source.position[:2])
-        assert err <= np.hypot(5.0 / 25, 4.0 / 25)
-        with pytest.raises(ValueError):
-            tdoa_localize(frame, scene, metric="rms")
 
     def test_channel_count_mismatch(self):
         scene = planar_scene()
@@ -154,15 +143,6 @@ class TestSlfLocalize:
         swapped = slf_localize(frame_p, scene_p)
         np.testing.assert_array_equal(base.estimate, swapped.estimate)
         np.testing.assert_allclose(swapped.heatmap, base.heatmap, rtol=1e-9)
-
-    def test_per_pair_maps_returned_on_request(self):
-        scene = planar_scene()
-        frame = anechoic_frame(scene)
-        result = slf_localize(frame, scene, keep_per_pair=True)
-        assert len(result.per_pair_maps) == 10
-        np.testing.assert_allclose(
-            np.sum(result.per_pair_maps, axis=0), result.heatmap, rtol=1e-12
-        )
 
     def test_runs_for_any_mic_count(self):
         # localizers need no reconfiguration across M

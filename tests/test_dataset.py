@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shutil
@@ -8,6 +9,7 @@ import pytest
 from conftest import TINY_GRID_N, tiny_dataset_config
 
 from wasnloc.dataset import (
+    FEATURES_NAME,
     DatasetConfig,
     FeatureCacheError,
     example_features,
@@ -19,7 +21,7 @@ from wasnloc.dataset import (
     read_feature_cache,
 )
 from wasnloc.evaluate import evaluate
-from wasnloc.features import Grid, extract_frame
+from wasnloc.features import DEFAULT_FRAME_MS, Grid, extract_frame
 from wasnloc.relnet import RelNetConfig, assemble_input, raw_pair_features, target_map
 from wasnloc.scenes import scene_from_json
 from wasnloc.signals import read_wav_mono, write_wav
@@ -136,6 +138,22 @@ class TestLoadExample:
         with pytest.raises(ValueError, match=r"ch_01\.wav: .*ch_00\.wav"):
             load_example(tmp_path, entry)
 
+    @pytest.mark.parametrize("bad", ["missing", "extra"])
+    def test_channel_files_match_scene_m(self, tiny_dataset, tmp_path, bad):
+        root, manifest = tiny_dataset
+        entry = manifest["splits"]["train"]["examples"][0]
+        m = entry["m"]
+        copy = tmp_path / entry["dir"]
+        shutil.copytree(root / entry["dir"], copy)
+        if bad == "missing":
+            name = f"ch_{m - 1:02d}.wav"
+            (copy / name).unlink()
+        else:
+            name = f"ch_{m:02d}.wav"
+            shutil.copy(copy / "ch_00.wav", copy / name)
+        with pytest.raises(ValueError, match=rf"{entry['dir']}: {name} .*scene\.json has M = {m}"):
+            load_example(tmp_path, entry)
+
 
 class TestManifest:
     def _write(self, tiny_dataset, tmp_path, edit):
@@ -176,10 +194,10 @@ class TestFeatureCache:
     def test_cache_matches_recompute(self, tiny_dataset):
         root, manifest = tiny_dataset
         entry = manifest["splits"]["val"]["examples"][0]
-        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin")
+        config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
+        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config, 500.0)
         received, scene = load_example(root, entry)
         frame = extract_frame(received, 500.0)
-        config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
         gcc2, slf2, meta2 = raw_pair_features(frame, scene, config)
         np.testing.assert_allclose(gcc, gcc2, atol=1e-6)
         np.testing.assert_allclose(slf, slf2, atol=1e-6)
@@ -192,7 +210,7 @@ class TestFeatureCache:
         feats = example_features(root, entry, config)
         pairs = entry["m"] * (entry["m"] - 1) // 2
         assert feats.shape == (pairs, TINY_GRID_N**2 + 9)
-        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin")
+        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config, DEFAULT_FRAME_MS)
         np.testing.assert_array_equal(feats, assemble_input(gcc, slf, meta, config))
 
     def test_grid_mismatch_falls_back_to_recompute(self, tiny_dataset):
@@ -210,12 +228,26 @@ class TestFeatureCache:
         expected = example_features(root, entry, config)
         copy = tmp_path / entry["dir"]
         shutil.copytree(root / entry["dir"], copy)
-        gcc, slf, meta = read_feature_cache(copy / "features.bin")
+        gcc, slf, meta = read_feature_cache(copy / "features.bin", config, DEFAULT_FRAME_MS)
         with open(copy / "features.bin", "wb") as fh:
             np.savez(fh, gcc=gcc, slf=np.zeros_like(slf), meta=meta)
         with pytest.raises(FeatureCacheError, match="version None"):
-            read_feature_cache(copy / "features.bin")
+            read_feature_cache(copy / "features.bin", config, DEFAULT_FRAME_MS)
         np.testing.assert_allclose(example_features(tmp_path, entry, config), expected, atol=1e-6)
+
+    @pytest.mark.parametrize("built_with", [{"frame_ms": 250.0}, {"fft_size": 512}])
+    def test_cache_from_other_parameters_not_served(self, tmp_path, built_with):
+        # same widths as a default cache, other numbers: must be recomputed
+        config = dataclasses.replace(tiny_dataset_config(master_seed=19), **built_with)
+        entry = generate_example(config, "train", 0, tmp_path)
+        default = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
+        (field,) = built_with
+        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: built with {field} "):
+            read_feature_cache(tmp_path / entry["dir"] / FEATURES_NAME, default, DEFAULT_FRAME_MS)
+        received, scene = load_example(tmp_path, entry)
+        frame = extract_frame(received, DEFAULT_FRAME_MS)
+        expected = assemble_input(*raw_pair_features(frame, scene, default), default)
+        np.testing.assert_array_equal(example_features(tmp_path, entry, default), expected)
 
     def test_load_split_features_targets(self, tiny_dataset):
         root, manifest = tiny_dataset

@@ -3,7 +3,7 @@ import pytest
 from conftest import TINY_GRID_N
 
 from wasnloc.dataset import load_manifest, load_split_features
-from wasnloc.evaluate import EvalReport, evaluate, mean_euclid_error, write_report_csv
+from wasnloc.evaluate import EvalReport, evaluate, write_report_csv
 from wasnloc.mlp import MlpSpec
 from wasnloc.relnet import RelNetConfig, RelNetModel, save_checkpoint
 from wasnloc.training import TrainConfig, train
@@ -30,26 +30,6 @@ def tiny_checkpoint(tiny_dataset, tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
     save_checkpoint(best, path)
     return path
-
-
-class TestMeanEuclidError:
-    def test_zero_when_exact(self):
-        pts = [[1.0, 2.0], [3.0, 4.0]]
-        assert mean_euclid_error(pts, pts) == 0.0
-
-    def test_three_four_five(self):
-        assert mean_euclid_error([[0.0, 0.0]], [[3.0, 4.0]]) == pytest.approx(5.0)
-
-    def test_mean_of_two(self):
-        est = [[0.0, 0.0], [0.0, 0.0]]
-        tru = [[0.0, 0.0], [0.0, 5.0]]
-        assert mean_euclid_error(est, tru) == pytest.approx(2.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mean_euclid_error([[0.0, 0.0]], [[1.0, 1.0], [2.0, 2.0]])
-        with pytest.raises(ValueError):
-            mean_euclid_error([], [])
 
 
 class TestEvaluate:

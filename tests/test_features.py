@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from wasnloc.features import (
-    CorrelationVector,
     Grid,
+    central_lags,
     extract_frame,
     gcc_phat,
     heatmap_from_csv,
@@ -16,6 +16,17 @@ from wasnloc.rir import SPEED_OF_SOUND
 from wasnloc.signals import MultichannelSignal
 
 FS = 16000
+PAIR = np.array([[0, 1]])
+
+
+def peak_lag(x_i, x_j, fft_size=1024):
+    """Lag of the GCC-PHAT peak of one channel pair."""
+    return int(np.argmax(gcc_phat(np.stack([x_i, x_j]), PAIR, fft_size)[0])) - fft_size // 2
+
+
+def one_pair(p_i, p_j):
+    """Positions and pair array of a single mic pair."""
+    return np.array([p_i, p_j], dtype=float), PAIR
 
 
 class TestGrid:
@@ -60,8 +71,7 @@ class TestExtractFrame:
 class TestGccPhat:
     def test_identical_signals_peak_at_zero(self):
         x = np.random.default_rng(1).standard_normal(8000)
-        corr = gcc_phat(x, x, FS)
-        assert corr.peak_lag() == 0
+        assert peak_lag(x, x) == 0
 
     def test_known_delay_recovered(self):
         # x_j(t) = x_i(t - 5) -> peak at lag -5 under the sign convention
@@ -69,8 +79,7 @@ class TestGccPhat:
         master = rng.standard_normal(9000)
         x_i = master[500:8500]
         x_j = master[495:8495]
-        corr = gcc_phat(x_i, x_j, FS)
-        assert corr.peak_lag() == -5
+        assert peak_lag(x_i, x_j) == -5
 
     def test_peak_matches_brute_force_oracle(self):
         # oracle: time-domain normalized cross-correlation, argmax over lags
@@ -88,25 +97,24 @@ class TestGccPhat:
             scores.append(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
         assert lags[int(np.argmax(scores))] == -delay
 
-        corr = gcc_phat(x_i, x_j, FS)
-        assert corr.peak_lag() == -delay
+        assert peak_lag(x_i, x_j) == -delay
 
     def test_central_slice_is_lag_window(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(8000)
-        corr = gcc_phat(x, x, FS, fft_size=1024, n_central=200)
-        assert corr.central.size == 200
+        full = gcc_phat(np.stack([x, x]), PAIR, fft_size=1024)
+        central = central_lags(full, n_central=200)
+        assert central.shape == (1, 200)
         half = 1024 // 2
-        np.testing.assert_array_equal(corr.central, corr.full[half - 100 : half + 100])
-        assert corr.lags[half] == 0
+        np.testing.assert_array_equal(central, full[:, half - 100 : half + 100])
+        assert int(np.argmax(full[0])) == half  # lag 0 sits at index fft_size // 2
 
     def test_swap_reverses_lag_axis(self):
         rng = np.random.default_rng(5)
         master = rng.standard_normal(9000)
         x_i = master[100:8100]
         x_j = master[93:8093]
-        ab = gcc_phat(x_i, x_j, FS).full
-        ba = gcc_phat(x_j, x_i, FS).full
+        ab, ba = gcc_phat(np.stack([x_i, x_j]), np.array([[0, 1], [1, 0]]))
         half = 512
         for lag in range(-200, 201):
             assert ab[half + lag] == pytest.approx(ba[half - lag], abs=1e-9)
@@ -117,9 +125,9 @@ class TestGccPhat:
         master = rng.standard_normal(2000)
         x_i = master[100:1124]
         x_j = master[90:1114]
-        corr = gcc_phat(x_i, x_j, FS, fft_size=1024)
+        full = gcc_phat(np.stack([x_i, x_j]), PAIR, fft_size=1024)[0]
         half = 512
-        raw = np.concatenate([corr.full[half:], corr.full[:half]])  # undo centering
+        raw = np.concatenate([full[half:], full[:half]])  # undo centering
         mags = np.abs(np.fft.rfft(raw))
         np.testing.assert_allclose(mags, 1.0, atol=1e-9)
 
@@ -135,21 +143,19 @@ class TestGccPhat:
             scale = 10.0 ** (-30.0 / 20.0)
             x_i = x_i + scale * rng.standard_normal(8000)
             x_j = x_j + scale * rng.standard_normal(8000)
-            if gcc_phat(x_i, x_j, FS).peak_lag() == -delay:
+            if peak_lag(x_i, x_j) == -delay:
                 hits += 1
         assert hits >= 99
 
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
-            gcc_phat(np.zeros(512), np.zeros(512), FS, fft_size=1024)
-        with pytest.raises(ValueError):
-            gcc_phat(np.zeros(2048), np.zeros(2000), FS)
+            gcc_phat(np.zeros((2, 512)), PAIR, fft_size=1024)
 
 
 class TestTheoreticalTdoaGrid:
     def test_equidistant_cell_is_zero(self):
         grid = Grid(4.0, 4.0, n=5)
-        tdoa = theoretical_tdoa_grid([1.0, 2.0, 1.0], [3.0, 2.0, 1.0], grid, z_plane=1.0)
+        tdoa = theoretical_tdoa_grid(*one_pair([1.0, 2.0, 1.0], [3.0, 2.0, 1.0]), grid, z_plane=1.0)
         # cells with x=2.0 are equidistant; n=5 puts centers at x=2.0 (u=2)
         mid = tdoa.reshape(5, 5)[2]
         np.testing.assert_allclose(mid, 0.0, atol=1e-12)
@@ -157,68 +163,43 @@ class TestTheoreticalTdoaGrid:
     def test_bounded_by_baseline(self):
         grid = Grid(5.0, 4.0)
         p_i, p_j = np.array([1.0, 1.0, 1.5]), np.array([4.0, 3.0, 1.2])
-        tdoa = theoretical_tdoa_grid(p_i, p_j, grid, z_plane=1.4)
+        tdoa = theoretical_tdoa_grid(*one_pair(p_i, p_j), grid, z_plane=1.4)
         bound = np.linalg.norm(p_i - p_j) / SPEED_OF_SOUND
         assert np.all(np.abs(tdoa) <= bound + 1e-12)
 
     def test_hand_computed_cell(self):
         # mics (1,1,1) and (4,1,1), cell center at (1,1), z=1 -> (0-3)/343
-        grid = Grid(5.0, 5.0, n=5)  # cell centers at 0.5, 1.5, ... -> use n=5, width 5
-        # choose a grid putting a center exactly at (1,1): width 5, n=5 ->
-        # centers 0.5,1.5,..; not (1,1). use n=25, width 10? simpler: n=5, width=10
         grid = Grid(10.0, 10.0, n=5)  # centers at 1,3,5,7,9
-        tdoa = theoretical_tdoa_grid([1.0, 1.0, 1.0], [4.0, 1.0, 1.0], grid, z_plane=1.0)
-        assert tdoa[0] == pytest.approx((0.0 - 3.0) / 343.0)
+        tdoa = theoretical_tdoa_grid(*one_pair([1.0, 1.0, 1.0], [4.0, 1.0, 1.0]), grid, z_plane=1.0)
+        assert tdoa[0, 0] == pytest.approx((0.0 - 3.0) / 343.0)
 
     def test_antisymmetry(self):
         grid = Grid(5.0, 4.0)
-        p_i, p_j = [1.0, 1.0, 1.5], [4.0, 3.0, 1.2]
-        ij = theoretical_tdoa_grid(p_i, p_j, grid, 1.3)
-        ji = theoretical_tdoa_grid(p_j, p_i, grid, 1.3)
+        mics = np.array([[1.0, 1.0, 1.5], [4.0, 3.0, 1.2]])
+        ij, ji = theoretical_tdoa_grid(mics, np.array([[0, 1], [1, 0]]), grid, 1.3)
         np.testing.assert_allclose(ij, -ji, atol=1e-15)
 
 
 class TestSlfProject:
-    def _corr_with_peak(self, peak_lag, fs=FS, fft_size=1024):
-        full = np.zeros(fft_size)
-        full[fft_size // 2 + peak_lag] = 1.0
-        central = full[fft_size // 2 - 100 : fft_size // 2 + 100]
-        return CorrelationVector(full=full, central=central, fs=fs)
+    def _corr_with_peak(self, peak_lag, fft_size=1024):
+        full = np.zeros((1, fft_size))
+        full[0, fft_size // 2 + peak_lag] = 1.0
+        return full
 
     def test_constant_correlation_uniform_map(self):
-        corr = CorrelationVector(full=np.ones(1024), central=np.ones(200), fs=FS)
         grid = Grid(5.0, 4.0)
-        heat = slf_project(corr, [1, 1, 1], [4, 3, 1], grid, z_plane=1.0)
+        heat = slf_project(np.ones((1, 1024)), FS, *one_pair([1, 1, 1], [4, 3, 1]), grid, z_plane=1.0)
         np.testing.assert_allclose(heat, 1.0)
 
-    def test_integer_lag_exact_value(self):
-        rng = np.random.default_rng(8)
-        full = rng.standard_normal(1024)
-        corr = CorrelationVector(full=full, central=full[412:612], fs=FS)
-        # pick a cell, compute its tdoa, then check exact lookup when the
-        # lag is integral: use value_at_lag directly
-        assert corr.value_at_lag(37.0) == full[512 + 37]
-        assert corr.value_at_lag(-100.0) == full[512 - 100]
-
-    def test_linear_interpolation_between_lags(self):
-        full = np.zeros(1024)
-        full[512 + 10] = 1.0
-        full[512 + 11] = 3.0
-        corr = CorrelationVector(full=full, central=full[412:612], fs=FS)
-        assert corr.value_at_lag(10.25) == pytest.approx(1.5)
-
-    def test_nearest_mode(self):
-        full = np.zeros(1024)
-        full[512 + 10] = 1.0
-        corr = CorrelationVector(full=full, central=full[412:612], fs=FS)
-        assert corr.value_at_lag(10.4, mode="nearest") == 1.0
-        assert corr.value_at_lag(10.6, mode="nearest") == 0.0
-
     def test_out_of_range_lag_clamped(self):
-        full = np.arange(1024.0)
-        corr = CorrelationVector(full=full, central=full[412:612], fs=FS)
-        assert corr.value_at_lag(-2000.0) == full[0]
-        assert corr.value_at_lag(2000.0) == full[-1]
+        # a 16-lag correlation cannot cover a 3 m baseline (about 140 lags):
+        # cells near a mic read the edge value of their side
+        full = np.arange(16.0)[None, :]
+        grid = Grid(5.0, 4.0, n=10)
+        heat = slf_project(full, FS, *one_pair([1.0, 2.0, 1.0], [4.0, 2.0, 1.0]), grid, z_plane=1.0)
+        heat = heat.reshape(10, 10)
+        assert np.all(heat[:2] == full[0, 0])  # x < 1 m: lag far below -8
+        assert np.all(heat[-2:] == full[0, -1])  # x > 4 m: lag far above 7
 
     def test_map_max_on_matching_hyperbola(self):
         # exhaustive per-cell oracle: cells whose theoretical TDOA is
@@ -227,8 +208,8 @@ class TestSlfProject:
         p_i, p_j = np.array([1.0, 1.0, 1.0]), np.array([4.0, 3.0, 1.0])
         true_lag = 40
         corr = self._corr_with_peak(true_lag)
-        heat = slf_project(corr, p_i, p_j, grid, z_plane=1.0)
-        tdoa = theoretical_tdoa_grid(p_i, p_j, grid, z_plane=1.0)
+        heat = slf_project(corr, FS, *one_pair(p_i, p_j), grid, z_plane=1.0)[0]
+        tdoa = theoretical_tdoa_grid(*one_pair(p_i, p_j), grid, z_plane=1.0)[0]
         lag_err = np.abs(tdoa * FS - true_lag)
         # a cell covers every lag its footprint spans, so "far" means the
         # whole footprint, sampled densely (9 x 9 points per cell, edges

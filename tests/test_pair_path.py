@@ -1,0 +1,137 @@
+"""Properties of the one batched pair path shared by every localizer.
+
+The reference functions below are frozen copies of the per-pair code the
+batched stages replaced (one GCC-PHAT, TDOA grid, SLF map and metadata
+vector per call, pairs oriented by a tuple comparison of positions). The
+batched stages must reproduce them bit for bit, so that cached features and
+trained models do not change.
+"""
+
+import dataclasses
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wasnloc.classical import pair_correlations, slf_localize, tdoa_localize
+from wasnloc.features import Grid, slf_project, theoretical_tdoa_grid
+from wasnloc.relnet import RelNetConfig, raw_pair_features
+from wasnloc.rir import SPEED_OF_SOUND
+from wasnloc.scenes import MicArray, SceneDistribution, sample_scene
+from wasnloc.signals import MultichannelSignal
+
+FS = 16000
+
+
+def reference_gcc_phat(x_i, x_j, fft_size):
+    hop = fft_size // 2
+    n_windows = 1 + (x_i.size - fft_size) // hop
+    starts = np.arange(n_windows) * hop
+    idx = starts[:, None] + np.arange(fft_size)[None, :]
+    spec_i = np.fft.rfft(x_i[idx], axis=1)
+    spec_j = np.fft.rfft(x_j[idx], axis=1)
+    cross = spec_i * np.conj(spec_j)
+    cross /= np.maximum(np.abs(cross), 1e-12)
+    cc = np.fft.irfft(cross.mean(axis=0), fft_size)
+    half = fft_size // 2
+    return np.concatenate([cc[-half:], cc[: fft_size - half]])
+
+
+def reference_tdoa_grid(p_i, p_j, grid, z_plane):
+    centers = grid.cell_centers()
+    q = np.column_stack([centers, np.full(centers.shape[0], z_plane)])
+    d_i = np.linalg.norm(q - np.asarray(p_i, dtype=float)[None, :], axis=1)
+    d_j = np.linalg.norm(q - np.asarray(p_j, dtype=float)[None, :], axis=1)
+    return (d_i - d_j) / SPEED_OF_SOUND
+
+
+def reference_slf_project(full, fs, p_i, p_j, grid, z_plane):
+    n = grid.n
+    u = np.arange(n + 1) * grid.width / n
+    v = np.arange(n + 1) * grid.length / n
+
+    def corner_dist(p):
+        return np.sqrt(np.add.outer((u - p[0]) ** 2, (v - p[1]) ** 2) + (z_plane - p[2]) ** 2)
+
+    lags = (corner_dist(p_i) - corner_dist(p_j)) * (fs / SPEED_OF_SOUND)
+    lo = np.minimum(lags[:-1], lags[1:])
+    hi = np.maximum(lags[:-1], lags[1:])
+    lo = np.minimum(lo[:, :-1], lo[:, 1:])
+    hi = np.maximum(hi[:, :-1], hi[:, 1:])
+    half = full.size // 2
+    first = np.clip(np.floor(lo).astype(int) + half, 0, full.size - 1)
+    last = np.clip(np.ceil(hi).astype(int) + half, 0, full.size - 1)
+    csum = np.concatenate([[0.0], np.cumsum(full)])
+    return ((csum[last + 1] - csum[first]) / (last - first + 1)).ravel()
+
+
+def reference_pair_metadata(p_i, p_j, room_dims):
+    dims = np.asarray(room_dims, dtype=float)
+    return np.concatenate([p_i / dims, p_j / dims, dims / 10.0])
+
+
+def random_example(m, seed):
+    scene = sample_scene(SceneDistribution(mic_counts=(m,)), seed)
+    channels = np.random.default_rng(seed).standard_normal((m, FS // 2))
+    return MultichannelSignal(channels, FS), scene
+
+
+examples = st.tuples(st.integers(2, 8), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(example=examples, fft_size=st.sampled_from([256, 1024]), grid_n=st.sampled_from([4, 25]))
+def test_batched_stages_equal_per_pair_reference(example, fft_size, grid_n):
+    frame, scene = random_example(*example)
+    config = RelNetConfig(grid_n=grid_n, fft_size=fft_size, n_central=200)
+    mics = scene.mics.positions
+    z_plane = float(np.mean(mics[:, 2]))
+    grid = Grid(scene.room.width, scene.room.length, grid_n)
+
+    oriented = []
+    for i, j in itertools.combinations(range(scene.m), 2):
+        oriented.append((j, i) if tuple(mics[j]) < tuple(mics[i]) else (i, j))
+    pairs, corr, plane = pair_correlations(frame, scene, fft_size)
+    assert pairs.tolist() == [list(p) for p in oriented]
+    assert plane == z_plane
+    gcc, slf, meta = raw_pair_features(frame, scene, config)
+    tdoa = theoretical_tdoa_grid(mics, pairs, grid, z_plane)
+    assert np.array_equal(slf, slf_project(corr, FS, mics, pairs, grid, z_plane))
+
+    c0 = fft_size // 2 - 100
+    for row, (i, j) in enumerate(oriented):
+        full = reference_gcc_phat(frame.channels[i], frame.channels[j], fft_size)
+        assert np.array_equal(corr[row], full)
+        assert np.array_equal(gcc[row], full[c0 : c0 + 200])
+        assert np.array_equal(tdoa[row], reference_tdoa_grid(mics[i], mics[j], grid, z_plane))
+        assert np.array_equal(
+            slf[row], reference_slf_project(full, FS, mics[i], mics[j], grid, z_plane)
+        )
+        assert np.array_equal(meta[row], reference_pair_metadata(mics[i], mics[j], scene.room.dims))
+
+
+@settings(max_examples=15, deadline=None)
+@given(example=examples, order_seed=st.integers(0, 2**32 - 1))
+def test_relabeling_mics_only_reorders_rows(example, order_seed):
+    frame, scene = random_example(*example)
+    perm = np.random.default_rng(order_seed).permutation(scene.m)
+    scene_p = dataclasses.replace(scene, mics=MicArray(scene.mics.positions[perm]))
+    frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
+    config = RelNetConfig(grid_n=25)
+
+    def by_pair_position(features):
+        gcc, slf, meta = features
+        order = np.lexsort(meta.T[::-1])  # meta rows name the pair's two positions
+        return gcc[order], slf[order], meta[order]
+
+    for a, b in zip(
+        by_pair_position(raw_pair_features(frame, scene, config)),
+        by_pair_position(raw_pair_features(frame_p, scene_p, config)),
+    ):
+        assert np.array_equal(a, b)
+    for localize in (tdoa_localize, slf_localize):
+        assert np.array_equal(
+            localize(frame, scene).estimate, localize(frame_p, scene_p).estimate
+        )
+

@@ -10,14 +10,13 @@ from wasnloc.scenes import (
     Scene,
     SceneDistribution,
     SourceSpec,
-    build_metadata,
-    pair_metadata,
-    parse_metadata,
     sample_scene,
     scene_from_json,
     scene_to_json,
     validate_scene,
 )
+from wasnloc.relnet import RelNetConfig, raw_pair_features
+from wasnloc.signals import MultichannelSignal
 
 
 def make_scene(mics, room=(4.0, 5.0, 3.0), source=(2.0, 2.5, 1.5), t60=0.4, seed=0):
@@ -114,51 +113,25 @@ class TestSampleScene:
             SceneDistribution(width_range=(0.9, 6.0), min_separation=0.5)
 
 
-class TestMetadata:
-    def test_single_mic_layout(self):
-        scene = make_scene([[1.0, 2.0, 3.0]], room=(4.0, 5.0, 6.0))
-        assert build_metadata(scene).tolist() == [1, 2, 3, 4, 5, 6]
-
-    def test_length_is_3m_plus_3(self):
-        for m in (1, 2, 4, 7):
-            scene = make_scene([[1.0 + 0.5 * k, 1.0, 1.0] for k in range(m)])
-            assert build_metadata(scene).size == 3 * m + 3
-
-    def test_round_trip(self):
-        config = SceneDistribution(mic_counts=(4, 7))
-        scene = sample_scene(config, 9)
-        mics, dims = parse_metadata(build_metadata(scene))
-        assert np.array_equal(mics, scene.mics.positions)
-        assert np.array_equal(dims, scene.room.dims)
-
-    def test_parse_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            parse_metadata(np.zeros(8))
+def meta_rows(scene):
+    """The pair metadata rows the relation network sees for a scene."""
+    frame = MultichannelSignal(np.random.default_rng(0).standard_normal((scene.m, 8000)), 16000)
+    return raw_pair_features(frame, scene, RelNetConfig(grid_n=5))[2]
 
 
 class TestPairMetadata:
     def test_corner_mic_scales_to_unit(self):
+        # pairs are ordered by position, so the corner mic comes second
         scene = make_scene([[4.0, 5.0, 3.0], [0.5, 0.5, 0.5]])
-        vec = pair_metadata(scene, 0, 1)
-        assert vec[:3] == pytest.approx([1.0, 1.0, 1.0])
+        assert meta_rows(scene)[0, 3:6] == pytest.approx([1.0, 1.0, 1.0])
 
     def test_room_entries_divided_by_ten(self):
         scene = make_scene([[1, 1, 1], [2, 2, 2]], room=(5.0, 5.0, 3.0))
-        vec = pair_metadata(scene, 0, 1)
-        assert vec[6:].tolist() == pytest.approx([0.5, 0.5, 0.3])
-
-    def test_rejects_bad_indices(self):
-        scene = make_scene([[1, 1, 1], [2, 2, 2]])
-        with pytest.raises(IndexError):
-            pair_metadata(scene, 1, 1)
-        with pytest.raises(IndexError):
-            pair_metadata(scene, 1, 0)
-        with pytest.raises(IndexError):
-            pair_metadata(scene, 0, 2)
+        assert meta_rows(scene)[0, 6:].tolist() == pytest.approx([0.5, 0.5, 0.3])
 
     def test_length_nine(self):
         scene = make_scene([[1, 1, 1], [2, 2, 2], [3, 3, 2]])
-        assert pair_metadata(scene, 0, 2).size == 9
+        assert meta_rows(scene).shape == (3, 9)
 
 
 class TestSceneJson:
