@@ -29,7 +29,6 @@ from .relnet import (
     gnn_localize,
     load_checkpoint,
     mae_loss,
-    relnet_forward,
     save_checkpoint,
     target_map,
 )
@@ -53,7 +52,7 @@ from .signals import (
     SourceSignalConfig,
     add_noise,
     auralize,
-    provide_source_signal,
+    provide_source_signal_with_id,
 )
 from .training import FeatureExample, TrainConfig, train
 

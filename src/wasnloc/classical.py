@@ -90,15 +90,7 @@ def pick_peak(heatmap: np.ndarray, grid: Grid, mode: str = "max") -> np.ndarray:
     return grid.cell_center(idx)
 
 
-def _default_grid(scene: Scene, grid: Grid | None) -> Grid:
-    if grid is not None:
-        return grid
-    return Grid(scene.room.width, scene.room.length)
-
-
-def tdoa_localize(
-    frame: MultichannelSignal, scene: Scene, grid: Grid | None = None
-) -> LocalizationResult:
+def tdoa_localize(frame: MultichannelSignal, scene: Scene, grid: Grid) -> LocalizationResult:
     """Least-squares TDOA localization on the grid (minimum picks the source).
 
     Per pair, the measured TDOA is the GCC-PHAT peak lag, searched over the
@@ -107,21 +99,17 @@ def tdoa_localize(
     its theoretical TDOA.
     """
     pairs, corr, z_plane = pair_correlations(frame, scene)
-    grid = _default_grid(scene, grid)
     measured = (np.argmax(central_lags(corr), axis=1) - DEFAULT_N_CENTRAL // 2) / frame.fs
     theo = theoretical_tdoa_grid(scene.mics.positions, pairs, grid, z_plane)
     total = np.sum((theo - measured[:, None]) ** 2, axis=0)
     return LocalizationResult(pick_peak(total, grid, "min"), total)
 
 
-def slf_localize(
-    frame: MultichannelSignal, scene: Scene, grid: Grid | None = None
-) -> LocalizationResult:
+def slf_localize(frame: MultichannelSignal, scene: Scene, grid: Grid) -> LocalizationResult:
     """Spatial-likelihood localization on the grid (maximum picks the source).
 
     Sums the :func:`slf_project` maps of all pairs.
     """
     pairs, corr, z_plane = pair_correlations(frame, scene)
-    grid = _default_grid(scene, grid)
     total = np.sum(slf_project(corr, frame.fs, scene.mics.positions, pairs, grid, z_plane), axis=0)
     return LocalizationResult(pick_peak(total, grid, "max"), total)

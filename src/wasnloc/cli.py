@@ -9,6 +9,7 @@ error object on stderr and return nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,6 +25,7 @@ from .dataset import (
 )
 from .evaluate import METHODS, evaluate, write_report_csv
 from .features import (
+    DEFAULT_GRID_N,
     Grid,
     extract_frame,
     heatmap_from_csv,
@@ -52,16 +54,17 @@ def _pointer(path: list[str]) -> str:
     return "/" + "/".join(path)
 
 
-def _check_keys(obj: dict, allowed: set[str], path: list[str]) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{_pointer(path + [key])}: unknown key")
-
-
 def _build(cls, obj: dict, path: list[str], converters: dict | None = None):
+    """cls(**obj) after converting values; a key that is not a field of the
+    dataclass cls, or a value it rejects, raises ConfigError at its path."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{_pointer(path)}: must be a JSON object")
+    fields = {f.name for f in dataclasses.fields(cls)}
     converters = converters or {}
     kwargs = {}
     for key, value in obj.items():
+        if key not in fields:
+            raise ConfigError(f"{_pointer(path + [key])}: unknown key")
         conv = converters.get(key)
         try:
             kwargs[key] = conv(value) if conv else value
@@ -82,64 +85,13 @@ def _int_tuple(value) -> tuple[int, ...]:
     return tuple(int(v) for v in value)
 
 
-_SCENE_KEYS = {
-    "width_range",
-    "length_range",
-    "height_range",
-    "t60_range",
-    "mic_counts",
-    "min_separation",
-    "max_attempts",
-}
-_SOURCE_KEYS = {"corpus_dir", "syllable_rate_hz", "modulation_depth"}
-_DATASET_KEYS = {
-    "train",
-    "val",
-    "test",
-    "train_mic_counts",
-    "val_mic_counts",
-    "test_mic_counts",
-    "master_seed",
-    "fs",
-    "snr_db",
-    "duration_s",
-    "max_order",
-    "scene",
-    "source",
-    "precompute_features",
-    "grid_n",
-    "fft_size",
-    "n_central",
-    "frame_ms",
-    "workers",
-}
-_TRAIN_KEYS = {
-    "feature_kind",
-    "grid_n",
-    "fft_size",
-    "n_central",
-    "f_layer_sizes",
-    "g_layer_sizes",
-    "lr",
-    "batch_size",
-    "max_epochs",
-    "patience",
-    "seed",
-}
-
-
 def dataset_config_from_obj(obj: dict) -> DatasetConfig:
     if not isinstance(obj, dict):
         raise ConfigError("/: config must be a JSON object")
-    _check_keys(obj, _DATASET_KEYS, [])
     obj = dict(obj)
-    scene_obj = obj.pop("scene", {})
-    source_obj = obj.pop("source", {})
-    _check_keys(scene_obj, _SCENE_KEYS, ["scene"])
-    _check_keys(source_obj, _SOURCE_KEYS, ["source"])
     scene = _build(
         SceneDistribution,
-        scene_obj,
+        obj.pop("scene", {}),
         ["scene"],
         {
             "width_range": _pair,
@@ -149,7 +101,7 @@ def dataset_config_from_obj(obj: dict) -> DatasetConfig:
             "mic_counts": _int_tuple,
         },
     )
-    source = _build(SourceSignalConfig, source_obj, ["source"])
+    source = _build(SourceSignalConfig, obj.pop("source", {}), ["source"])
     converters = {
         "train_mic_counts": _int_tuple,
         "val_mic_counts": _int_tuple,
@@ -162,7 +114,6 @@ def dataset_config_from_obj(obj: dict) -> DatasetConfig:
 def train_configs_from_obj(obj: dict) -> tuple[RelNetConfig, TrainConfig]:
     if not isinstance(obj, dict):
         raise ConfigError("/: config must be a JSON object")
-    _check_keys(obj, _TRAIN_KEYS, [])
     obj = dict(obj)
     kind = obj.pop("feature_kind", "slf")
     if kind not in FEATURE_KINDS:
@@ -260,21 +211,17 @@ def cmd_eval(args) -> int:
 
 def cmd_localize(args) -> int:
     received, scene = load_example_dir(args.example)
-    frame = extract_frame(received, args.frame_ms)
+    frame = extract_frame(received)
     if args.method in ("tdoa", "slf"):
         grid = Grid(scene.room.width, scene.room.length, args.grid_n)
-        if args.method == "tdoa":
-            result = tdoa_localize(frame, scene, grid)
-        else:
-            result = slf_localize(frame, scene, grid)
-        grid_n = args.grid_n
+        localize = tdoa_localize if args.method == "tdoa" else slf_localize
+        result = localize(frame, scene, grid)
     else:
         if not args.checkpoint:
             raise ConfigError(f"/checkpoint: required for method {args.method!r}")
         model = load_checkpoint(args.checkpoint[0])
         result = gnn_localize(model, frame, scene)
-        grid_n = model.config.grid_n
-        grid = Grid(scene.room.width, scene.room.length, grid_n)
+        grid = Grid(scene.room.width, scene.room.length, model.config.grid_n)
     if args.emit_heatmap:
         path = Path(args.emit_heatmap)
         if path.suffix == ".csv":
@@ -288,7 +235,7 @@ def cmd_localize(args) -> int:
             {
                 "estimate_xy": [float(result.estimate[0]), float(result.estimate[1])],
                 "method": args.method,
-                "grid_n": grid_n,
+                "grid_n": grid.n,
             }
         )
     )
@@ -328,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--split", default="test")
     p.add_argument("--checkpoint", action="append", help="model checkpoint (repeatable)")
-    p.add_argument("--grid-n", type=int, default=25, dest="grid_n")
+    p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N, dest="grid_n")
     p.add_argument("--out", help="report CSV path")
     p.add_argument("--heatmaps", type=int, default=0, help="emit PGMs for the first K examples")
     p.add_argument("--heatmap-dir", dest="heatmap_dir", help="directory for emitted heatmaps")
@@ -338,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--in", dest="example", required=True, help="example directory")
     p.add_argument("--checkpoint", action="append", help="model checkpoint (gnn methods)")
-    p.add_argument("--grid-n", type=int, default=25, dest="grid_n")
-    p.add_argument("--frame-ms", type=float, default=500.0, dest="frame_ms")
+    p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N, dest="grid_n")
     p.add_argument("--emit-heatmap", dest="emit_heatmap", help="write heatmap (.csv or .pgm)")
     p.set_defaults(func=cmd_localize)
 

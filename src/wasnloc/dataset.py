@@ -3,7 +3,8 @@
 Each example lives in its own directory: one float32 WAV per channel
 (ch_00.wav ...), the scene as scene.json and, optionally, a features.bin
 cache holding the raw per-pair GCC/SLF features so training never touches
-audio again. A JSON manifest at the dataset root lists every example with
+audio again; a cache that is stale or cannot be read is recomputed from
+the WAVs. A JSON manifest at the dataset root lists every example with
 its microphone count, room, true source position and seed.
 
 Example seeds are master_seed + split offset + index, so splits are
@@ -17,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,7 +33,13 @@ from .features import (
     Grid,
     extract_frame,
 )
-from .relnet import RelNetConfig, assemble_input, raw_pair_features, target_map
+from .relnet import (
+    PAIR_METADATA_SIZE,
+    RelNetConfig,
+    assemble_input,
+    raw_pair_features,
+    target_map,
+)
 from .rir import DEFAULT_FS, InfeasibleRoomError
 from .scenes import (
     PlacementError,
@@ -65,13 +73,14 @@ FEATURES_NAME = "features.bin"
 # Version 3: the "version" member also holds the FEATURE_PARAMS values.
 FEATURES_VERSION = 3
 # The settings that shape the cached arrays, stored after the version so
-# that a cache built with other settings is never served.
+# that a cache built with other settings is never served. The frame length
+# is fixed (DEFAULT_FRAME_MS) but still recorded, so caches stay valid.
 FEATURE_PARAMS = ("fft_size", "n_central", "grid_n", "frame_ms")
 
 
 class FeatureCacheError(ValueError):
     """features.bin is stale (another format version or other build
-    settings) or unreadable."""
+    settings), unreadable, or holds arrays of the wrong shape."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,6 @@ class DatasetConfig:
     grid_n: int = DEFAULT_GRID_N
     fft_size: int = DEFAULT_FFT_SIZE
     n_central: int = DEFAULT_N_CENTRAL
-    frame_ms: float = DEFAULT_FRAME_MS
     workers: int = 1
 
     def split_count(self, split: str) -> int:
@@ -147,10 +155,9 @@ def generate_example(config: DatasetConfig, split: str, index: int, out_root) ->
         write_wav(example_dir / f"ch_{k:02d}.wav", received.channels[k], config.fs)
     (example_dir / "scene.json").write_text(scene_to_json(scene))
     if config.precompute_features:
-        frame = extract_frame(received, config.frame_ms)
         feature_config = config.feature_config()
-        gcc, slf, meta = raw_pair_features(frame, scene, feature_config)
-        write_feature_cache(example_dir / FEATURES_NAME, feature_config, config.frame_ms, gcc, slf, meta)
+        gcc, slf, meta = raw_pair_features(extract_frame(received), scene, feature_config)
+        write_feature_cache(example_dir / FEATURES_NAME, feature_config, gcc, slf, meta)
 
     return {
         "dir": f"{split}/{index:05d}",
@@ -246,42 +253,63 @@ def split_entries(data_dir, manifest: dict, split: str) -> list[dict]:
     return manifest["splits"][split]["examples"]
 
 
-def _feature_key(config: RelNetConfig, frame_ms: float) -> list[float]:
+def _feature_key(config: RelNetConfig) -> list[float]:
     """FEATURES_VERSION followed by the FEATURE_PARAMS values."""
-    return [FEATURES_VERSION, config.fft_size, config.n_central, config.grid_n, frame_ms]
+    return [FEATURES_VERSION, config.fft_size, config.n_central, config.grid_n, DEFAULT_FRAME_MS]
 
 
 def write_feature_cache(
-    path, config: RelNetConfig, frame_ms: float, gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray
+    path, config: RelNetConfig, gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray
 ) -> None:
-    """Write the raw pair features built with config and frame_ms."""
+    """Write the raw pair features built with config."""
     with open(path, "wb") as fh:
         np.savez(
             fh,
-            version=np.array(_feature_key(config, frame_ms), dtype=np.float64),
+            version=np.array(_feature_key(config), dtype=np.float64),
             gcc=gcc.astype(np.float32),
             slf=slf.astype(np.float32),
             meta=meta.astype(np.float32),
         )
 
 
-def read_feature_cache(
-    path, config: RelNetConfig, frame_ms: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gcc, slf, meta) from a features.bin; FeatureCacheError naming the
-    file and the field if it has another version or was built with other
-    FEATURE_PARAMS values than config and frame_ms."""
-    wanted = _feature_key(config, frame_ms)
-    with np.load(path, allow_pickle=False) as data:
-        stored = data["version"].ravel().tolist() if "version" in data.files else [None]
-        if stored[0] != FEATURES_VERSION:
-            raise FeatureCacheError(f"{path}: version {stored[0]!r}, expected {FEATURES_VERSION}")
-        if len(stored) != len(wanted):
-            raise FeatureCacheError(f"{path}: version field holds {len(stored)} values, expected {len(wanted)}")
-        for name, have, want in zip(FEATURE_PARAMS, stored[1:], wanted[1:]):
-            if have != want:
-                raise FeatureCacheError(f"{path}: built with {name} {have:g}, expected {want:g}")
-        return data["gcc"], data["slf"], data["meta"]
+def read_feature_cache(path, config: RelNetConfig, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gcc, slf, meta) of an example with m mics from its features.bin.
+
+    FeatureCacheError names the file, and the member where there is one, if
+    the file is not a readable npz, has another version, was built with
+    other FEATURE_PARAMS values than config, or lacks a member or holds one
+    of other than M(M-1)/2 rows of the configured width.
+    """
+    pairs = m * (m - 1) // 2
+    widths = {"gcc": config.n_central, "slf": config.grid_n**2, "meta": PAIR_METADATA_SIZE}
+    wanted = _feature_key(config)
+    member = None  # the member being read, for the error message
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            member = "version"
+            stored = data["version"].ravel().tolist() if "version" in data.files else [None]
+            if stored[0] != FEATURES_VERSION:
+                raise FeatureCacheError(f"{path}: version {stored[0]!r}, expected {FEATURES_VERSION}")
+            if len(stored) != len(wanted):
+                raise FeatureCacheError(f"{path}: version field holds {len(stored)} values, expected {len(wanted)}")
+            for name, have, want in zip(FEATURE_PARAMS, stored[1:], wanted[1:]):
+                if have != want:
+                    raise FeatureCacheError(f"{path}: built with {name} {have:g}, expected {want:g}")
+            arrays = []
+            for member, width in widths.items():
+                if member not in data.files:
+                    raise FeatureCacheError(f"{path}: no member {member!r}")
+                arrays.append(data[member])
+                if arrays[-1].shape != (pairs, width):
+                    raise FeatureCacheError(
+                        f"{path}: member {member!r} has shape {arrays[-1].shape}, expected {(pairs, width)}"
+                    )
+            return tuple(arrays)
+    except FeatureCacheError:
+        raise
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        where = f"member {member!r}" if member else "file"
+        raise FeatureCacheError(f"{path}: unreadable {where}: {exc}") from exc
 
 
 def load_example_dir(example_dir) -> tuple[MultichannelSignal, Scene]:
@@ -321,47 +349,30 @@ def load_example(data_dir, entry: dict) -> tuple[MultichannelSignal, Scene]:
     return load_example_dir(Path(data_dir) / entry["dir"])
 
 
-def example_features(
-    data_dir,
-    entry: dict,
-    config: RelNetConfig,
-    frame_ms: float = DEFAULT_FRAME_MS,
-    dtype=np.float32,
-) -> np.ndarray:
-    """Assembled (P, input_size) pair matrix for one example.
+def example_features(data_dir, entry: dict, config: RelNetConfig) -> np.ndarray:
+    """Assembled (P, input_size) float32 pair matrix for one example.
 
     Prefers the on-disk cache; falls back to recomputing from the WAVs
-    when the cache is missing, has another format version or was built
-    with other parameters.
+    when the cache is missing, unreadable, has another format version or
+    was built with other parameters.
     """
     cache_path = Path(data_dir) / entry["dir"] / FEATURES_NAME
     if cache_path.exists():
         try:
-            gcc, slf, meta = read_feature_cache(cache_path, config, frame_ms)
+            return assemble_input(*read_feature_cache(cache_path, config, entry["m"]), config)
         except FeatureCacheError as exc:
             logger.info("recomputing features: %s", exc)
-        else:
-            return assemble_input(gcc, slf, meta, config, dtype)
     received, scene = load_example(data_dir, entry)
-    frame = extract_frame(received, frame_ms)
-    gcc, slf, meta = raw_pair_features(frame, scene, config)
-    return assemble_input(gcc, slf, meta, config, dtype)
+    return assemble_input(*raw_pair_features(extract_frame(received), scene, config), config)
 
 
-def load_split_features(
-    data_dir,
-    manifest: dict,
-    split: str,
-    config: RelNetConfig,
-    frame_ms: float = DEFAULT_FRAME_MS,
-    dtype=np.float32,
-) -> list[FeatureExample]:
-    """FeatureExamples (inputs + target maps) for a whole split."""
+def load_split_features(data_dir, manifest: dict, split: str, config: RelNetConfig) -> list[FeatureExample]:
+    """FeatureExamples (inputs + float32 target maps) for a whole split."""
     examples = []
     for entry in split_entries(data_dir, manifest, split):
-        features = example_features(data_dir, entry, config, frame_ms, dtype)
+        features = example_features(data_dir, entry, config)
         width, length, _ = entry["room"]
         grid = Grid(width, length, config.grid_n)
-        target = target_map(np.asarray(entry["source_xy"]), grid).astype(dtype)
+        target = target_map(np.asarray(entry["source_xy"]), grid).astype(np.float32)
         examples.append(FeatureExample(features=features, target=target))
     return examples

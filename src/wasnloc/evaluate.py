@@ -15,11 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import slf_localize, tdoa_localize
+from .classical import pick_peak, slf_localize, tdoa_localize
 from .dataset import example_features, load_example, load_manifest, split_entries
-from .features import DEFAULT_FRAME_MS, Grid, extract_frame, heatmap_to_pgm
+from .features import DEFAULT_GRID_N, Grid, extract_frame, heatmap_to_pgm
 from .relnet import RelNetModel, load_checkpoint, relnet_forward_features
-from .classical import pick_peak
 
 METHODS = ("tdoa", "slf", "gnn-gcc", "gnn-slf")
 
@@ -44,27 +43,6 @@ class EvalReport:
         count = sum(r.n_examples for r in self.rows)
         return total / count
 
-    def by_m(self) -> dict[int, EvalRow]:
-        return {r.m: r for r in self.rows}
-
-
-def _classical_estimate(method: str, data_dir, entry, grid_n: int, frame_ms: float):
-    received, scene = load_example(data_dir, entry)
-    frame = extract_frame(received, frame_ms)
-    grid = Grid(scene.room.width, scene.room.length, grid_n)
-    if method == "tdoa":
-        return tdoa_localize(frame, scene, grid)
-    return slf_localize(frame, scene, grid)
-
-
-def _gnn_estimate(model: RelNetModel, data_dir, entry, frame_ms: float):
-    features = example_features(data_dir, entry, model.config, frame_ms)
-    heatmap = relnet_forward_features(model, features)
-    width, length, _ = entry["room"]
-    grid = Grid(width, length, model.config.grid_n)
-    estimate = pick_peak(heatmap, grid, "max")
-    return estimate, heatmap, grid
-
 
 def _per_example_errors(
     method: str,
@@ -72,20 +50,24 @@ def _per_example_errors(
     entries: list[dict],
     grid_n: int,
     model: RelNetModel | None,
-    frame_ms: float,
     heatmap_count: int,
     heatmap_dir,
 ) -> np.ndarray:
+    """Per-example errors: a classical method decodes the WAVs, a network
+    reads the example's pair features."""
     errors = np.empty(len(entries))
     for idx, entry in enumerate(entries):
-        truth = np.asarray(entry["source_xy"], dtype=float)
-        if method in ("tdoa", "slf"):
-            result = _classical_estimate(method, data_dir, entry, grid_n, frame_ms)
+        width, length, _ = entry["room"]
+        grid = Grid(width, length, grid_n if model is None else model.config.grid_n)
+        if model is None:
+            received, scene = load_example(data_dir, entry)
+            localize = tdoa_localize if method == "tdoa" else slf_localize
+            result = localize(extract_frame(received), scene, grid)
             estimate, heatmap = result.estimate, result.heatmap
-            grid = Grid(entry["room"][0], entry["room"][1], grid_n)
         else:
-            estimate, heatmap, grid = _gnn_estimate(model, data_dir, entry, frame_ms)
-        errors[idx] = np.linalg.norm(estimate - truth)
+            heatmap = relnet_forward_features(model, example_features(data_dir, entry, model.config))
+            estimate = pick_peak(heatmap, grid, "max")
+        errors[idx] = np.linalg.norm(estimate - np.asarray(entry["source_xy"], dtype=float))
         if heatmap_dir is not None and idx < heatmap_count:
             name = entry["dir"].replace("/", "_")
             heatmap_to_pgm(heatmap, grid, Path(heatmap_dir) / f"{method}_{name}.pgm")
@@ -97,9 +79,8 @@ def evaluate(
     data_dir,
     split: str = "test",
     *,
-    grid_n: int = 25,
+    grid_n: int = DEFAULT_GRID_N,
     checkpoints: list | None = None,
-    frame_ms: float = DEFAULT_FRAME_MS,
     heatmap_count: int = 0,
     heatmap_dir=None,
 ) -> EvalReport:
@@ -133,21 +114,14 @@ def evaluate(
             models.append(model)
         grid_n = models[0].config.grid_n
 
-    runs = []
-    for run_idx, model in enumerate(models):
-        runs.append(
+    errors = np.vstack(
+        [
             _per_example_errors(
-                method,
-                data_dir,
-                entries,
-                grid_n,
-                model,
-                frame_ms,
-                heatmap_count if run_idx == 0 else 0,
-                heatmap_dir,
+                method, data_dir, entries, grid_n, model, heatmap_count if k == 0 else 0, heatmap_dir
             )
-        )
-    errors = np.vstack(runs)
+            for k, model in enumerate(models)
+        ]
+    )
 
     ms = np.array([entry["m"] for entry in entries])
     rows = []

@@ -1,5 +1,8 @@
 """Pairwise signal features: frames, GCC-PHAT and grid projections.
 
+Every localizer analyses one frame of DEFAULT_FRAME_MS, the most energetic
+of the signal's non-overlapping windows (:func:`extract_frame`).
+
 The search grid is a flattened n x n discretization of the room footprint;
 cell (u, v) is centered at ((u + 0.5) width / n, (v + 0.5) length / n) and
 stored at flat index u * n + v. Heatmaps over the grid are plain 1-D numpy
@@ -60,13 +63,14 @@ class Grid:
         return np.array([(u + 0.5) * self.width / self.n, (v + 0.5) * self.length / self.n])
 
 
-def extract_frame(signals: MultichannelSignal, frame_ms: float = DEFAULT_FRAME_MS) -> MultichannelSignal:
-    """Pick the non-overlapping window with maximal mean energy over channels.
+def extract_frame(signals: MultichannelSignal) -> MultichannelSignal:
+    """Pick the DEFAULT_FRAME_MS window with maximal mean energy over channels.
 
-    Candidate windows start at 0, L, 2L, ...; a trailing remainder shorter
-    than one frame is ignored. Ties go to the earliest window.
+    Candidate windows of L samples start at 0, L, 2L, ...; a trailing
+    remainder shorter than one frame is ignored. Ties go to the earliest
+    window.
     """
-    frame_len = int(round(signals.fs * frame_ms / 1000.0))
+    frame_len = int(round(signals.fs * DEFAULT_FRAME_MS / 1000.0))
     n_windows = signals.n_samples // frame_len
     if n_windows < 1:
         raise ValueError(

@@ -9,9 +9,11 @@ return a cache from which ``backward`` writes exact analytic gradients into
 ``Mlp.grad``, a twin of ``flat`` laid out the same way and allocated by the
 first backward pass, and returns the gradient for the input.
 
-``adam_step`` updates a list of such buffers in place, one cache-sized tile
-at a time; every element goes through the same float operations in the same
-order and dtype as the textbook update (Kingma & Ba, 2015).
+``adam_step`` updates a list of such buffers in place with the learning
+rate of an ``AdamConfig`` and the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS,
+one cache-sized tile at a time; every element goes through the same float
+operations in the same order and dtype as the textbook update (Kingma & Ba,
+2015).
 """
 
 from __future__ import annotations
@@ -23,20 +25,25 @@ import numpy as np
 
 # Elements per Adam tile: the six tile-sized arrays of one tile fit in L2.
 _ADAM_TILE = 65_536
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class MlpSpec:
     """Layer output sizes; hidden activations are ReLU, the output is linear."""
 
-    layer_output_sizes: tuple[int, ...] = (625, 625, 625)
+    layer_output_sizes: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.layer_output_sizes) < 1 or any(s <= 0 for s in self.layer_output_sizes):
             raise ValueError("layer_output_sizes must be non-empty positive integers")
 
 
-def _layer_shapes(input_size: int, spec: MlpSpec) -> list[tuple[tuple[int, int], tuple[int]]]:
+def layer_shapes(input_size: int, spec: MlpSpec) -> list[tuple[tuple[int, int], tuple[int]]]:
+    """The (W shape, b shape) of each layer, in the order they lie in ``Mlp.flat``."""
     shapes = []
     fan_in = input_size
     for size in spec.layer_output_sizes:
@@ -70,7 +77,7 @@ class Mlp:
     def __init__(self, input_size: int, spec: MlpSpec, flat: np.ndarray):
         self.input_size = int(input_size)
         self.spec = spec
-        shapes = _layer_shapes(self.input_size, spec)
+        shapes = layer_shapes(self.input_size, spec)
         size = _param_count(shapes)
         if flat.shape != (size,):
             raise ValueError(f"parameter buffer has shape {flat.shape}, the stack needs ({size},)")
@@ -82,7 +89,7 @@ class Mlp:
     @classmethod
     def empty(cls, input_size: int, spec: MlpSpec, dtype=np.float32) -> "Mlp":
         """A stack on a fresh, uninitialised parameter buffer."""
-        size = _param_count(_layer_shapes(input_size, spec))
+        size = _param_count(layer_shapes(input_size, spec))
         return cls(input_size, spec, np.empty(size, dtype=dtype))
 
     @classmethod
@@ -136,7 +143,7 @@ class Mlp:
             raise ValueError("cache does not match this network")
         if self.grad is None:
             self.grad = np.empty_like(self.flat)
-            self._grad_layers = _views(self.grad, _layer_shapes(self.input_size, self.spec))
+            self._grad_layers = _views(self.grad, layer_shapes(self.input_size, self.spec))
         upstream = np.asarray(upstream)
         dz = upstream[None, :] if cache["squeeze"] else upstream
         for k in range(len(self.layers) - 1, -1, -1):
@@ -157,10 +164,10 @@ class Mlp:
 
 @dataclass(frozen=True)
 class AdamConfig:
+    """The learning rate; the betas and eps are ADAM_BETA1, ADAM_BETA2 and
+    ADAM_EPS."""
+
     lr: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 class AdamState:
@@ -191,7 +198,7 @@ def adam_step(
     if not all(p.flags.c_contiguous for p in params):
         raise ValueError("parameters must be C-contiguous to be updated in place")
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -214,7 +221,7 @@ def adam_step(
             t1 *= config.lr
             np.divide(vs, bc2, out=t2)  # v_hat
             np.sqrt(t2, out=t2)
-            t2 += config.eps
+            t2 += ADAM_EPS
             t1 /= t2
             ps -= t1
     return params

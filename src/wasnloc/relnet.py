@@ -17,6 +17,9 @@ and SLF maps that classical SLF sums.
 The training target for a source at p_s assigns each grid cell
 exp(-distance(cell center, p_s)), so the map peaks at 1 on the source cell
 and decays exponentially with distance in meters.
+
+A checkpoint's array table is a function of the architecture
+(:func:`checkpoint_table`): it is written from it and checked against it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .features import (
     central_lags,
     slf_project,
 )
-from .mlp import Mlp, MlpSpec
+from .mlp import Mlp, MlpSpec, layer_shapes
 from .scenes import Scene, pair_metadata_vector
 from .signals import MultichannelSignal
 
@@ -101,10 +104,10 @@ class RelNetModel:
         self.g = g
 
     @classmethod
-    def init_random(cls, config: RelNetConfig, rng_seed=0, dtype=np.float32) -> "RelNetModel":
+    def init_random(cls, config: RelNetConfig, rng_seed=0) -> "RelNetModel":
         rng = np.random.default_rng(rng_seed)
-        f = Mlp.init_random(config.input_size, config.f_spec, rng, dtype)
-        g = Mlp.init_random(f.output_size, config.g_spec, rng, dtype)
+        f = Mlp.init_random(config.input_size, config.f_spec, rng)
+        g = Mlp.init_random(f.output_size, config.g_spec, rng)
         return cls(config, f, g)
 
     def parameters(self) -> list[np.ndarray]:
@@ -155,24 +158,16 @@ def raw_pair_features(
     return central_lags(corr, config.n_central), slf, meta
 
 
-def assemble_input(
-    gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray, config: RelNetConfig, dtype=np.float32
-) -> np.ndarray:
-    """Standardize the configured feature kind and append pair metadata."""
+def assemble_input(gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray, config: RelNetConfig) -> np.ndarray:
+    """Standardize the configured feature kind and append pair metadata, as
+    the float32 (P, input_size) matrix the relation stack takes."""
     feats = standardize_features(gcc if config.feature_kind == "gcc" else slf, config.feature_kind)
     if feats.shape[1] != config.feature_size:
         raise ValueError(
             f"feature width {feats.shape[1]} does not match configured "
             f"{config.feature_size} for kind {config.feature_kind!r}"
         )
-    return np.hstack([feats, meta]).astype(dtype)
-
-
-def pair_feature_matrix(
-    frame: MultichannelSignal, scene: Scene, config: RelNetConfig, dtype=np.float32
-) -> np.ndarray:
-    gcc, slf, meta = raw_pair_features(frame, scene, config)
-    return assemble_input(gcc, slf, meta, config, dtype)
+    return np.hstack([feats, meta]).astype(np.float32)
 
 
 def relnet_forward_features(model: RelNetModel, features: np.ndarray) -> np.ndarray:
@@ -183,22 +178,12 @@ def relnet_forward_features(model: RelNetModel, features: np.ndarray) -> np.ndar
     return heatmap
 
 
-def relnet_forward(model: RelNetModel, frame: MultichannelSignal, scene: Scene) -> np.ndarray:
-    """End-to-end heatmap for one example (any M >= 2)."""
-    features = pair_feature_matrix(frame, scene, model.config)
-    return relnet_forward_features(model, features)
-
-
-def gnn_localize(
-    model: RelNetModel,
-    frame: MultichannelSignal,
-    scene: Scene,
-    grid: Grid | None = None,
-) -> LocalizationResult:
-    """Localize with a trained relation network (grid maximum wins)."""
-    if grid is None:
-        grid = Grid(scene.room.width, scene.room.length, model.config.grid_n)
-    heatmap = relnet_forward(model, frame, scene)
+def gnn_localize(model: RelNetModel, frame: MultichannelSignal, scene: Scene) -> LocalizationResult:
+    """Localize one example (any M >= 2) with a trained relation network; the
+    grid maximum of its heatmap wins."""
+    features = assemble_input(*raw_pair_features(frame, scene, model.config), model.config)
+    heatmap = relnet_forward_features(model, features)
+    grid = Grid(scene.room.width, scene.room.length, model.config.grid_n)
     return LocalizationResult(pick_peak(heatmap, grid, "max"), heatmap)
 
 
@@ -223,30 +208,30 @@ def mae_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad.astype(pred.dtype, copy=False)
 
 
-def _layer_entries(prefix: str, mlp: Mlp) -> list[dict]:
-    entries = []
-    for k, (w, b) in enumerate(mlp.layers):
-        entries.append({"name": f"{prefix}.{k}.w", "shape": list(w.shape)})
-        entries.append({"name": f"{prefix}.{k}.b", "shape": list(b.shape)})
-    return entries
+def checkpoint_table(config: RelNetConfig) -> list[dict]:
+    """The checkpoint's array table for an architecture: one {name, shape,
+    offset} entry per W and b of F then G, in the order and at the float
+    offsets of the flat parameter buffers :meth:`RelNetModel.parameters`."""
+    table = []
+    offset = 0
+    g_input = config.f_spec.layer_output_sizes[-1]
+    for prefix, input_size, spec in (("f", config.input_size, config.f_spec), ("g", g_input, config.g_spec)):
+        for k, shapes in enumerate(layer_shapes(input_size, spec)):
+            for part, shape in zip("wb", shapes):
+                table.append({"name": f"{prefix}.{k}.{part}", "shape": list(shape), "offset": offset})
+                offset += math.prod(shape)
+    return table
 
 
 def save_checkpoint(model: RelNetModel, path) -> None:
     """Write a model as a JSON header plus a little-endian float32 blob.
 
     Layout: magic, uint32 header length, UTF-8 JSON header (architecture,
-    feature kind, grid size, array table with offsets, CRC32 of the blob),
-    then the weight arrays concatenated in table order.
+    feature kind, grid size, the :func:`checkpoint_table`, CRC32 of the
+    blob), then the flat parameter buffers of F and G back to back.
     """
     cfg = model.config
-    arrays = _layer_entries("f", model.f) + _layer_entries("g", model.g)
-    offset = 0
-    for entry in arrays:
-        entry["offset"] = offset
-        offset += int(np.prod(entry["shape"]))
-    blob = b"".join(
-        np.ascontiguousarray(p, dtype="<f4").tobytes() for p in model.parameters()
-    )
+    blob = b"".join(np.ascontiguousarray(p, dtype="<f4").tobytes() for p in model.parameters())
     header = {
         "version": CHECKPOINT_VERSION,
         "feature_kind": cfg.feature_kind,
@@ -256,8 +241,8 @@ def save_checkpoint(model: RelNetModel, path) -> None:
         "input_size": cfg.input_size,
         "f_sizes": list(cfg.f_spec.layer_output_sizes),
         "g_sizes": list(cfg.g_spec.layer_output_sizes),
-        "arrays": arrays,
-        "blob_floats": offset,
+        "arrays": checkpoint_table(cfg),
+        "blob_floats": len(blob) // 4,
         "blob_crc32": zlib.crc32(blob),
     }
     payload = json.dumps(header).encode("utf-8")
@@ -272,12 +257,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _field(obj, key: str, path, where: str = "header", kind: str = "int"):
-    """obj[key] checked to be of kind "int", "str", "list" or "ints" (a list
-    of non-negative ints); CheckpointError naming the file and the field."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise CheckpointError(f"{path}: {where} has no field {key!r}")
-    value = obj[key]
+def _field(header: dict, key: str, path, kind: str = "int"):
+    """header[key] checked to be of kind "int", "str", "list" or "ints" (a
+    list of non-negative ints); CheckpointError naming the file and the field."""
+    if key not in header:
+        raise CheckpointError(f"{path}: header has no field {key!r}")
+    value = header[key]
     ok = {
         "int": _is_int(value),
         "str": isinstance(value, str),
@@ -285,16 +270,39 @@ def _field(obj, key: str, path, where: str = "header", kind: str = "int"):
         "ints": isinstance(value, list) and all(_is_int(v) and v >= 0 for v in value),
     }[kind]
     if not ok:
-        raise CheckpointError(f"{path}: {where} field {key!r} is {value!r}, expected {kind}")
+        raise CheckpointError(f"{path}: header field {key!r} is {value!r}, expected {kind}")
     return value
+
+
+def _check_table(arrays: list, config: RelNetConfig, path) -> None:
+    """The stored array table must equal :func:`checkpoint_table` of the
+    header's architecture, entry by entry and value for value (types too);
+    CheckpointError names the first array and field that differ."""
+    table = checkpoint_table(config)
+    for k, want in enumerate(table):
+        have = arrays[k] if k < len(arrays) and isinstance(arrays[k], dict) else {}
+        for key, value in want.items():
+            if key not in have:
+                raise CheckpointError(f"{path}: array {want['name']!r} has no field {key!r}")
+            if json.dumps(have[key]) != json.dumps(value):
+                raise CheckpointError(
+                    f"{path}: array {want['name']!r} has {key} {have[key]!r}, but header fields "
+                    f"'input_size', 'f_sizes' and 'g_sizes' give {value!r}"
+                )
+    if len(arrays) != len(table):
+        raise CheckpointError(
+            f"{path}: header field 'arrays' has {len(arrays)} entries, expected {len(table)}"
+        )
 
 
 def load_checkpoint(path) -> RelNetModel:
     """Read a model written by save_checkpoint.
 
-    Every header field and every array shape is checked against the
-    architecture the header declares; anything malformed, stale or
-    inconsistent raises CheckpointError naming the file and the field.
+    The architecture comes from the header fields; the stored array table
+    must equal the one :func:`checkpoint_table` derives from it, and the
+    blob must hold exactly its floats. Anything malformed, stale or
+    inconsistent raises CheckpointError naming the file and the field or
+    array.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -313,60 +321,43 @@ def load_checkpoint(path) -> RelNetModel:
         raise CheckpointError(
             f"{path}: version {header.get('version')!r}, expected {CHECKPOINT_VERSION}"
         )
-    blob = data[8 + header_len :]
-    expected = _field(header, "blob_floats", path)
-    entries = []
-    for k, entry in enumerate(_field(header, "arrays", path, kind="list")):
-        name = _field(entry, "name", path, f"array entry {k}", "str")
-        shape = tuple(_field(entry, "shape", path, f"array {name!r}", "ints"))
-        entries.append((name, shape, _field(entry, "offset", path, f"array {name!r}")))
-    declared = sum(math.prod(shape) for _, shape, _ in entries)
-    if declared != expected:
-        raise CheckpointError(f"{path}: array table covers {declared} floats, header says {expected}")
-    if len(blob) != 4 * expected:
-        raise CheckpointError(f"{path}: blob is {len(blob)} bytes, expected {4 * expected}")
-    if zlib.crc32(blob) != _field(header, "blob_crc32", path):
-        raise CheckpointError(f"{path}: checksum failure")
-
-    flat = np.frombuffer(blob, dtype="<f4")
-    values = {}
-    for name, shape, offset in entries:
-        size = math.prod(shape)
-        if not 0 <= offset <= expected - size:
-            raise CheckpointError(f"{path}: array {name!r} at float {offset} overruns the blob")
-        values[name] = flat[offset : offset + size].reshape(shape)
     try:
         config = RelNetConfig(
-            feature_kind=_field(header, "feature_kind", path, kind="str"),
+            feature_kind=_field(header, "feature_kind", path, "str"),
             grid_n=_field(header, "grid_n", path),
             fft_size=_field(header, "fft_size", path),
             n_central=_field(header, "n_central", path),
-            f_spec=MlpSpec(tuple(_field(header, "f_sizes", path, kind="ints"))),
-            g_spec=MlpSpec(tuple(_field(header, "g_sizes", path, kind="ints"))),
+            f_spec=MlpSpec(tuple(_field(header, "f_sizes", path, "ints"))),
+            g_spec=MlpSpec(tuple(_field(header, "g_sizes", path, "ints"))),
         )
     except ValueError as exc:
-        raise CheckpointError(f"{path}: inconsistent architecture: {exc}") from exc
+        raise CheckpointError(
+            f"{path}: header fields 'feature_kind', 'grid_n', 'f_sizes' and 'g_sizes' "
+            f"are inconsistent: {exc}"
+        ) from exc
     input_size = _field(header, "input_size", path)
     if input_size != config.input_size:
         raise CheckpointError(
-            f"{path}: header field 'input_size' is {input_size}, the architecture needs "
-            f"{config.input_size}"
+            f"{path}: header field 'input_size' is {input_size}, but 'feature_kind' "
+            f"{config.feature_kind!r}, 'grid_n' {config.grid_n} and 'n_central' "
+            f"{config.n_central} give {config.input_size}"
         )
+    _check_table(_field(header, "arrays", path, "list"), config, path)
 
     f = Mlp.empty(config.input_size, config.f_spec)
     g = Mlp.empty(f.output_size, config.g_spec)
-    copies = []  # (blob view, parameter view), filled once every array is checked
-    for prefix, net in (("f", f), ("g", g)):
-        for k, layer in enumerate(net.layers):
-            for part, dest in zip("wb", layer):
-                name = f"{prefix}.{k}.{part}"
-                if name not in values:
-                    raise CheckpointError(f"{path}: missing array {name!r}")
-                if values[name].shape != dest.shape:
-                    raise CheckpointError(
-                        f"{path}: array {name!r} has shape {values[name].shape}, expected {dest.shape}"
-                    )
-                copies.append((values[name], dest))
-    for src, dest in copies:
-        dest[...] = src
+    n_floats = f.flat.size + g.flat.size
+    blob_floats = _field(header, "blob_floats", path)
+    if blob_floats != n_floats:
+        raise CheckpointError(
+            f"{path}: header field 'blob_floats' is {blob_floats}, the array table covers {n_floats}"
+        )
+    blob = data[8 + header_len :]
+    if len(blob) != 4 * n_floats:
+        raise CheckpointError(f"{path}: blob is {len(blob)} bytes, expected {4 * n_floats}")
+    if zlib.crc32(blob) != _field(header, "blob_crc32", path):
+        raise CheckpointError(f"{path}: checksum failure against header field 'blob_crc32'")
+    flat = np.frombuffer(blob, dtype="<f4")
+    f.flat[...] = flat[: f.flat.size]
+    g.flat[...] = flat[f.flat.size :]
     return RelNetModel(config, f, g)

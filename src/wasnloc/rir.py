@@ -60,10 +60,6 @@ class Rir:
     taps: np.ndarray
     fs: int
 
-    @property
-    def duration(self) -> float:
-        return self.taps.size / self.fs
-
 
 def eyring_absorption(room: RoomSpec) -> float:
     """Uniform wall absorption coefficient reproducing room.t60.
@@ -105,7 +101,6 @@ def simulate_rir(
     fs: int = DEFAULT_FS,
     *,
     max_order: int | None = None,
-    c: float = SPEED_OF_SOUND,
 ) -> Rir:
     """Image-source RIR between one source and one microphone.
 
@@ -128,11 +123,11 @@ def simulate_rir(
     alpha = eyring_absorption(room)
     beta = -math.sqrt(1.0 - alpha)  # sign alternates with parity, see module docstring
     n_taps = int(math.ceil(RIR_LENGTH_T60_FACTOR * room.t60 * fs))
-    path_limit = c * n_taps / fs
+    path_limit = SPEED_OF_SOUND * n_taps / fs
     taps = np.zeros(n_taps)
 
     if max_order == 0:
-        idx = int(np.rint(fs * direct / c))
+        idx = int(np.rint(fs * direct / SPEED_OF_SOUND))
         if idx < n_taps:
             taps[idx] = 1.0 / (4.0 * math.pi * direct)
         return Rir(taps=taps, fs=fs)
@@ -149,7 +144,7 @@ def simulate_rir(
     ryz = (ry[:, None] + rz[None, :])[None, :, :]
     max_refl = int(rx.max() + ry.max() + rz.max())
     beta_pow = beta ** np.arange(max_refl + 1, dtype=float)
-    limit2 = (c * n_taps / fs) ** 2
+    limit2 = path_limit**2
     block = max(1, _CHUNK // dyz2.size)
     rows = min(max(1, _TILE // dyz2.size), cx.size)
     d2_buf = np.empty((rows,) + dyz2.shape[1:])
@@ -173,7 +168,7 @@ def simulate_rir(
             np.sqrt(dist, out=dist)
             refl = np.broadcast_to(ryz, keep.shape)[keep] + np.repeat(rx[lo:hi], counts)
             idx = dist * fs
-            idx /= c
+            idx /= SPEED_OF_SOUND
             np.rint(idx, out=idx)
             dist *= 4.0 * math.pi
             amp = beta_pow.take(refl)

@@ -174,25 +174,6 @@ def sample_scene(config: SceneDistribution, rng_seed) -> Scene:
     return Scene(room=room, mics=mics, source=source, seed=int(rng_seed))
 
 
-def validate_scene(scene: Scene, min_separation: float = DEFAULT_MIN_SEPARATION) -> None:
-    """Raise ValueError unless all joint scene invariants hold."""
-    dims = scene.room.dims
-    devices = np.vstack([scene.mics.positions, scene.source.position[None, :]])
-    if np.any(devices <= 0.0) or np.any(devices >= dims[None, :]):
-        raise ValueError("device outside the room interior")
-    if np.any(devices < min_separation - 1e-12) or np.any(
-        devices > dims[None, :] - min_separation + 1e-12
-    ):
-        raise ValueError("device closer than min_separation to a wall")
-    n = devices.shape[0]
-    if len(scene.mics) < 2:
-        raise ValueError("scene needs at least 2 microphones")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(devices[i] - devices[j]) < min_separation - 1e-12:
-                raise ValueError(f"devices {i} and {j} closer than min_separation")
-
-
 def pair_metadata_vector(p_i: np.ndarray, p_j: np.ndarray, room_dims: np.ndarray) -> np.ndarray:
     """(P, 9) normalized rows describing mic pairs and their room.
 

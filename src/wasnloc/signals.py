@@ -11,6 +11,8 @@ modulation) so the full pipeline runs without any external corpus.
 from __future__ import annotations
 
 import math
+import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,8 +20,12 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import fftconvolve, resample_poly
 
-from .rir import DEFAULT_FS, SPEED_OF_SOUND, simulate_rir
+from .rir import DEFAULT_FS, simulate_rir
 from .scenes import Scene
+
+
+# Corner frequency of the synthetic source's second-order roll-off.
+SPECTRAL_ROLLOFF_HZ = 1000.0
 
 
 class SilentChannelError(ValueError):
@@ -58,7 +64,6 @@ def auralize(
     fs: int = DEFAULT_FS,
     *,
     max_order: int | None = None,
-    c: float = SPEED_OF_SOUND,
 ) -> MultichannelSignal:
     """Convolve the source signal with every microphone's RIR.
 
@@ -71,7 +76,7 @@ def auralize(
         raise ValueError("source signal is empty")
     channels = []
     for mic in scene.mics.positions:
-        rir = simulate_rir(scene.room, scene.source.position, mic, fs, max_order=max_order, c=c)
+        rir = simulate_rir(scene.room, scene.source.position, mic, fs, max_order=max_order)
         channels.append(fftconvolve(sig, rir.taps))
     return MultichannelSignal(np.vstack(channels), fs)
 
@@ -103,24 +108,13 @@ class SourceSignalConfig:
     With ``corpus_dir`` set, files are drawn (seeded) from the mono WAVs in
     that directory; otherwise a synthetic speech-like signal is generated:
     pink-filtered Gaussian noise amplitude-modulated at ``syllable_rate_hz``,
-    with a second-order spectral roll-off above ``spectral_rolloff_hz``
-    mimicking the high-frequency decay of speech (None keeps plain pink).
+    with a second-order spectral roll-off above SPECTRAL_ROLLOFF_HZ
+    mimicking the high-frequency decay of speech.
     """
 
     corpus_dir: str | None = None
     syllable_rate_hz: float = 4.0
     modulation_depth: float = 0.8
-    spectral_rolloff_hz: float | None = 1000.0
-
-
-def provide_source_signal(
-    config: SourceSignalConfig,
-    duration: float,
-    fs: int = DEFAULT_FS,
-    rng_seed=0,
-) -> np.ndarray:
-    """One source waveform of exactly round(duration * fs) samples."""
-    return provide_source_signal_with_id(config, duration, fs, rng_seed)[0]
 
 
 def provide_source_signal_with_id(
@@ -129,7 +123,8 @@ def provide_source_signal_with_id(
     fs: int = DEFAULT_FS,
     rng_seed=0,
 ) -> tuple[np.ndarray, str]:
-    """Like :func:`provide_source_signal` but also names the waveform.
+    """One source waveform of exactly round(duration * fs) samples, and its
+    name: the corpus file, or "synthetic:" and the seed.
 
     Synthetic signals have zero mean and unit RMS. Corpus files pass
     through unmodified apart from format normalization (int16 -> [-1, 1]
@@ -166,8 +161,7 @@ def _synthetic_speech_like(
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
     spectrum[0] = 0.0
     spectrum[1:] /= np.sqrt(freqs[1:])
-    if config.spectral_rolloff_hz is not None:
-        spectrum /= 1.0 + (freqs / config.spectral_rolloff_hz) ** 2
+    spectrum /= 1.0 + (freqs / SPECTRAL_ROLLOFF_HZ) ** 2
     pink = np.fft.irfft(spectrum, n)
 
     t = np.arange(n) / fs
@@ -188,8 +182,18 @@ def _seed_repr(rng_seed) -> str:
 
 
 def read_wav_mono(path) -> tuple[np.ndarray, int]:
-    """Load a mono WAV as float64 in [-1, 1]. PCM16 and float32 only."""
-    fs, data = wavfile.read(path)
+    """Load a mono WAV as float64 in [-1, 1]. PCM16 and float32 only.
+
+    A file that is not a WAV, is cut inside its header, or whose data chunk
+    is shorter than its header says raises CorpusError naming the file.
+    """
+    try:
+        with warnings.catch_warnings():
+            # scipy only warns and returns the short data
+            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+            fs, data = wavfile.read(path)
+    except (ValueError, struct.error, wavfile.WavFileWarning) as exc:
+        raise CorpusError(f"{path}: not a complete WAV file: {exc}") from exc
     if data.ndim != 1:
         raise CorpusError(f"{path}: expected mono, got shape {data.shape}")
     if data.dtype == np.int16:

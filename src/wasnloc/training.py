@@ -30,17 +30,18 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Adam learning rate (its betas and eps are the constants of
+    :mod:`mlp`), minibatch size, epoch cap, early-stopping patience and the
+    seed of the epoch shuffles."""
+
     lr: float = 5e-4
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lr", "batch_size", "max_epochs", "patience", "beta1", "beta2", "eps"):
+        for name in ("lr", "batch_size", "max_epochs", "patience"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"TrainConfig.{name} must be positive")
 
@@ -107,7 +108,7 @@ def train(
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
     rng = np.random.default_rng(config.seed)
-    adam_cfg = AdamConfig(lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    adam_cfg = AdamConfig(lr=config.lr)
     params = model.parameters()
     adam = AdamState(params)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wasnloc.dataset import DatasetConfig, generate_dataset
-from wasnloc.features import extract_frame
+from wasnloc.features import Grid, extract_frame
 from wasnloc.scenes import MicArray, RoomSpec, Scene, SourceSpec
 from wasnloc.signals import auralize
 
@@ -74,4 +74,9 @@ def anechoic_frame(scene, seed=0, duration=1.0, fs=FS):
     rng = np.random.default_rng(seed)
     sig = bandlimited_noise(int(duration * fs), rng, fs=fs)
     received = auralize(scene, sig, fs, max_order=0)
-    return extract_frame(received, 500.0)
+    return extract_frame(received)
+
+
+def room_grid(scene):
+    """The default-size search grid over the scene's room footprint."""
+    return Grid(scene.room.width, scene.room.length)

@@ -28,10 +28,9 @@ from wasnloc.mlp import Mlp, MlpSpec
 from wasnloc.relnet import (
     RelNetConfig,
     RelNetModel,
+    gnn_localize,
     load_checkpoint,
     mae_loss,
-    pair_feature_matrix,
-    relnet_forward,
     relnet_forward_features,
     save_checkpoint,
     target_map,
@@ -132,7 +131,7 @@ def test_criterion_3_anechoic_oracle():
         rng = np.random.default_rng([10_000 + k, 1])
         signal = bandlimited_noise(FS, rng)
         received = auralize(scene, signal, FS, max_order=0)
-        frame = extract_frame(received, 500.0)
+        frame = extract_frame(received)
         result = slf_localize(frame, scene, grid)
         err = np.linalg.norm(result.estimate - scene.source.position[:2])
         diagonal = math.hypot(scene.room.width / 25, scene.room.length / 25)
@@ -237,8 +236,8 @@ def test_criterion_5_variable_mic_contract(variable_m_workspace):
     rng = np.random.default_rng(0)
     for entry in entries:
         received, scene = load_example(root, entry)
-        frame = extract_frame(received, 500.0)
-        heatmap = relnet_forward(model, frame, scene)
+        frame = extract_frame(received)
+        heatmap = gnn_localize(model, frame, scene).heatmap
         assert heatmap.shape == (625,)
         assert np.all(np.isfinite(heatmap))
         seen_m.add(scene.m)
@@ -246,7 +245,7 @@ def test_criterion_5_variable_mic_contract(variable_m_workspace):
         perm = rng.permutation(scene.m)
         scene_p = dataclasses.replace(scene, mics=MicArray(scene.mics.positions[perm]))
         frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
-        heatmap_p = relnet_forward(model, frame_p, scene_p)
+        heatmap_p = gnn_localize(model, frame_p, scene_p).heatmap
         assert int(np.argmax(heatmap)) == int(np.argmax(heatmap_p))
     trained_on = set(manifest["config"]["train_mic_counts"])
     ok = seen_m == {4, 5, 6, 7} and trained_on == {5, 7}

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import FS, anechoic_frame, planar_scene
+from conftest import FS, anechoic_frame, planar_scene, room_grid
 
 from wasnloc.classical import (
     enumerate_pairs,
@@ -65,7 +65,7 @@ class TestTdoaLocalize:
     def test_anechoic_within_one_cell_diagonal(self):
         scene = planar_scene()
         frame = anechoic_frame(scene)
-        result = tdoa_localize(frame, scene)
+        result = tdoa_localize(frame, scene, room_grid(scene))
         err = np.linalg.norm(result.estimate - scene.source.position[:2])
         assert err <= np.hypot(5.0 / 25, 4.0 / 25)
 
@@ -74,7 +74,7 @@ class TestTdoaLocalize:
         scene = planar_scene()
         scene = dataclasses.replace(scene, mics=MicArray(scene.mics.positions[:2]))
         frame = anechoic_frame(scene)
-        result = tdoa_localize(frame, scene)
+        result = tdoa_localize(frame, scene, room_grid(scene))
         grid = Grid(5.0, 4.0)
         pair = np.array([[0, 1]])
         measured = (int(np.argmax(gcc_phat(frame.channels, pair)[0])) - 512) / FS
@@ -86,17 +86,17 @@ class TestTdoaLocalize:
 
     def test_map_nonnegative(self):
         scene = planar_scene()
-        result = tdoa_localize(anechoic_frame(scene), scene)
+        result = tdoa_localize(anechoic_frame(scene), scene, room_grid(scene))
         assert np.all(result.heatmap >= 0.0)
 
     def test_mic_permutation_invariant(self):
         scene = planar_scene()
         frame = anechoic_frame(scene)
-        base = tdoa_localize(frame, scene)
+        base = tdoa_localize(frame, scene, room_grid(scene))
         perm = [3, 0, 4, 1, 2]
         scene_p = dataclasses.replace(scene, mics=MicArray(scene.mics.positions[perm]))
         frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
-        swapped = tdoa_localize(frame_p, scene_p)
+        swapped = tdoa_localize(frame_p, scene_p, room_grid(scene_p))
         np.testing.assert_array_equal(base.estimate, swapped.estimate)
         np.testing.assert_allclose(swapped.heatmap, base.heatmap, rtol=1e-9)
 
@@ -105,14 +105,14 @@ class TestTdoaLocalize:
         frame = anechoic_frame(scene)
         bad = dataclasses.replace(frame, channels=frame.channels[:3])
         with pytest.raises(ValueError):
-            tdoa_localize(bad, scene)
+            tdoa_localize(bad, scene, room_grid(scene))
 
 
 class TestSlfLocalize:
     def test_anechoic_within_one_cell_diagonal(self):
         scene = planar_scene()
         frame = anechoic_frame(scene)
-        result = slf_localize(frame, scene)
+        result = slf_localize(frame, scene, room_grid(scene))
         err = np.linalg.norm(result.estimate - scene.source.position[:2])
         assert err <= np.hypot(5.0 / 25, 4.0 / 25)
 
@@ -127,7 +127,7 @@ class TestSlfLocalize:
             seed=0,
         )
         frame = anechoic_frame(scene)
-        result = slf_localize(frame, scene, grid=Grid(4.0, 4.0, n=16))
+        result = slf_localize(frame, scene, Grid(4.0, 4.0, n=16))
         heat = result.heatmap.reshape(16, 16)
         np.testing.assert_allclose(heat, heat[::-1, :], atol=1e-6)
         best_u = np.unravel_index(np.argmax(heat), heat.shape)[0]
@@ -136,11 +136,11 @@ class TestSlfLocalize:
     def test_mic_permutation_invariant(self):
         scene = planar_scene()
         frame = anechoic_frame(scene)
-        base = slf_localize(frame, scene)
+        base = slf_localize(frame, scene, room_grid(scene))
         perm = [2, 4, 0, 3, 1]
         scene_p = dataclasses.replace(scene, mics=MicArray(scene.mics.positions[perm]))
         frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
-        swapped = slf_localize(frame_p, scene_p)
+        swapped = slf_localize(frame_p, scene_p, room_grid(scene_p))
         np.testing.assert_array_equal(base.estimate, swapped.estimate)
         np.testing.assert_allclose(swapped.heatmap, base.heatmap, rtol=1e-9)
 
@@ -159,5 +159,5 @@ class TestSlfLocalize:
                 seed=0,
             )
             frame = anechoic_frame(scene)
-            result = slf_localize(frame, scene)
+            result = slf_localize(frame, scene, room_grid(scene))
             assert result.heatmap.size == 625

@@ -9,6 +9,7 @@ import pytest
 from conftest import TINY_GRID_N, tiny_dataset_config
 
 from wasnloc.dataset import (
+    FEATURE_PARAMS,
     FEATURES_NAME,
     DatasetConfig,
     FeatureCacheError,
@@ -21,10 +22,10 @@ from wasnloc.dataset import (
     read_feature_cache,
 )
 from wasnloc.evaluate import evaluate
-from wasnloc.features import DEFAULT_FRAME_MS, Grid, extract_frame
+from wasnloc.features import Grid, extract_frame
 from wasnloc.relnet import RelNetConfig, assemble_input, raw_pair_features, target_map
 from wasnloc.scenes import scene_from_json
-from wasnloc.signals import read_wav_mono, write_wav
+from wasnloc.signals import CorpusError, read_wav_mono, write_wav
 
 
 class TestGenerateDataset:
@@ -154,6 +155,17 @@ class TestLoadExample:
         with pytest.raises(ValueError, match=rf"{entry['dir']}: {name} .*scene\.json has M = {m}"):
             load_example(tmp_path, entry)
 
+    def test_truncated_first_channel_named(self, tiny_dataset, tmp_path):
+        # a short ch_00.wav is the culprit, not the ch_01.wav compared to it
+        root, manifest = tiny_dataset
+        entry = manifest["splits"]["train"]["examples"][0]
+        copy = tmp_path / entry["dir"]
+        shutil.copytree(root / entry["dir"], copy)
+        raw = (copy / "ch_00.wav").read_bytes()
+        (copy / "ch_00.wav").write_bytes(raw[:-400])
+        with pytest.raises(CorpusError, match=r"ch_00\.wav: "):
+            load_example(tmp_path, entry)
+
 
 class TestManifest:
     def _write(self, tiny_dataset, tmp_path, edit):
@@ -195,9 +207,9 @@ class TestFeatureCache:
         root, manifest = tiny_dataset
         entry = manifest["splits"]["val"]["examples"][0]
         config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
-        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config, 500.0)
+        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config, entry["m"])
         received, scene = load_example(root, entry)
-        frame = extract_frame(received, 500.0)
+        frame = extract_frame(received)
         gcc2, slf2, meta2 = raw_pair_features(frame, scene, config)
         np.testing.assert_allclose(gcc, gcc2, atol=1e-6)
         np.testing.assert_allclose(slf, slf2, atol=1e-6)
@@ -210,7 +222,7 @@ class TestFeatureCache:
         feats = example_features(root, entry, config)
         pairs = entry["m"] * (entry["m"] - 1) // 2
         assert feats.shape == (pairs, TINY_GRID_N**2 + 9)
-        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config, DEFAULT_FRAME_MS)
+        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config, entry["m"])
         np.testing.assert_array_equal(feats, assemble_input(gcc, slf, meta, config))
 
     def test_grid_mismatch_falls_back_to_recompute(self, tiny_dataset):
@@ -228,26 +240,88 @@ class TestFeatureCache:
         expected = example_features(root, entry, config)
         copy = tmp_path / entry["dir"]
         shutil.copytree(root / entry["dir"], copy)
-        gcc, slf, meta = read_feature_cache(copy / "features.bin", config, DEFAULT_FRAME_MS)
+        gcc, slf, meta = read_feature_cache(copy / "features.bin", config, entry["m"])
         with open(copy / "features.bin", "wb") as fh:
             np.savez(fh, gcc=gcc, slf=np.zeros_like(slf), meta=meta)
         with pytest.raises(FeatureCacheError, match="version None"):
-            read_feature_cache(copy / "features.bin", config, DEFAULT_FRAME_MS)
+            read_feature_cache(copy / "features.bin", config, entry["m"])
         np.testing.assert_allclose(example_features(tmp_path, entry, config), expected, atol=1e-6)
 
     @pytest.mark.parametrize("built_with", [{"frame_ms": 250.0}, {"fft_size": 512}])
     def test_cache_from_other_parameters_not_served(self, tmp_path, built_with):
         # same widths as a default cache, other numbers: must be recomputed
-        config = dataclasses.replace(tiny_dataset_config(master_seed=19), **built_with)
+        ((field, value),) = built_with.items()
+        config = tiny_dataset_config(master_seed=19)
+        if field == "fft_size":
+            config = dataclasses.replace(config, fft_size=value)
         entry = generate_example(config, "train", 0, tmp_path)
+        path = tmp_path / entry["dir"] / FEATURES_NAME
+        if field == "frame_ms":  # the frame length is fixed, so a foreign one is forged
+
+            def forge(members):
+                members["version"][1 + FEATURE_PARAMS.index(field)] = value
+
+            self._rewrite_members(path, forge)
         default = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
-        (field,) = built_with
         with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: built with {field} "):
-            read_feature_cache(tmp_path / entry["dir"] / FEATURES_NAME, default, DEFAULT_FRAME_MS)
+            read_feature_cache(path, default, entry["m"])
         received, scene = load_example(tmp_path, entry)
-        frame = extract_frame(received, DEFAULT_FRAME_MS)
+        frame = extract_frame(received)
         expected = assemble_input(*raw_pair_features(frame, scene, default), default)
         np.testing.assert_array_equal(example_features(tmp_path, entry, default), expected)
+
+    @staticmethod
+    def _damaged_cache(tiny_dataset, tmp_path, damage):
+        """A copy of one example whose features.bin went through damage(path);
+        the cache must be refused and recomputed from the WAVs."""
+        root, manifest = tiny_dataset
+        entry = manifest["splits"]["test"]["examples"][1]
+        shutil.copytree(root / entry["dir"], tmp_path / entry["dir"])
+        path = tmp_path / entry["dir"] / FEATURES_NAME
+        damage(path)
+        config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
+        received, scene = load_example(tmp_path, entry)
+        expected = assemble_input(*raw_pair_features(extract_frame(received), scene, config), config)
+        np.testing.assert_array_equal(example_features(tmp_path, entry, config), expected)
+        return lambda: read_feature_cache(path, config, entry["m"])
+
+    @staticmethod
+    def _rewrite_members(path, edit):
+        with np.load(path) as data:
+            members = dict(data)
+        edit(members)
+        with open(path, "wb") as fh:
+            np.savez(fh, **members)
+
+    def test_truncated_cache_recomputed(self, tiny_dataset, tmp_path):
+        def cut(path):
+            raw = path.read_bytes()
+            path.write_bytes(raw[: len(raw) // 2])
+
+        read = self._damaged_cache(tiny_dataset, tmp_path, cut)
+        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: unreadable file"):
+            read()
+
+    def test_non_npz_cache_recomputed(self, tiny_dataset, tmp_path):
+        read = self._damaged_cache(tiny_dataset, tmp_path, lambda path: path.write_text("not an npz\n" * 20))
+        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: unreadable file"):
+            read()
+
+    @pytest.mark.parametrize("member", ["gcc", "slf", "meta"])
+    def test_missing_member_recomputed(self, tiny_dataset, tmp_path, member):
+        edit = lambda members: members.pop(member)  # noqa: E731
+        read = self._damaged_cache(tiny_dataset, tmp_path, lambda path: self._rewrite_members(path, edit))
+        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: no member '{member}'"):
+            read()
+
+    @pytest.mark.parametrize("member", ["gcc", "slf", "meta"])
+    def test_wrong_pair_count_recomputed(self, tiny_dataset, tmp_path, member):
+        def drop_row(members):
+            members[member] = members[member][:-1]
+
+        read = self._damaged_cache(tiny_dataset, tmp_path, lambda path: self._rewrite_members(path, drop_row))
+        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: member '{member}' has shape"):
+            read()
 
     def test_load_split_features_targets(self, tiny_dataset):
         root, manifest = tiny_dataset
@@ -272,7 +346,7 @@ class TestGenerateExample:
 
     def test_anechoic_mode(self, tmp_path):
         from wasnloc.rir import SPEED_OF_SOUND
-        from wasnloc.signals import provide_source_signal
+        from wasnloc.signals import provide_source_signal_with_id
 
         base = tiny_dataset_config(master_seed=17)
         config = DatasetConfig(**{**base.__dict__, "max_order": 0, "snr_db": math.inf})
@@ -280,7 +354,7 @@ class TestGenerateExample:
         received, scene = load_example(tmp_path, entry)
         # anechoic, noiseless channels are exactly the source shifted by
         # the rounded propagation delay and scaled by spherical spreading
-        sig = provide_source_signal(config.source, config.duration_s, config.fs, [entry["seed"], 1])
+        sig = provide_source_signal_with_id(config.source, config.duration_s, config.fs, [entry["seed"], 1])[0]
         for k, mic in enumerate(scene.mics.positions):
             dist = np.linalg.norm(scene.source.position - mic)
             delay = int(np.rint(config.fs * dist / SPEED_OF_SOUND))

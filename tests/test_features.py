@@ -48,24 +48,24 @@ class TestGrid:
 class TestExtractFrame:
     def test_frame_length(self):
         sig = MultichannelSignal(np.random.default_rng(0).standard_normal((3, 2 * FS)), FS)
-        frame = extract_frame(sig, 500.0)
+        frame = extract_frame(sig)
         assert frame.channels.shape == (3, 8000)
 
     def test_picks_energetic_window(self):
         data = np.zeros((2, 4 * 8000))
         data[:, 2 * 8000 : 3 * 8000] = 1.0
-        frame = extract_frame(MultichannelSignal(data, FS), 500.0)
+        frame = extract_frame(MultichannelSignal(data, FS))
         assert np.all(frame.channels == 1.0)
 
     def test_constant_energy_picks_first(self):
         data = np.ones((1, 3 * 8000))
         data[0, :8000] = -1.0  # same energy, different sign marks window 0
-        frame = extract_frame(MultichannelSignal(data, FS), 500.0)
+        frame = extract_frame(MultichannelSignal(data, FS))
         assert np.all(frame.channels == -1.0)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            extract_frame(MultichannelSignal(np.zeros((2, 100)), FS), 500.0)
+            extract_frame(MultichannelSignal(np.zeros((2, 100)), FS))
 
 
 class TestGccPhat:

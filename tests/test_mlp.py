@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from wasnloc import mlp as mlp_module
 from wasnloc.mlp import AdamConfig, AdamState, Mlp, MlpSpec, adam_step
 
+# Kingma & Ba's defaults, which the update must use.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def test_single_affine_layer():
     net = Mlp(2, MlpSpec((1,)), np.array([1.0, 1.0, 0.0]))  # W0 = [[1], [1]], b0 = [0]
@@ -166,11 +169,11 @@ class TestAdam:
         for t in range(1, 8):
             g = float(rng.standard_normal())
             adam_step(state, p, [np.array([g])], cfg)
-            m = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            m_hat = m / (1 - cfg.beta1**t)
-            v_hat = v / (1 - cfg.beta2**t)
-            w -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            m = BETA1 * m + (1 - BETA1) * g
+            v = BETA2 * v + (1 - BETA2) * g * g
+            m_hat = m / (1 - BETA1**t)
+            v_hat = v / (1 - BETA2**t)
+            w -= cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
             assert p[0][0] == pytest.approx(w, rel=1e-12)
 
     def test_non_contiguous_parameter_rejected(self):
@@ -207,7 +210,7 @@ def _reference_adam_step(state, params, grads, config):
     """Frozen copy of the untiled, one-array-at-a-time Adam update; ``state``
     is a dict with per-tensor lists "m" and "v" and the step count "t"."""
     state["t"] += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = BETA1, BETA2
     bc1 = 1.0 - b1 ** state["t"]
     bc2 = 1.0 - b2 ** state["t"]
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
@@ -218,7 +221,7 @@ def _reference_adam_step(state, params, grads, config):
         v += (1.0 - b2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        p -= config.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def _flat(arrays):

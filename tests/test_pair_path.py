@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import room_grid
 
 from wasnloc.classical import pair_correlations, slf_localize, tdoa_localize
 from wasnloc.features import Grid, slf_project, theoretical_tdoa_grid
@@ -132,6 +133,7 @@ def test_relabeling_mics_only_reorders_rows(example, order_seed):
         assert np.array_equal(a, b)
     for localize in (tdoa_localize, slf_localize):
         assert np.array_equal(
-            localize(frame, scene).estimate, localize(frame_p, scene_p).estimate
+            localize(frame, scene, room_grid(scene)).estimate,
+            localize(frame_p, scene_p, room_grid(scene_p)).estimate,
         )
 

@@ -5,6 +5,8 @@ import zlib
 import numpy as np
 import pytest
 from conftest import FS, anechoic_frame, planar_scene
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wasnloc.features import Grid
 from wasnloc.mlp import MlpSpec
@@ -14,11 +16,11 @@ from wasnloc.relnet import (
     CheckpointError,
     RelNetConfig,
     RelNetModel,
+    assemble_input,
     gnn_localize,
     load_checkpoint,
     mae_loss,
-    pair_feature_matrix,
-    relnet_forward,
+    raw_pair_features,
     relnet_forward_features,
     save_checkpoint,
     standardize_features,
@@ -141,17 +143,17 @@ class TestRelNetForward:
         model = RelNetModel.init_random(config, rng_seed=0)
         scene = planar_scene(m=2)
         frame = anechoic_frame(scene)
-        features = pair_feature_matrix(frame, scene, config)
+        features = assemble_input(*raw_pair_features(frame, scene, config), config)
         assert features.shape == (1, config.input_size)
         rel, _ = model.f.forward(features[0])
         expected, _ = model.g.forward(rel)
-        np.testing.assert_allclose(relnet_forward(model, frame, scene), expected, rtol=1e-6)
+        np.testing.assert_allclose(gnn_localize(model, frame, scene).heatmap, expected, rtol=1e-6)
 
     def test_output_size_follows_grid(self):
         config = small_config(grid_n=7)
         model = RelNetModel.init_random(config, rng_seed=1)
         scene = planar_scene(m=4)
-        out = relnet_forward(model, anechoic_frame(scene), scene)
+        out = gnn_localize(model, anechoic_frame(scene), scene).heatmap
         assert out.shape == (49,)
         assert np.all(np.isfinite(out))
 
@@ -160,7 +162,7 @@ class TestRelNetForward:
         config = small_config()
         model = RelNetModel.init_random(config, rng_seed=2)
         scene = planar_scene(m=m)
-        out = relnet_forward(model, anechoic_frame(scene), scene)
+        out = gnn_localize(model, anechoic_frame(scene), scene).heatmap
         assert out.shape == (25,)
         assert np.all(np.isfinite(out))
 
@@ -170,13 +172,13 @@ class TestRelNetForward:
         model = RelNetModel.init_random(config, rng_seed=3)
         scene = planar_scene(m=5)
         frame = anechoic_frame(scene)
-        base = relnet_forward(model, frame, scene)
+        base = gnn_localize(model, frame, scene).heatmap
         perm = [4, 2, 0, 3, 1]
         scene_p = dataclasses.replace(
             scene, mics=type(scene.mics)(scene.mics.positions[perm])
         )
         frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
-        swapped = relnet_forward(model, frame_p, scene_p)
+        swapped = gnn_localize(model, frame_p, scene_p).heatmap
         assert int(np.argmax(base)) == int(np.argmax(swapped))
         np.testing.assert_allclose(swapped, base, rtol=1e-4, atol=1e-6)
 
@@ -185,7 +187,7 @@ class TestRelNetForward:
         config = small_config()
         model = RelNetModel.init_random(config, rng_seed=12)
         scene = planar_scene(m=5)
-        features = pair_feature_matrix(anechoic_frame(scene), scene, config)
+        features = assemble_input(*raw_pair_features(anechoic_frame(scene), scene, config), config)
         base = relnet_forward_features(model, features)
         doubled = relnet_forward_features(model, np.vstack([features, features]))
         np.testing.assert_allclose(doubled, base, rtol=1e-5, atol=1e-6)
@@ -193,7 +195,7 @@ class TestRelNetForward:
     def test_gcc_features_have_configured_width(self):
         config = small_config(kind="gcc", n_central=32)
         scene = planar_scene(m=3)
-        features = pair_feature_matrix(anechoic_frame(scene), scene, config)
+        features = assemble_input(*raw_pair_features(anechoic_frame(scene), scene, config), config)
         assert features.shape == (3, 32 + 9)
 
 
@@ -285,11 +287,11 @@ class TestCheckpoint:
         model = RelNetModel.init_random(config, rng_seed=6)
         scene = planar_scene(m=4)
         frame = anechoic_frame(scene)
-        before = relnet_forward(model, frame, scene)
+        before = gnn_localize(model, frame, scene).heatmap
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        after = relnet_forward(loaded, frame, scene)
+        after = gnn_localize(loaded, frame, scene).heatmap
         np.testing.assert_array_equal(before, after)
         assert loaded.config == model.config
 
@@ -370,6 +372,110 @@ class TestCheckpoint:
         rewrite_header(path, lambda header: header["arrays"][0]["shape"].reverse())
         with pytest.raises(CheckpointError, match="'f.0.w' has shape"):
             load_checkpoint(path)
+
+
+HEADER_FIELDS = (
+    "version",
+    "feature_kind",
+    "grid_n",
+    "fft_size",
+    "n_central",
+    "input_size",
+    "f_sizes",
+    "g_sizes",
+    "arrays",
+    "blob_floats",
+    "blob_crc32",
+)
+# Settings that shape no array: another value is another valid model.
+SHAPELESS = {"gcc": {"fft_size"}, "slf": {"fft_size", "n_central"}}
+
+
+def _wrong_type(value):
+    return [value] if isinstance(value, str) else str(value)
+
+
+def _changed(value):
+    if isinstance(value, str):
+        return {"slf": "gcc", "gcc": "slf"}.get(value, value + "x")
+    if isinstance(value, list):
+        return [value[0] + 1] + value[1:]
+    return value + 1
+
+
+def _damage(header, target, mutation, entry_key):
+    """Drop, mistype or change one header field (target a name) or one
+    array-table entry (target an index) in place; returns the text the
+    error must contain."""
+    owner, key = (header["arrays"], target) if isinstance(target, int) else (header, target)
+    if isinstance(target, int):
+        needle = f"'{owner[key]['name']}'"
+    else:
+        needle = target if target == "version" else f"'{target}'"
+    if mutation == "drop":
+        del owner[key]
+    elif mutation == "wrong_type":
+        owner[key] = _wrong_type(owner[key])
+    elif isinstance(target, int):
+        owner[key][entry_key] = _changed(owner[key][entry_key])
+    elif target == "arrays":
+        owner[key].append(dict(owner[key][-1]))
+    else:
+        owner[key] = _changed(owner[key])
+    return needle
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["gcc", "slf"]),
+        target=st.one_of(st.sampled_from(HEADER_FIELDS), st.integers(0, 7)),
+        mutation=st.sampled_from(["drop", "wrong_type", "change"]),
+        entry_key=st.sampled_from(["name", "shape", "offset"]),
+    )
+    def test_each_damaged_field_or_array_named(self, tmp_path_factory, kind, target, mutation, entry_key):
+        """One damaged header field or array-table entry raises CheckpointError
+        naming it; a changed setting that shapes no array loads as that
+        setting, with the same buffers."""
+        model = RelNetModel.init_random(small_config(kind), rng_seed=21)
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(model, path)
+        needles = []
+        rewrite_header(path, lambda header: needles.append(_damage(header, target, mutation, entry_key)))
+        if mutation == "change" and target in SHAPELESS[kind]:
+            loaded = load_checkpoint(path)
+            changed = {target: getattr(model.config, target) + 1}
+            assert loaded.config == dataclasses.replace(model.config, **changed)
+            assert np.array_equal(loaded.f.flat, model.f.flat) and np.array_equal(loaded.g.flat, model.g.flat)
+        else:
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(path)
+            assert needles[0] in str(info.value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["gcc", "slf"]),
+        grid_n=st.integers(2, 6),
+        f_hidden=st.lists(st.integers(1, 12), max_size=2),
+        g_hidden=st.lists(st.integers(1, 12), max_size=2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_reference_writer_output_loads_identically(
+        self, tmp_path_factory, kind, grid_n, f_hidden, g_hidden, seed
+    ):
+        """The derived table loses no check: for any architecture the saved
+        bytes equal the frozen per-array writer's, and those load back to the
+        same configuration and bit-identical buffers."""
+        n_out = grid_n * grid_n
+        f_spec, g_spec = MlpSpec((*f_hidden, n_out)), MlpSpec((*g_hidden, n_out))
+        config = RelNetConfig(kind, grid_n, 1024, 16, f_spec, g_spec)
+        model = RelNetModel.init_random(config, rng_seed=seed)
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(model, path)
+        assert path.read_bytes() == _reference_checkpoint_bytes(model)
+        loaded = load_checkpoint(path)
+        assert loaded.config == config
+        assert np.array_equal(loaded.f.flat, model.f.flat) and np.array_equal(loaded.g.flat, model.g.flat)
 
 
 class TestConfigValidation:

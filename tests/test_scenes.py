@@ -13,7 +13,6 @@ from wasnloc.scenes import (
     sample_scene,
     scene_from_json,
     scene_to_json,
-    validate_scene,
 )
 from wasnloc.relnet import RelNetConfig, raw_pair_features
 from wasnloc.signals import MultichannelSignal
@@ -26,6 +25,25 @@ def make_scene(mics, room=(4.0, 5.0, 3.0), source=(2.0, 2.5, 1.5), t60=0.4, seed
         source=SourceSpec(np.asarray(source, dtype=float)),
         seed=seed,
     )
+
+
+def validate_scene(scene, min_separation):
+    """Raise ValueError unless all joint scene invariants hold."""
+    dims = scene.room.dims
+    devices = np.vstack([scene.mics.positions, scene.source.position[None, :]])
+    if np.any(devices <= 0.0) or np.any(devices >= dims[None, :]):
+        raise ValueError("device outside the room interior")
+    if np.any(devices < min_separation - 1e-12) or np.any(
+        devices > dims[None, :] - min_separation + 1e-12
+    ):
+        raise ValueError("device closer than min_separation to a wall")
+    n = devices.shape[0]
+    if len(scene.mics) < 2:
+        raise ValueError("scene needs at least 2 microphones")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.linalg.norm(devices[i] - devices[j]) < min_separation - 1e-12:
+                raise ValueError(f"devices {i} and {j} closer than min_separation")
 
 
 class TestRoomSpec:

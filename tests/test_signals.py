@@ -13,7 +13,6 @@ from wasnloc.signals import (
     SourceSignalConfig,
     add_noise,
     auralize,
-    provide_source_signal,
     provide_source_signal_with_id,
     read_wav_mono,
     write_wav,
@@ -121,20 +120,20 @@ class TestAddNoise:
 
 class TestSyntheticSource:
     def test_length_mean_and_rms(self):
-        sig = provide_source_signal(SourceSignalConfig(), 0.5, FS, 3)
+        sig = provide_source_signal_with_id(SourceSignalConfig(), 0.5, FS, 3)[0]
         assert sig.size == 8000
         rms = np.sqrt(np.mean(sig**2))
         assert abs(sig.mean()) < 0.01 * rms
         assert rms == pytest.approx(1.0, rel=1e-9)
 
     def test_same_seed_identical(self):
-        a = provide_source_signal(SourceSignalConfig(), 0.5, FS, 42)
-        b = provide_source_signal(SourceSignalConfig(), 0.5, FS, 42)
+        a = provide_source_signal_with_id(SourceSignalConfig(), 0.5, FS, 42)[0]
+        b = provide_source_signal_with_id(SourceSignalConfig(), 0.5, FS, 42)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_syllabic_modulation_present(self):
         # 4 Hz envelope: energy in 125 ms half-periods should alternate
-        sig = provide_source_signal(SourceSignalConfig(), 1.0, FS, 11)
+        sig = provide_source_signal_with_id(SourceSignalConfig(), 1.0, FS, 11)[0]
         env = np.abs(sig)
         win = FS // 8
         bins = env[: 8 * win].reshape(8, win).mean(axis=1)
@@ -142,7 +141,7 @@ class TestSyntheticSource:
 
     def test_duration_must_be_positive(self):
         with pytest.raises(ValueError):
-            provide_source_signal(SourceSignalConfig(), 0.0, FS, 0)
+            provide_source_signal_with_id(SourceSignalConfig(), 0.0, FS, 0)[0]
 
 
 class TestCorpusSource:
@@ -159,14 +158,14 @@ class TestCorpusSource:
     def test_pcm16_normalized(self, tmp_path):
         data = (np.array([0, 16384, -16384, 32767])).astype(np.int16)
         wavfile.write(tmp_path / "b.wav", FS, np.tile(data, 2000))
-        sig = provide_source_signal(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, FS, 0)
+        sig = provide_source_signal_with_id(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, FS, 0)[0]
         assert np.max(np.abs(sig)) <= 1.0
         assert sig[1] == pytest.approx(0.5, abs=1e-4)
 
     def test_short_file_tiled(self, tmp_path):
         wav = np.ones(1000, dtype=np.float32) * 0.25
         wavfile.write(tmp_path / "c.wav", FS, wav)
-        sig = provide_source_signal(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, FS, 0)
+        sig = provide_source_signal_with_id(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, FS, 0)[0]
         assert sig.size == 8000
         assert np.all(sig == 0.25)
 
@@ -174,18 +173,18 @@ class TestCorpusSource:
         t = np.arange(32000) / 32000
         wav = np.sin(2 * np.pi * 440 * t).astype(np.float32)
         wavfile.write(tmp_path / "d.wav", 32000, wav)
-        sig = provide_source_signal(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, FS, 0)
+        sig = provide_source_signal_with_id(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, FS, 0)[0]
         assert sig.size == 8000
 
     def test_empty_corpus_rejected(self, tmp_path):
         with pytest.raises(CorpusError):
-            provide_source_signal(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, FS, 0)
+            provide_source_signal_with_id(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, FS, 0)[0]
 
     def test_stereo_rejected(self, tmp_path):
         wav = np.zeros((1000, 2), dtype=np.float32)
         wavfile.write(tmp_path / "e.wav", FS, wav)
         with pytest.raises(CorpusError):
-            provide_source_signal(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, FS, 0)
+            provide_source_signal_with_id(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, FS, 0)[0]
 
 
 class TestWavIo:
@@ -196,3 +195,17 @@ class TestWavIo:
         back, fs = read_wav_mono(tmp_path / "x.wav")
         assert fs == FS
         np.testing.assert_allclose(back, sig.astype(np.float32), rtol=1e-7)
+
+    @pytest.mark.parametrize("damage", ["not_wav", "cut_header", "short_data"])
+    def test_bad_file_named(self, tmp_path, damage):
+        path = tmp_path / "x.wav"
+        write_wav(path, np.ones(1000), FS)
+        raw = path.read_bytes()
+        if damage == "not_wav":
+            path.write_bytes(b"plain text, no RIFF header " * 10)
+        elif damage == "cut_header":
+            path.write_bytes(raw[:20])
+        else:  # the data chunk ends before the length its header gives
+            path.write_bytes(raw[:-400])
+        with pytest.raises(CorpusError, match=r"x\.wav: "):
+            read_wav_mono(path)

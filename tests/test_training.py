@@ -144,7 +144,7 @@ def test_history_matches_per_layer_reference():
 
     params = [p for net in (ref.f, ref.g) for layer in net.layers for p in layer]
     state = {"m": [np.zeros_like(p) for p in params], "v": [np.zeros_like(p) for p in params], "t": 0}
-    adam_cfg = AdamConfig(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    adam_cfg = AdamConfig(lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     ref_history = []
     for epoch in range(1, len(history) + 1):
