@@ -54,26 +54,39 @@ def _pointer(path: list[str]) -> str:
     return "/" + "/".join(path)
 
 
+def _convert(conv, value, path: list[str]):
+    """conv(value); a value conv rejects raises ConfigError at path."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{_pointer(path)}: {exc}") from exc
+
+
 def _build(cls, obj: dict, path: list[str], converters: dict | None = None):
     """cls(**obj) after converting values; a key that is not a field of the
-    dataclass cls, or a value it rejects, raises ConfigError at its path."""
+    dataclass cls, or a value it rejects, raises ConfigError at its path.
+    A field annotated ``int`` without a converter takes only a JSON integer."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{_pointer(path)}: must be a JSON object")
-    fields = {f.name for f in dataclasses.fields(cls)}
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
     converters = converters or {}
     kwargs = {}
     for key, value in obj.items():
         if key not in fields:
             raise ConfigError(f"{_pointer(path + [key])}: unknown key")
-        conv = converters.get(key)
-        try:
-            kwargs[key] = conv(value) if conv else value
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{_pointer(path + [key])}: {exc}") from exc
+        conv = converters.get(key, _int if fields[key] in (int, "int") else None)
+        kwargs[key] = _convert(conv, value, path + [key]) if conv else value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{_pointer(path)}: {exc}") from exc
+
+
+def _int(value) -> int:
+    """A JSON integer; a string, bool or fractional number is refused, not parsed or cut."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _pair(value) -> tuple[float, float]:
@@ -82,7 +95,7 @@ def _pair(value) -> tuple[float, float]:
 
 
 def _int_tuple(value) -> tuple[int, ...]:
-    return tuple(int(v) for v in value)
+    return tuple(_int(v) for v in value)
 
 
 def dataset_config_from_obj(obj: dict) -> DatasetConfig:
@@ -121,10 +134,10 @@ def train_configs_from_obj(obj: dict) -> tuple[RelNetConfig, TrainConfig]:
     net_kwargs = {"feature_kind": kind}
     for key in ("grid_n", "fft_size", "n_central"):
         if key in obj:
-            net_kwargs[key] = int(obj.pop(key))
+            net_kwargs[key] = obj.pop(key)
     for key, spec_key in (("f_layer_sizes", "f_spec"), ("g_layer_sizes", "g_spec")):
         if key in obj:
-            net_kwargs[spec_key] = MlpSpec(tuple(int(v) for v in obj.pop(key)))
+            net_kwargs[spec_key] = _convert(lambda v: MlpSpec(_int_tuple(v)), obj.pop(key), [key])
     net = _build(RelNetConfig, net_kwargs, [])
     train_cfg = _build(TrainConfig, obj, [])
     return net, train_cfg

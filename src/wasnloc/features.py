@@ -17,7 +17,10 @@ at the center. The peak lag approximates fs * (tau_i - tau_j).
 Each stage works on all microphone pairs of one example at once: a (P, 2)
 array of channel indices selects the pairs, and every result has one row
 per pair. Every row equals what the same stage computes for that pair
-alone, bit for bit, so batching changes no feature.
+alone, bit for bit, so batching changes no feature. GCC-PHAT transforms
+each channel once for all pairs, then whitens and averages the
+cross-spectra a few pairs at a time (:data:`_TILE`), so that its working
+set stays in cache however many pairs an example has.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ DEFAULT_FFT_SIZE = 1024
 DEFAULT_N_CENTRAL = 200
 DEFAULT_GRID_N = 25
 DEFAULT_FRAME_MS = 500.0
+
+# Pairs per GCC-PHAT tile. Two pairs' cross-spectra and magnitudes (about
+# 0.35 MB for 1024-point DFTs of a 500 ms frame) stay in a core's L2 cache
+# beside the channel spectra; all 21 pairs of M = 7 at once took 2.4 MB per
+# temporary. Each pair's arithmetic is elementwise and its window mean runs
+# in window order, so any value gives the same correlations.
+_TILE = 2
 
 
 @dataclass(frozen=True)
@@ -91,20 +101,35 @@ def gcc_phat(channels: np.ndarray, pairs: np.ndarray, fft_size: int = DEFAULT_FF
     ``channels`` is an (M, N) frame and ``pairs`` a (P, 2) array of channel
     indices. Row p of the (P, fft_size) result correlates channel
     pairs[p, 0] against channel pairs[p, 1] over lags -fft_size/2 ..
-    fft_size/2 - 1, lag 0 at index fft_size // 2. Each channel is
-    transformed once, however many pairs it joins.
+    fft_size/2 - 1, lag 0 at index fft_size // 2.
+
+    Each channel's windowed spectrum, and its conjugate, is computed once,
+    however many pairs it joins. The whitened cross-spectra are then built
+    and averaged over windows :data:`_TILE` pairs at a time in two scratch
+    buffers, so only a few pairs' spectra are in memory at once, and one
+    inverse transform turns all the averages into correlations.
     """
     channels = np.asarray(channels, dtype=float)
     if channels.shape[1] < fft_size:
         raise ValueError(f"frame of {channels.shape[1]} samples shorter than fft_size {fft_size}")
 
     hop = fft_size // 2
-    n_windows = 1 + (channels.shape[1] - fft_size) // hop
-    idx = (np.arange(n_windows) * hop)[:, None] + np.arange(fft_size)[None, :]
-    spec = np.fft.rfft(channels[:, idx], axis=-1)  # (M, windows, bins)
-    cross = spec[pairs[:, 0]] * np.conj(spec[pairs[:, 1]])
-    cross /= np.maximum(np.abs(cross), PHAT_FLOOR)
-    cc = np.fft.irfft(cross.mean(axis=1), fft_size, axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(channels, fft_size, axis=1)[:, ::hop]
+    spec = np.fft.rfft(windows, axis=-1)  # (M, windows, bins)
+    conj = np.conj(spec)
+    cross = np.empty((_TILE,) + spec.shape[1:], dtype=complex)
+    mag = np.empty(cross.shape)
+    mean = np.empty((len(pairs), spec.shape[2]), dtype=complex)
+    for start in range(0, len(pairs), _TILE):
+        tile = pairs[start : start + _TILE]
+        c, m = cross[: len(tile)], mag[: len(tile)]
+        for k, (i, j) in enumerate(tile):
+            np.multiply(spec[i], conj[j], out=c[k])
+        np.abs(c, out=m)
+        np.maximum(m, PHAT_FLOOR, out=m)
+        c /= m  # m is cast to complex; dividing .real and .imag by m rounds otherwise
+        np.mean(c, axis=1, out=mean[start : start + len(tile)])
+    cc = np.fft.irfft(mean, fft_size, axis=-1)
 
     half = fft_size // 2
     return np.concatenate([cc[:, -half:], cc[:, : fft_size - half]], axis=1)
@@ -170,7 +195,8 @@ def slf_project(
     half = fft_size // 2
     first = np.clip(np.floor(lo).astype(int) + half, 0, fft_size - 1)
     last = np.clip(np.ceil(hi).astype(int) + half, 0, fft_size - 1)
-    csum = np.concatenate([np.zeros((len(pairs), 1)), np.cumsum(corr, axis=1)], axis=1)
+    csum = np.zeros((len(pairs), fft_size + 1))
+    np.cumsum(corr, axis=1, out=csum[:, 1:])
     total = np.take_along_axis(csum, last + 1, axis=1) - np.take_along_axis(csum, first, axis=1)
     return total / (last - first + 1)
 

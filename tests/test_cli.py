@@ -59,6 +59,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="/feature_kind"):
             train_configs_from_obj({"feature_kind": "mel"})
 
+    @pytest.mark.parametrize(
+        "parse, obj, pointer",
+        [
+            (train_configs_from_obj, {"grid_n": "x"}, "/grid_n"),
+            (train_configs_from_obj, {"fft_size": 512.5}, "/fft_size"),
+            (train_configs_from_obj, {"f_layer_sizes": 5}, "/f_layer_sizes"),
+            (dataset_config_from_obj, {"train": "many"}, "/train"),
+            (dataset_config_from_obj, {"scene": {"mic_counts": "57"}}, "/scene/mic_counts"),
+        ],
+        ids=["grid_n", "fft_size", "f_layer_sizes", "train", "mic_counts"],
+    )
+    def test_ill_typed_value_reports_pointer(self, parse, obj, pointer):
+        with pytest.raises(ConfigError, match=f"^{pointer}: "):
+            parse(obj)
+
 
 @pytest.fixture(scope="module")
 def cli_workspace(tmp_path_factory):

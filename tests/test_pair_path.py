@@ -9,14 +9,16 @@ trained models do not change.
 
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import room_grid
 
 from wasnloc.classical import pair_correlations, slf_localize, tdoa_localize
-from wasnloc.features import Grid, slf_project, theoretical_tdoa_grid
+from wasnloc import features as features_module
+from wasnloc.features import Grid, gcc_phat, slf_project, theoretical_tdoa_grid
 from wasnloc.relnet import RelNetConfig, raw_pair_features
 from wasnloc.rir import SPEED_OF_SOUND
 from wasnloc.scenes import MicArray, SceneDistribution, sample_scene
@@ -137,3 +139,38 @@ def test_relabeling_mics_only_reorders_rows(example, order_seed):
             localize(frame_p, scene_p, room_grid(scene_p)).estimate,
         )
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fft_size=st.sampled_from([64, 256, 1024]),
+    n_windows=st.integers(1, 6),
+    m=st.integers(1, 4),
+    pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=13),
+    silent=st.booleans(),
+    tile=st.sampled_from([1, 2, 3, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(fft_size=64, n_windows=1, m=1, pairs=[(0, 0)], silent=False, tile=2, seed=0)
+@example(
+    fft_size=1024,
+    n_windows=4,
+    m=3,
+    pairs=[(0, 1), (1, 0), (2, 2), (0, 1), (1, 2), (2, 0), (0, 0)],
+    silent=True,
+    tile=2,
+    seed=1,
+)
+def test_gcc_phat_rows_equal_one_pair_calls(fft_size, n_windows, m, pairs, silent, tile, seed):
+    """Any batch of pairs, in tiles of any size, repeated or reversed or with
+    i == j, gives each pair the row it gets alone and from the reference."""
+    n_samples = fft_size + (n_windows - 1) * (fft_size // 2)
+    channels = np.random.default_rng(seed).standard_normal((m, n_samples))
+    if silent:
+        channels[-1] = 0.0
+    pairs = np.array(pairs) % m
+    with mock.patch.object(features_module, "_TILE", tile):
+        corr = gcc_phat(channels, pairs, fft_size)
+        assert corr.shape == (len(pairs), fft_size)
+        for row, (i, j) in enumerate(pairs):
+            assert np.array_equal(corr[row], gcc_phat(channels, pairs[row : row + 1], fft_size)[0])
+            assert np.array_equal(corr[row], reference_gcc_phat(channels[i], channels[j], fft_size))
