@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import (
-    DEFAULT_FFT_SIZE,
     DEFAULT_N_CENTRAL,
     Grid,
     central_lags,
@@ -50,16 +49,14 @@ def enumerate_pairs(m: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(m), 2))
 
 
-def pair_correlations(
-    frame: MultichannelSignal, scene: Scene, fft_size: int = DEFAULT_FFT_SIZE
-) -> tuple[np.ndarray, np.ndarray, float]:
+def pair_correlations(frame: MultichannelSignal, scene: Scene) -> tuple[np.ndarray, np.ndarray, float]:
     """The pair step every localizer shares: (pairs, corr, z_plane).
 
     ``pairs`` is the (P, 2) array of :func:`enumerate_pairs`, each pair
     ordered by mic position (lexicographic x, y, z) rather than by channel
     index, so relabeling the microphones only reorders the rows. ``corr``
-    holds their (P, fft_size) :func:`gcc_phat` correlations and z_plane is
-    the mean mic height, the plane the search grid lies in.
+    holds their (P, DEFAULT_FFT_SIZE) :func:`gcc_phat` correlations and
+    z_plane is the mean mic height, the plane the search grid lies in.
     """
     if frame.m != scene.m:
         raise ValueError(f"frame has {frame.m} channels but scene has {scene.m} mics")
@@ -68,7 +65,7 @@ def pair_correlations(
     rank = np.argsort(np.lexsort(mics.T[::-1]))  # position order; ties keep index order
     swap = rank[pairs[:, 1]] < rank[pairs[:, 0]]
     pairs[swap] = pairs[swap, ::-1]
-    return pairs, gcc_phat(frame.channels, pairs, fft_size), mean_mic_height(mics)
+    return pairs, gcc_phat(frame.channels, pairs), mean_mic_height(mics)
 
 
 def pick_peak(heatmap: np.ndarray, grid: Grid, mode: str = "max") -> np.ndarray:

@@ -65,7 +65,8 @@ def _convert(conv, value, path: list[str]):
 def _build(cls, obj: dict, path: list[str], converters: dict | None = None):
     """cls(**obj) after converting values; a key that is not a field of the
     dataclass cls, or a value it rejects, raises ConfigError at its path.
-    A field annotated ``int`` without a converter takes only a JSON integer."""
+    A field annotated ``int``, ``float`` or ``bool`` without a converter
+    takes only a JSON integer, number or boolean (:data:`_BY_ANNOTATION`)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{_pointer(path)}: must be a JSON object")
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -74,7 +75,7 @@ def _build(cls, obj: dict, path: list[str], converters: dict | None = None):
     for key, value in obj.items():
         if key not in fields:
             raise ConfigError(f"{_pointer(path + [key])}: unknown key")
-        conv = converters.get(key, _int if fields[key] in (int, "int") else None)
+        conv = converters.get(key, _BY_ANNOTATION.get(fields[key]))
         kwargs[key] = _convert(conv, value, path + [key]) if conv else value
     try:
         return cls(**kwargs)
@@ -89,9 +90,27 @@ def _int(value) -> int:
     return value
 
 
+def _float(value) -> float:
+    """A JSON number, integer or not; a string or bool is refused, not parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _bool(value) -> bool:
+    """JSON true or false; a string or number is refused."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+# Converters by field annotation (every config module defers annotations, so they are strings).
+_BY_ANNOTATION = {"int": _int, "float": _float, "bool": _bool}
+
+
 def _pair(value) -> tuple[float, float]:
     lo, hi = value
-    return (float(lo), float(hi))
+    return (_float(lo), _float(hi))
 
 
 def _int_tuple(value) -> tuple[int, ...]:
@@ -119,7 +138,7 @@ def dataset_config_from_obj(obj: dict) -> DatasetConfig:
         "train_mic_counts": _int_tuple,
         "val_mic_counts": _int_tuple,
         "test_mic_counts": _int_tuple,
-        "snr_db": lambda v: math.inf if v in ("inf", None) else float(v),
+        "snr_db": lambda v: math.inf if v in ("inf", None) else _float(v),
     }
     return _build(DatasetConfig, {**obj, "scene": scene, "source": source}, [], converters)
 
@@ -132,9 +151,8 @@ def train_configs_from_obj(obj: dict) -> tuple[RelNetConfig, TrainConfig]:
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"/feature_kind: must be one of {FEATURE_KINDS}")
     net_kwargs = {"feature_kind": kind}
-    for key in ("grid_n", "fft_size", "n_central"):
-        if key in obj:
-            net_kwargs[key] = obj.pop(key)
+    if "grid_n" in obj:
+        net_kwargs["grid_n"] = obj.pop("grid_n")
     for key, spec_key in (("f_layer_sizes", "f_spec"), ("g_layer_sizes", "g_spec")):
         if key in obj:
             net_kwargs[spec_key] = _convert(lambda v: MlpSpec(_int_tuple(v)), obj.pop(key), [key])

@@ -73,8 +73,10 @@ FEATURES_NAME = "features.bin"
 # Version 3: the "version" member also holds the FEATURE_PARAMS values.
 FEATURES_VERSION = 3
 # The settings that shape the cached arrays, stored after the version so
-# that a cache built with other settings is never served. The frame length
-# is fixed (DEFAULT_FRAME_MS) but still recorded, so caches stay valid.
+# that a cache built with other settings is never served. Only grid_n is
+# set per dataset; the DFT size, the central crop and the frame length are
+# fixed (DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, DEFAULT_FRAME_MS) but still
+# recorded, so the file format and existing caches stay valid.
 FEATURE_PARAMS = ("fft_size", "n_central", "grid_n", "frame_ms")
 
 
@@ -102,9 +104,12 @@ class DatasetConfig:
     source: SourceSignalConfig = SourceSignalConfig()
     precompute_features: bool = True
     grid_n: int = DEFAULT_GRID_N
-    fft_size: int = DEFAULT_FFT_SIZE
-    n_central: int = DEFAULT_N_CENTRAL
     workers: int = 1
+
+    @property
+    def n_central(self) -> int:
+        """Width of the cached GCC rows, the fixed DEFAULT_N_CENTRAL."""
+        return DEFAULT_N_CENTRAL
 
     def split_count(self, split: str) -> int:
         return {"train": self.train, "val": self.val, "test": self.test}[split]
@@ -118,14 +123,6 @@ class DatasetConfig:
 
     def example_seed(self, split: str, index: int) -> int:
         return self.master_seed + _SPLIT_SEED_OFFSETS[split] + index
-
-    def feature_config(self) -> RelNetConfig:
-        return RelNetConfig(
-            feature_kind="slf",
-            grid_n=self.grid_n,
-            fft_size=self.fft_size,
-            n_central=self.n_central,
-        )
 
 
 def generate_example(config: DatasetConfig, split: str, index: int, out_root) -> dict | None:
@@ -155,9 +152,8 @@ def generate_example(config: DatasetConfig, split: str, index: int, out_root) ->
         write_wav(example_dir / f"ch_{k:02d}.wav", received.channels[k], config.fs)
     (example_dir / "scene.json").write_text(scene_to_json(scene))
     if config.precompute_features:
-        feature_config = config.feature_config()
-        gcc, slf, meta = raw_pair_features(extract_frame(received), scene, feature_config)
-        write_feature_cache(example_dir / FEATURES_NAME, feature_config, gcc, slf, meta)
+        gcc, slf, meta = raw_pair_features(extract_frame(received), scene, config.grid_n)
+        write_feature_cache(example_dir / FEATURES_NAME, config.grid_n, gcc, slf, meta)
 
     return {
         "dir": f"{split}/{index:05d}",
@@ -253,36 +249,34 @@ def split_entries(data_dir, manifest: dict, split: str) -> list[dict]:
     return manifest["splits"][split]["examples"]
 
 
-def _feature_key(config: RelNetConfig) -> list[float]:
+def _feature_key(grid_n: int) -> list[float]:
     """FEATURES_VERSION followed by the FEATURE_PARAMS values."""
-    return [FEATURES_VERSION, config.fft_size, config.n_central, config.grid_n, DEFAULT_FRAME_MS]
+    return [FEATURES_VERSION, DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, grid_n, DEFAULT_FRAME_MS]
 
 
-def write_feature_cache(
-    path, config: RelNetConfig, gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray
-) -> None:
-    """Write the raw pair features built with config."""
+def write_feature_cache(path, grid_n: int, gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray) -> None:
+    """Write the raw pair features built on a grid_n grid."""
     with open(path, "wb") as fh:
         np.savez(
             fh,
-            version=np.array(_feature_key(config), dtype=np.float64),
+            version=np.array(_feature_key(grid_n), dtype=np.float64),
             gcc=gcc.astype(np.float32),
             slf=slf.astype(np.float32),
             meta=meta.astype(np.float32),
         )
 
 
-def read_feature_cache(path, config: RelNetConfig, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def read_feature_cache(path, grid_n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gcc, slf, meta) of an example with m mics from its features.bin.
 
     FeatureCacheError names the file, and the member where there is one, if
     the file is not a readable npz, has another version, was built with
-    other FEATURE_PARAMS values than config, or lacks a member or holds one
-    of other than M(M-1)/2 rows of the configured width.
+    other FEATURE_PARAMS values than grid_n and the fixed ones, or lacks a
+    member or holds one of other than M(M-1)/2 rows of its width.
     """
     pairs = m * (m - 1) // 2
-    widths = {"gcc": config.n_central, "slf": config.grid_n**2, "meta": PAIR_METADATA_SIZE}
-    wanted = _feature_key(config)
+    widths = {"gcc": DEFAULT_N_CENTRAL, "slf": grid_n**2, "meta": PAIR_METADATA_SIZE}
+    wanted = _feature_key(grid_n)
     member = None  # the member being read, for the error message
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -359,11 +353,11 @@ def example_features(data_dir, entry: dict, config: RelNetConfig) -> np.ndarray:
     cache_path = Path(data_dir) / entry["dir"] / FEATURES_NAME
     if cache_path.exists():
         try:
-            return assemble_input(*read_feature_cache(cache_path, config, entry["m"]), config)
+            return assemble_input(*read_feature_cache(cache_path, config.grid_n, entry["m"]), config)
         except FeatureCacheError as exc:
             logger.info("recomputing features: %s", exc)
     received, scene = load_example(data_dir, entry)
-    return assemble_input(*raw_pair_features(extract_frame(received), scene, config), config)
+    return assemble_input(*raw_pair_features(extract_frame(received), scene, config.grid_n), config)
 
 
 def load_split_features(data_dir, manifest: dict, split: str, config: RelNetConfig) -> list[FeatureExample]:

@@ -9,10 +9,13 @@ stored at flat index u * n + v. Heatmaps over the grid are plain 1-D numpy
 arrays of length n^2 aligned to that indexing.
 
 GCC-PHAT cross-correlations are computed Welch-style: the analysis frame is
-split into 50%-overlapped DFT windows, each window's cross-spectrum is
-whitened to unit magnitude, the whitened spectra are averaged, and a single
-inverse transform yields the correlation, circularly shifted so lag 0 sits
-at the center. The peak lag approximates fs * (tau_i - tau_j).
+split into 50%-overlapped DFT windows of DEFAULT_FFT_SIZE samples, each
+window's cross-spectrum is whitened to unit magnitude, the whitened spectra
+are averaged, and a single inverse transform yields the correlation,
+circularly shifted so lag 0 sits at the center. The peak lag approximates
+fs * (tau_i - tau_j). GNN-GCC and the TDOA peak search read the
+DEFAULT_N_CENTRAL lags around 0 (:func:`central_lags`). Like the frame
+length, both sizes belong to the method and are fixed.
 
 Each stage works on all microphone pairs of one example at once: a (P, 2)
 array of channel indices selects the pairs, and every result has one row
@@ -95,13 +98,13 @@ def extract_frame(signals: MultichannelSignal) -> MultichannelSignal:
     return MultichannelSignal(signals.channels[:, start : start + frame_len].copy(), signals.fs)
 
 
-def gcc_phat(channels: np.ndarray, pairs: np.ndarray, fft_size: int = DEFAULT_FFT_SIZE) -> np.ndarray:
+def gcc_phat(channels: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """PHAT-weighted generalized cross-correlations of channel pairs.
 
     ``channels`` is an (M, N) frame and ``pairs`` a (P, 2) array of channel
-    indices. Row p of the (P, fft_size) result correlates channel
-    pairs[p, 0] against channel pairs[p, 1] over lags -fft_size/2 ..
-    fft_size/2 - 1, lag 0 at index fft_size // 2.
+    indices. Row p of the (P, DEFAULT_FFT_SIZE) result correlates channel
+    pairs[p, 0] against channel pairs[p, 1] over lags -DEFAULT_FFT_SIZE/2 ..
+    DEFAULT_FFT_SIZE/2 - 1, lag 0 at index DEFAULT_FFT_SIZE // 2.
 
     Each channel's windowed spectrum, and its conjugate, is computed once,
     however many pairs it joins. The whitened cross-spectra are then built
@@ -110,11 +113,11 @@ def gcc_phat(channels: np.ndarray, pairs: np.ndarray, fft_size: int = DEFAULT_FF
     inverse transform turns all the averages into correlations.
     """
     channels = np.asarray(channels, dtype=float)
-    if channels.shape[1] < fft_size:
-        raise ValueError(f"frame of {channels.shape[1]} samples shorter than fft_size {fft_size}")
+    if channels.shape[1] < DEFAULT_FFT_SIZE:
+        raise ValueError(f"frame of {channels.shape[1]} samples shorter than fft_size {DEFAULT_FFT_SIZE}")
 
-    hop = fft_size // 2
-    windows = np.lib.stride_tricks.sliding_window_view(channels, fft_size, axis=1)[:, ::hop]
+    half = DEFAULT_FFT_SIZE // 2
+    windows = np.lib.stride_tricks.sliding_window_view(channels, DEFAULT_FFT_SIZE, axis=1)[:, ::half]
     spec = np.fft.rfft(windows, axis=-1)  # (M, windows, bins)
     conj = np.conj(spec)
     cross = np.empty((_TILE,) + spec.shape[1:], dtype=complex)
@@ -129,17 +132,15 @@ def gcc_phat(channels: np.ndarray, pairs: np.ndarray, fft_size: int = DEFAULT_FF
         np.maximum(m, PHAT_FLOOR, out=m)
         c /= m  # m is cast to complex; dividing .real and .imag by m rounds otherwise
         np.mean(c, axis=1, out=mean[start : start + len(tile)])
-    cc = np.fft.irfft(mean, fft_size, axis=-1)
-
-    half = fft_size // 2
-    return np.concatenate([cc[:, -half:], cc[:, : fft_size - half]], axis=1)
+    cc = np.fft.irfft(mean, DEFAULT_FFT_SIZE, axis=-1)
+    return np.concatenate([cc[:, -half:], cc[:, :half]], axis=1)
 
 
-def central_lags(corr: np.ndarray, n_central: int = DEFAULT_N_CENTRAL) -> np.ndarray:
-    """The n_central lags around 0 of each :func:`gcc_phat` row, e.g. the
-    lags -100 .. 99 for 200 bins."""
-    c0 = corr.shape[-1] // 2 - n_central // 2
-    return corr[..., c0 : c0 + n_central]
+def central_lags(corr: np.ndarray) -> np.ndarray:
+    """The DEFAULT_N_CENTRAL lags around 0 of each :func:`gcc_phat` row: the
+    lags -100 .. 99."""
+    c0 = corr.shape[-1] // 2 - DEFAULT_N_CENTRAL // 2
+    return corr[..., c0 : c0 + DEFAULT_N_CENTRAL]
 
 
 def theoretical_tdoa_grid(

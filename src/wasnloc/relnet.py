@@ -60,12 +60,12 @@ class CheckpointError(RuntimeError):
 
 @dataclass(frozen=True)
 class RelNetConfig:
-    """Architecture and feature-extraction settings for one model."""
+    """Architecture of one model: its feature kind, its grid and the layer
+    sizes of F and G. A GCC feature row holds the DEFAULT_N_CENTRAL central
+    lags of a DEFAULT_FFT_SIZE correlation; both sizes are fixed."""
 
     feature_kind: str = "slf"
     grid_n: int = DEFAULT_GRID_N
-    fft_size: int = DEFAULT_FFT_SIZE
-    n_central: int = DEFAULT_N_CENTRAL
     f_spec: MlpSpec | None = None
     g_spec: MlpSpec | None = None
 
@@ -84,7 +84,7 @@ class RelNetConfig:
 
     @property
     def feature_size(self) -> int:
-        return self.n_central if self.feature_kind == "gcc" else self.grid_n * self.grid_n
+        return DEFAULT_N_CENTRAL if self.feature_kind == "gcc" else self.grid_n * self.grid_n
 
     @property
     def input_size(self) -> int:
@@ -140,22 +140,22 @@ def standardize_features(raw: np.ndarray, kind: str) -> np.ndarray:
 
 
 def raw_pair_features(
-    frame: MultichannelSignal, scene: Scene, config: RelNetConfig
+    frame: MultichannelSignal, scene: Scene, grid_n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unstandardized per-pair features for one example.
 
-    Returns (gcc, slf, meta): (P, n_central), (P, grid_n^2) and (P, 9)
+    Returns (gcc, slf, meta): (P, DEFAULT_N_CENTRAL), (P, grid_n^2) and (P, 9)
     arrays over the pairs of :func:`classical.pair_correlations`, which
     orients each pair by position, not by channel index, so relabeling the
     microphones only reorders the rows. Computing both feature kinds at
     once lets dataset caches serve either model.
     """
-    pairs, corr, z_plane = pair_correlations(frame, scene, config.fft_size)
-    grid = Grid(scene.room.width, scene.room.length, config.grid_n)
+    pairs, corr, z_plane = pair_correlations(frame, scene)
+    grid = Grid(scene.room.width, scene.room.length, grid_n)
     mics = scene.mics.positions
     slf = slf_project(corr, frame.fs, mics, pairs, grid, z_plane)
     meta = pair_metadata_vector(mics[pairs[:, 0]], mics[pairs[:, 1]], scene.room.dims)
-    return central_lags(corr, config.n_central), slf, meta
+    return central_lags(corr), slf, meta
 
 
 def assemble_input(gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray, config: RelNetConfig) -> np.ndarray:
@@ -181,7 +181,7 @@ def relnet_forward_features(model: RelNetModel, features: np.ndarray) -> np.ndar
 def gnn_localize(model: RelNetModel, frame: MultichannelSignal, scene: Scene) -> LocalizationResult:
     """Localize one example (any M >= 2) with a trained relation network; the
     grid maximum of its heatmap wins."""
-    features = assemble_input(*raw_pair_features(frame, scene, model.config), model.config)
+    features = assemble_input(*raw_pair_features(frame, scene, model.config.grid_n), model.config)
     heatmap = relnet_forward_features(model, features)
     grid = Grid(scene.room.width, scene.room.length, model.config.grid_n)
     return LocalizationResult(pick_peak(heatmap, grid, "max"), heatmap)
@@ -236,8 +236,8 @@ def save_checkpoint(model: RelNetModel, path) -> None:
         "version": CHECKPOINT_VERSION,
         "feature_kind": cfg.feature_kind,
         "grid_n": cfg.grid_n,
-        "fft_size": cfg.fft_size,
-        "n_central": cfg.n_central,
+        "fft_size": DEFAULT_FFT_SIZE,
+        "n_central": DEFAULT_N_CENTRAL,
         "input_size": cfg.input_size,
         "f_sizes": list(cfg.f_spec.layer_output_sizes),
         "g_sizes": list(cfg.g_spec.layer_output_sizes),
@@ -298,11 +298,12 @@ def _check_table(arrays: list, config: RelNetConfig, path) -> None:
 def load_checkpoint(path) -> RelNetModel:
     """Read a model written by save_checkpoint.
 
-    The architecture comes from the header fields; the stored array table
-    must equal the one :func:`checkpoint_table` derives from it, and the
-    blob must hold exactly its floats. Anything malformed, stale or
-    inconsistent raises CheckpointError naming the file and the field or
-    array.
+    The architecture comes from the header fields; 'fft_size' and
+    'n_central' must equal the fixed DEFAULT_FFT_SIZE and DEFAULT_N_CENTRAL,
+    the stored array table must equal the one :func:`checkpoint_table`
+    derives from the architecture, and the blob must hold exactly its
+    floats. Anything malformed, stale or inconsistent raises CheckpointError
+    naming the file and the field or array.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -321,12 +322,13 @@ def load_checkpoint(path) -> RelNetModel:
         raise CheckpointError(
             f"{path}: version {header.get('version')!r}, expected {CHECKPOINT_VERSION}"
         )
+    for key, fixed in (("fft_size", DEFAULT_FFT_SIZE), ("n_central", DEFAULT_N_CENTRAL)):
+        if _field(header, key, path) != fixed:
+            raise CheckpointError(f"{path}: header field {key!r} is {header[key]}, expected {fixed}")
     try:
         config = RelNetConfig(
             feature_kind=_field(header, "feature_kind", path, "str"),
             grid_n=_field(header, "grid_n", path),
-            fft_size=_field(header, "fft_size", path),
-            n_central=_field(header, "n_central", path),
             f_spec=MlpSpec(tuple(_field(header, "f_sizes", path, "ints"))),
             g_spec=MlpSpec(tuple(_field(header, "g_sizes", path, "ints"))),
         )
@@ -339,8 +341,7 @@ def load_checkpoint(path) -> RelNetModel:
     if input_size != config.input_size:
         raise CheckpointError(
             f"{path}: header field 'input_size' is {input_size}, but 'feature_kind' "
-            f"{config.feature_kind!r}, 'grid_n' {config.grid_n} and 'n_central' "
-            f"{config.n_central} give {config.input_size}"
+            f"{config.feature_kind!r} and 'grid_n' {config.grid_n} give {config.input_size}"
         )
     _check_table(_field(header, "arrays", path, "list"), config, path)
 

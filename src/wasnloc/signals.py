@@ -24,8 +24,11 @@ from .rir import DEFAULT_FS, simulate_rir
 from .scenes import Scene
 
 
-# Corner frequency of the synthetic source's second-order roll-off.
+# The synthetic source: corner frequency of its second-order roll-off, and
+# the rate and depth of its syllabic amplitude modulation.
 SPECTRAL_ROLLOFF_HZ = 1000.0
+SYLLABLE_RATE_HZ = 4.0
+MODULATION_DEPTH = 0.8
 
 
 class SilentChannelError(ValueError):
@@ -107,14 +110,12 @@ class SourceSignalConfig:
 
     With ``corpus_dir`` set, files are drawn (seeded) from the mono WAVs in
     that directory; otherwise a synthetic speech-like signal is generated:
-    pink-filtered Gaussian noise amplitude-modulated at ``syllable_rate_hz``,
-    with a second-order spectral roll-off above SPECTRAL_ROLLOFF_HZ
-    mimicking the high-frequency decay of speech.
+    pink-filtered Gaussian noise amplitude-modulated at SYLLABLE_RATE_HZ to
+    MODULATION_DEPTH, with a second-order spectral roll-off above
+    SPECTRAL_ROLLOFF_HZ mimicking the high-frequency decay of speech.
     """
 
     corpus_dir: str | None = None
-    syllable_rate_hz: float = 4.0
-    modulation_depth: float = 0.8
 
 
 def provide_source_signal_with_id(
@@ -137,7 +138,7 @@ def provide_source_signal_with_id(
     rng = np.random.default_rng(rng_seed)
 
     if config.corpus_dir is None:
-        return _synthetic_speech_like(n, fs, rng, config), f"synthetic:{_seed_repr(rng_seed)}"
+        return _synthetic_speech_like(n, fs, rng), f"synthetic:{_seed_repr(rng_seed)}"
 
     paths = sorted(Path(config.corpus_dir).glob("*.wav"))
     if not paths:
@@ -153,9 +154,7 @@ def provide_source_signal_with_id(
     return sig[:n].astype(float), path.name
 
 
-def _synthetic_speech_like(
-    n: int, fs: int, rng: np.random.Generator, config: SourceSignalConfig
-) -> np.ndarray:
+def _synthetic_speech_like(n: int, fs: int, rng: np.random.Generator) -> np.ndarray:
     white = rng.standard_normal(n)
     spectrum = np.fft.rfft(white)
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
@@ -166,9 +165,8 @@ def _synthetic_speech_like(
 
     t = np.arange(n) / fs
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    depth = config.modulation_depth
-    envelope = (1.0 - depth) + depth * 0.5 * (
-        1.0 + np.sin(2.0 * np.pi * config.syllable_rate_hz * t + phase)
+    envelope = (1.0 - MODULATION_DEPTH) + MODULATION_DEPTH * 0.5 * (
+        1.0 + np.sin(2.0 * np.pi * SYLLABLE_RATE_HZ * t + phase)
     )
     sig = pink * envelope
     sig = sig - sig.mean()

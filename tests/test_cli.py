@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from conftest import TINY_GRID_N, tiny_dataset_config
 
 from wasnloc.cli import ConfigError, dataset_config_from_obj, main, train_configs_from_obj
+from wasnloc.dataset import DatasetConfig, _config_to_json
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +38,22 @@ class TestConfigParsing:
     def test_inf_snr_sentinel(self):
         assert dataset_config_from_obj({"snr_db": "inf"}).snr_db == float("inf")
 
+    @pytest.mark.parametrize("key", ["fft_size", "n_central"])
+    @pytest.mark.parametrize("parse", [dataset_config_from_obj, train_configs_from_obj])
+    def test_fixed_feature_size_is_unknown_key(self, parse, key):
+        with pytest.raises(ConfigError, match=f"^/{key}: unknown key"):
+            parse({key: 1024})
+
+    @pytest.mark.parametrize(
+        "config",
+        # duration_s=2 goes out as the JSON integer 2, which a float field takes
+        [DatasetConfig(), DatasetConfig(snr_db=math.inf, max_order=0, duration_s=2)],
+        ids=["default", "anechoic"],
+    )
+    def test_manifest_config_parses_back(self, config):
+        echoed = json.loads(json.dumps(_config_to_json(config)))
+        assert dataset_config_from_obj(echoed) == config
+
     def test_train_config_round_trip(self):
         net, trn = train_configs_from_obj(
             {
@@ -63,12 +81,28 @@ class TestConfigParsing:
         "parse, obj, pointer",
         [
             (train_configs_from_obj, {"grid_n": "x"}, "/grid_n"),
-            (train_configs_from_obj, {"fft_size": 512.5}, "/fft_size"),
+            (train_configs_from_obj, {"batch_size": 512.5}, "/batch_size"),
             (train_configs_from_obj, {"f_layer_sizes": 5}, "/f_layer_sizes"),
+            (train_configs_from_obj, {"lr": "fast"}, "/lr"),
             (dataset_config_from_obj, {"train": "many"}, "/train"),
             (dataset_config_from_obj, {"scene": {"mic_counts": "57"}}, "/scene/mic_counts"),
+            (dataset_config_from_obj, {"duration_s": "long"}, "/duration_s"),
+            (dataset_config_from_obj, {"scene": {"min_separation": "x"}}, "/scene/min_separation"),
+            (dataset_config_from_obj, {"precompute_features": "no"}, "/precompute_features"),
+            (dataset_config_from_obj, {"scene": {"t60_range": ["0.3", 0.6]}}, "/scene/t60_range"),
         ],
-        ids=["grid_n", "fft_size", "f_layer_sizes", "train", "mic_counts"],
+        ids=[
+            "grid_n",
+            "batch_size",
+            "f_layer_sizes",
+            "lr",
+            "train",
+            "mic_counts",
+            "duration_s",
+            "min_separation",
+            "precompute_features",
+            "t60_range",
+        ],
     )
     def test_ill_typed_value_reports_pointer(self, parse, obj, pointer):
         with pytest.raises(ConfigError, match=f"^{pointer}: "):

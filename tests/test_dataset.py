@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import shutil
@@ -207,10 +206,10 @@ class TestFeatureCache:
         root, manifest = tiny_dataset
         entry = manifest["splits"]["val"]["examples"][0]
         config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
-        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config, entry["m"])
+        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry["m"])
         received, scene = load_example(root, entry)
         frame = extract_frame(received)
-        gcc2, slf2, meta2 = raw_pair_features(frame, scene, config)
+        gcc2, slf2, meta2 = raw_pair_features(frame, scene, config.grid_n)
         np.testing.assert_allclose(gcc, gcc2, atol=1e-6)
         np.testing.assert_allclose(slf, slf2, atol=1e-6)
         np.testing.assert_allclose(meta, meta2, atol=1e-6)
@@ -222,7 +221,7 @@ class TestFeatureCache:
         feats = example_features(root, entry, config)
         pairs = entry["m"] * (entry["m"] - 1) // 2
         assert feats.shape == (pairs, TINY_GRID_N**2 + 9)
-        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config, entry["m"])
+        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry["m"])
         np.testing.assert_array_equal(feats, assemble_input(gcc, slf, meta, config))
 
     def test_grid_mismatch_falls_back_to_recompute(self, tiny_dataset):
@@ -240,34 +239,30 @@ class TestFeatureCache:
         expected = example_features(root, entry, config)
         copy = tmp_path / entry["dir"]
         shutil.copytree(root / entry["dir"], copy)
-        gcc, slf, meta = read_feature_cache(copy / "features.bin", config, entry["m"])
+        gcc, slf, meta = read_feature_cache(copy / "features.bin", config.grid_n, entry["m"])
         with open(copy / "features.bin", "wb") as fh:
             np.savez(fh, gcc=gcc, slf=np.zeros_like(slf), meta=meta)
         with pytest.raises(FeatureCacheError, match="version None"):
-            read_feature_cache(copy / "features.bin", config, entry["m"])
+            read_feature_cache(copy / "features.bin", config.grid_n, entry["m"])
         np.testing.assert_allclose(example_features(tmp_path, entry, config), expected, atol=1e-6)
 
     @pytest.mark.parametrize("built_with", [{"frame_ms": 250.0}, {"fft_size": 512}])
     def test_cache_from_other_parameters_not_served(self, tmp_path, built_with):
         # same widths as a default cache, other numbers: must be recomputed
         ((field, value),) = built_with.items()
-        config = tiny_dataset_config(master_seed=19)
-        if field == "fft_size":
-            config = dataclasses.replace(config, fft_size=value)
-        entry = generate_example(config, "train", 0, tmp_path)
+        entry = generate_example(tiny_dataset_config(master_seed=19), "train", 0, tmp_path)
         path = tmp_path / entry["dir"] / FEATURES_NAME
-        if field == "frame_ms":  # the frame length is fixed, so a foreign one is forged
 
-            def forge(members):
-                members["version"][1 + FEATURE_PARAMS.index(field)] = value
+        def forge(members):  # both settings are fixed, so a foreign one is forged
+            members["version"][1 + FEATURE_PARAMS.index(field)] = value
 
-            self._rewrite_members(path, forge)
+        self._rewrite_members(path, forge)
         default = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
         with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: built with {field} "):
-            read_feature_cache(path, default, entry["m"])
+            read_feature_cache(path, default.grid_n, entry["m"])
         received, scene = load_example(tmp_path, entry)
         frame = extract_frame(received)
-        expected = assemble_input(*raw_pair_features(frame, scene, default), default)
+        expected = assemble_input(*raw_pair_features(frame, scene, default.grid_n), default)
         np.testing.assert_array_equal(example_features(tmp_path, entry, default), expected)
 
     @staticmethod
@@ -281,9 +276,9 @@ class TestFeatureCache:
         damage(path)
         config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
         received, scene = load_example(tmp_path, entry)
-        expected = assemble_input(*raw_pair_features(extract_frame(received), scene, config), config)
+        expected = assemble_input(*raw_pair_features(extract_frame(received), scene, config.grid_n), config)
         np.testing.assert_array_equal(example_features(tmp_path, entry, config), expected)
-        return lambda: read_feature_cache(path, config, entry["m"])
+        return lambda: read_feature_cache(path, config.grid_n, entry["m"])
 
     @staticmethod
     def _rewrite_members(path, edit):

@@ -83,7 +83,6 @@ class TestEvaluate:
         config = RelNetConfig(
             feature_kind="gcc",
             grid_n=TINY_GRID_N,
-            n_central=64,
             f_spec=MlpSpec((32, TINY_GRID_N**2)),
             g_spec=MlpSpec((32, TINY_GRID_N**2)),
         )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wasnloc.features import (
+    DEFAULT_FFT_SIZE,
     Grid,
     central_lags,
     extract_frame,
@@ -19,9 +20,9 @@ FS = 16000
 PAIR = np.array([[0, 1]])
 
 
-def peak_lag(x_i, x_j, fft_size=1024):
+def peak_lag(x_i, x_j):
     """Lag of the GCC-PHAT peak of one channel pair."""
-    return int(np.argmax(gcc_phat(np.stack([x_i, x_j]), PAIR, fft_size)[0])) - fft_size // 2
+    return int(np.argmax(gcc_phat(np.stack([x_i, x_j]), PAIR)[0])) - DEFAULT_FFT_SIZE // 2
 
 
 def one_pair(p_i, p_j):
@@ -102,8 +103,8 @@ class TestGccPhat:
     def test_central_slice_is_lag_window(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(8000)
-        full = gcc_phat(np.stack([x, x]), PAIR, fft_size=1024)
-        central = central_lags(full, n_central=200)
+        full = gcc_phat(np.stack([x, x]), PAIR)
+        central = central_lags(full)
         assert central.shape == (1, 200)
         half = 1024 // 2
         np.testing.assert_array_equal(central, full[:, half - 100 : half + 100])
@@ -125,7 +126,7 @@ class TestGccPhat:
         master = rng.standard_normal(2000)
         x_i = master[100:1124]
         x_j = master[90:1114]
-        full = gcc_phat(np.stack([x_i, x_j]), PAIR, fft_size=1024)[0]
+        full = gcc_phat(np.stack([x_i, x_j]), PAIR)[0]
         half = 512
         raw = np.concatenate([full[half:], full[:half]])  # undo centering
         mags = np.abs(np.fft.rfft(raw))
@@ -149,7 +150,7 @@ class TestGccPhat:
 
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
-            gcc_phat(np.zeros((2, 512)), PAIR, fft_size=1024)
+            gcc_phat(np.zeros((2, 512)), PAIR)
 
 
 class TestTheoreticalTdoaGrid:

@@ -18,8 +18,8 @@ from conftest import room_grid
 
 from wasnloc.classical import pair_correlations, slf_localize, tdoa_localize
 from wasnloc import features as features_module
-from wasnloc.features import Grid, gcc_phat, slf_project, theoretical_tdoa_grid
-from wasnloc.relnet import RelNetConfig, raw_pair_features
+from wasnloc.features import DEFAULT_FFT_SIZE, Grid, gcc_phat, slf_project, theoretical_tdoa_grid
+from wasnloc.relnet import raw_pair_features
 from wasnloc.rir import SPEED_OF_SOUND
 from wasnloc.scenes import MicArray, SceneDistribution, sample_scene
 from wasnloc.signals import MultichannelSignal
@@ -84,10 +84,9 @@ examples = st.tuples(st.integers(2, 8), st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=25, deadline=None)
-@given(example=examples, fft_size=st.sampled_from([256, 1024]), grid_n=st.sampled_from([4, 25]))
-def test_batched_stages_equal_per_pair_reference(example, fft_size, grid_n):
+@given(example=examples, grid_n=st.sampled_from([4, 25]))
+def test_batched_stages_equal_per_pair_reference(example, grid_n):
     frame, scene = random_example(*example)
-    config = RelNetConfig(grid_n=grid_n, fft_size=fft_size, n_central=200)
     mics = scene.mics.positions
     z_plane = float(np.mean(mics[:, 2]))
     grid = Grid(scene.room.width, scene.room.length, grid_n)
@@ -95,16 +94,16 @@ def test_batched_stages_equal_per_pair_reference(example, fft_size, grid_n):
     oriented = []
     for i, j in itertools.combinations(range(scene.m), 2):
         oriented.append((j, i) if tuple(mics[j]) < tuple(mics[i]) else (i, j))
-    pairs, corr, plane = pair_correlations(frame, scene, fft_size)
+    pairs, corr, plane = pair_correlations(frame, scene)
     assert pairs.tolist() == [list(p) for p in oriented]
     assert plane == z_plane
-    gcc, slf, meta = raw_pair_features(frame, scene, config)
+    gcc, slf, meta = raw_pair_features(frame, scene, grid_n)
     tdoa = theoretical_tdoa_grid(mics, pairs, grid, z_plane)
     assert np.array_equal(slf, slf_project(corr, FS, mics, pairs, grid, z_plane))
 
-    c0 = fft_size // 2 - 100
+    c0 = DEFAULT_FFT_SIZE // 2 - 100
     for row, (i, j) in enumerate(oriented):
-        full = reference_gcc_phat(frame.channels[i], frame.channels[j], fft_size)
+        full = reference_gcc_phat(frame.channels[i], frame.channels[j], DEFAULT_FFT_SIZE)
         assert np.array_equal(corr[row], full)
         assert np.array_equal(gcc[row], full[c0 : c0 + 200])
         assert np.array_equal(tdoa[row], reference_tdoa_grid(mics[i], mics[j], grid, z_plane))
@@ -121,7 +120,6 @@ def test_relabeling_mics_only_reorders_rows(example, order_seed):
     perm = np.random.default_rng(order_seed).permutation(scene.m)
     scene_p = dataclasses.replace(scene, mics=MicArray(scene.mics.positions[perm]))
     frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
-    config = RelNetConfig(grid_n=25)
 
     def by_pair_position(features):
         gcc, slf, meta = features
@@ -129,8 +127,8 @@ def test_relabeling_mics_only_reorders_rows(example, order_seed):
         return gcc[order], slf[order], meta[order]
 
     for a, b in zip(
-        by_pair_position(raw_pair_features(frame, scene, config)),
-        by_pair_position(raw_pair_features(frame_p, scene_p, config)),
+        by_pair_position(raw_pair_features(frame, scene, 25)),
+        by_pair_position(raw_pair_features(frame_p, scene_p, 25)),
     ):
         assert np.array_equal(a, b)
     for localize in (tdoa_localize, slf_localize):
@@ -142,7 +140,6 @@ def test_relabeling_mics_only_reorders_rows(example, order_seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    fft_size=st.sampled_from([64, 256, 1024]),
     n_windows=st.integers(1, 6),
     m=st.integers(1, 4),
     pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=13),
@@ -150,9 +147,8 @@ def test_relabeling_mics_only_reorders_rows(example, order_seed):
     tile=st.sampled_from([1, 2, 3, 64]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(fft_size=64, n_windows=1, m=1, pairs=[(0, 0)], silent=False, tile=2, seed=0)
+@example(n_windows=1, m=1, pairs=[(0, 0)], silent=False, tile=2, seed=0)
 @example(
-    fft_size=1024,
     n_windows=4,
     m=3,
     pairs=[(0, 1), (1, 0), (2, 2), (0, 1), (1, 2), (2, 0), (0, 0)],
@@ -160,17 +156,17 @@ def test_relabeling_mics_only_reorders_rows(example, order_seed):
     tile=2,
     seed=1,
 )
-def test_gcc_phat_rows_equal_one_pair_calls(fft_size, n_windows, m, pairs, silent, tile, seed):
+def test_gcc_phat_rows_equal_one_pair_calls(n_windows, m, pairs, silent, tile, seed):
     """Any batch of pairs, in tiles of any size, repeated or reversed or with
     i == j, gives each pair the row it gets alone and from the reference."""
-    n_samples = fft_size + (n_windows - 1) * (fft_size // 2)
+    n_samples = DEFAULT_FFT_SIZE + (n_windows - 1) * (DEFAULT_FFT_SIZE // 2)
     channels = np.random.default_rng(seed).standard_normal((m, n_samples))
     if silent:
         channels[-1] = 0.0
     pairs = np.array(pairs) % m
     with mock.patch.object(features_module, "_TILE", tile):
-        corr = gcc_phat(channels, pairs, fft_size)
-        assert corr.shape == (len(pairs), fft_size)
+        corr = gcc_phat(channels, pairs)
+        assert corr.shape == (len(pairs), DEFAULT_FFT_SIZE)
         for row, (i, j) in enumerate(pairs):
-            assert np.array_equal(corr[row], gcc_phat(channels, pairs[row : row + 1], fft_size)[0])
-            assert np.array_equal(corr[row], reference_gcc_phat(channels[i], channels[j], fft_size))
+            assert np.array_equal(corr[row], gcc_phat(channels, pairs[row : row + 1])[0])
+            assert np.array_equal(corr[row], reference_gcc_phat(channels[i], channels[j], DEFAULT_FFT_SIZE))

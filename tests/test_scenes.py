@@ -14,7 +14,7 @@ from wasnloc.scenes import (
     scene_from_json,
     scene_to_json,
 )
-from wasnloc.relnet import RelNetConfig, raw_pair_features
+from wasnloc.relnet import raw_pair_features
 from wasnloc.signals import MultichannelSignal
 
 
@@ -134,7 +134,7 @@ class TestSampleScene:
 def meta_rows(scene):
     """The pair metadata rows the relation network sees for a scene."""
     frame = MultichannelSignal(np.random.default_rng(0).standard_normal((scene.m, 8000)), 16000)
-    return raw_pair_features(frame, scene, RelNetConfig(grid_n=5))[2]
+    return raw_pair_features(frame, scene, 5)[2]
 
 
 class TestPairMetadata:

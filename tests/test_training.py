@@ -21,7 +21,6 @@ def tiny_config(grid_n=4):
     return RelNetConfig(
         feature_kind="slf",
         grid_n=grid_n,
-        n_central=16,
         f_spec=MlpSpec((24, n_out)),
         g_spec=MlpSpec((24, n_out)),
     )
