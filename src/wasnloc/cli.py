@@ -65,8 +65,10 @@ def _convert(conv, value, path: list[str]):
 def _build(cls, obj: dict, path: list[str], converters: dict | None = None):
     """cls(**obj) after converting values; a key that is not a field of the
     dataclass cls, or a value it rejects, raises ConfigError at its path.
-    A field annotated ``int``, ``float`` or ``bool`` without a converter
-    takes only a JSON integer, number or boolean (:data:`_BY_ANNOTATION`)."""
+    A field annotated ``int``, ``float``, ``bool``, ``int | None`` or
+    ``str | None`` without a converter takes only a JSON integer, number,
+    boolean, integer or string, and null where None is allowed
+    (:data:`_BY_ANNOTATION`)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{_pointer(path)}: must be a JSON object")
     fields = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -104,8 +106,33 @@ def _bool(value) -> bool:
     return value
 
 
+def _str(value) -> str:
+    """A JSON string; a number or bool is refused, not converted."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _optional(conv):
+    """null as None, anything else through conv."""
+    return lambda value: None if value is None else conv(value)
+
+
+def _order(value) -> int:
+    """A JSON integer >= 0 (a reflection order)."""
+    if _int(value) < 0:
+        raise ValueError(f"expected an integer >= 0, got {value!r}")
+    return value
+
+
 # Converters by field annotation (every config module defers annotations, so they are strings).
-_BY_ANNOTATION = {"int": _int, "float": _float, "bool": _bool}
+_BY_ANNOTATION = {
+    "int": _int,
+    "float": _float,
+    "bool": _bool,
+    "int | None": _optional(_int),
+    "str | None": _optional(_str),
+}
 
 
 def _pair(value) -> tuple[float, float]:
@@ -139,6 +166,7 @@ def dataset_config_from_obj(obj: dict) -> DatasetConfig:
         "val_mic_counts": _int_tuple,
         "test_mic_counts": _int_tuple,
         "snr_db": lambda v: math.inf if v in ("inf", None) else _float(v),
+        "max_order": _optional(_order),
     }
     return _build(DatasetConfig, {**obj, "scene": scene, "source": source}, [], converters)
 

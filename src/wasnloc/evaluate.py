@@ -5,6 +5,11 @@ examples with that M. For neural methods several checkpoints may be
 passed; the row then carries the mean and standard deviation of the per-
 checkpoint mean errors (training-seed spread). Classical methods need no
 checkpoint and leave the std column empty.
+
+A network evaluates many examples per forward (:func:`relnet.forward_batch`,
+the forward training uses), so its heatmaps can differ from a one-example
+``relnet_forward_features`` in the last float32 bits: the BLAS kernels
+round a product of one row differently from one of many.
 """
 
 from __future__ import annotations
@@ -18,9 +23,12 @@ import numpy as np
 from .classical import pick_peak, slf_localize, tdoa_localize
 from .dataset import example_features, load_example, load_manifest, split_entries
 from .features import DEFAULT_GRID_N, Grid, extract_frame, heatmap_to_pgm
-from .relnet import RelNetModel, load_checkpoint, relnet_forward_features
+from .relnet import RelNetModel, forward_batch, load_checkpoint
 
 METHODS = ("tdoa", "slf", "gnn-gcc", "gnn-slf")
+# Examples per network forward: their stacked pair rows (up to 21 each)
+# make one relation-stack matmul that streams the weights once.
+_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -44,34 +52,25 @@ class EvalReport:
         return total / count
 
 
-def _per_example_errors(
-    method: str,
-    data_dir,
-    entries: list[dict],
-    grid_n: int,
-    model: RelNetModel | None,
-    heatmap_count: int,
-    heatmap_dir,
-) -> np.ndarray:
-    """Per-example errors: a classical method decodes the WAVs, a network
-    reads the example's pair features."""
-    errors = np.empty(len(entries))
-    for idx, entry in enumerate(entries):
-        width, length, _ = entry["room"]
-        grid = Grid(width, length, grid_n if model is None else model.config.grid_n)
-        if model is None:
+def _batch_estimates(
+    method: str, data_dir, batch: list[dict], grids: list[Grid], models: list[RelNetModel | None]
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """(estimate, heatmap) per model and example of one batch. A classical
+    method decodes each example's WAVs; the networks share one read of
+    each example's pair features and each runs on the whole batch at once."""
+    if models[0] is None:
+        localize = tdoa_localize if method == "tdoa" else slf_localize
+        results = []
+        for entry, grid in zip(batch, grids):
             received, scene = load_example(data_dir, entry)
-            localize = tdoa_localize if method == "tdoa" else slf_localize
-            result = localize(extract_frame(received), scene, grid)
-            estimate, heatmap = result.estimate, result.heatmap
-        else:
-            heatmap = relnet_forward_features(model, example_features(data_dir, entry, model.config))
-            estimate = pick_peak(heatmap, grid, "max")
-        errors[idx] = np.linalg.norm(estimate - np.asarray(entry["source_xy"], dtype=float))
-        if heatmap_dir is not None and idx < heatmap_count:
-            name = entry["dir"].replace("/", "_")
-            heatmap_to_pgm(heatmap, grid, Path(heatmap_dir) / f"{method}_{name}.pgm")
-    return errors
+            results.append(localize(extract_frame(received), scene, grid))
+        return [[(r.estimate, r.heatmap) for r in results]]
+    features = [example_features(data_dir, entry, models[0].config) for entry in batch]
+    out = []
+    for model in models:
+        heatmaps, _ = forward_batch(model, features)
+        out.append([(pick_peak(h, grid, "max"), h) for h, grid in zip(heatmaps, grids)])
+    return out
 
 
 def evaluate(
@@ -87,8 +86,11 @@ def evaluate(
     """Run one localizer over a dataset split, grouping errors by mic count.
 
     ``checkpoints`` (paths or loaded RelNetModels) is required for the
-    gnn-* methods; with several, per-M means are averaged across
-    checkpoints and their spread fills the std column.
+    gnn-* methods and all must share one ``grid_n`` (ValueError otherwise);
+    with several, per-M means are averaged across checkpoints and their
+    spread fills the std column. Examples are taken ``_BATCH`` at a time:
+    each example's pair features are read once and every network runs on
+    the batch in one :func:`relnet.forward_batch`.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -111,17 +113,24 @@ def evaluate(
                     f"checkpoint feature kind {model.config.feature_kind!r} "
                     f"does not match method {method!r}"
                 )
+            if models and model.config.grid_n != models[0].config.grid_n:
+                raise ValueError(
+                    f"checkpoint {ckpt} has grid_n {model.config.grid_n}, but the first "
+                    f"checkpoint has {models[0].config.grid_n}; all must share one grid"
+                )
             models.append(model)
         grid_n = models[0].config.grid_n
 
-    errors = np.vstack(
-        [
-            _per_example_errors(
-                method, data_dir, entries, grid_n, model, heatmap_count if k == 0 else 0, heatmap_dir
-            )
-            for k, model in enumerate(models)
-        ]
-    )
+    errors = np.empty((len(models), len(entries)))
+    for start in range(0, len(entries), _BATCH):
+        batch = entries[start : start + _BATCH]
+        grids = [Grid(entry["room"][0], entry["room"][1], grid_n) for entry in batch]
+        for k, row in enumerate(_batch_estimates(method, data_dir, batch, grids, models)):
+            for idx, entry, grid, (estimate, heatmap) in zip(range(start, len(entries)), batch, grids, row):
+                errors[k, idx] = np.linalg.norm(estimate - np.asarray(entry["source_xy"], dtype=float))
+                if k == 0 and heatmap_dir is not None and idx < heatmap_count:
+                    name = entry["dir"].replace("/", "_")
+                    heatmap_to_pgm(heatmap, grid, Path(heatmap_dir) / f"{method}_{name}.pgm")
 
     ms = np.array([entry["m"] for entry in entries])
     rows = []

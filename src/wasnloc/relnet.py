@@ -14,6 +14,10 @@ The pair signals come from the batched pair step the classical localizers
 use (:func:`classical.pair_correlations`), so F sees the same correlations
 and SLF maps that classical SLF sums.
 
+One forward, :func:`forward_batch`, serves training, evaluation and
+single-example localization: it stacks the pairs of many examples into one
+F matmul and maps their pooled rows through G together.
+
 The training target for a source at p_s assigns each grid cell
 exp(-distance(cell center, p_s)), so the map peaks at 1 on the source cell
 and decays exponentially with distance in meters.
@@ -170,12 +174,29 @@ def assemble_input(gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray, config: R
     return np.hstack([feats, meta]).astype(np.float32)
 
 
+def forward_batch(model: RelNetModel, features: list[np.ndarray]) -> tuple[np.ndarray, tuple]:
+    """Heatmaps of B examples from their assembled (P_b, input_size) pair
+    matrices, as (preds, caches): preds is (B, grid_n^2), caches holds
+    what the backward pass of training needs.
+
+    The pair rows of all examples are stacked so F runs as one matmul, a
+    segment mean pools them back to one row per example, and G maps the B
+    rows at once.
+    """
+    counts = np.array([x.shape[0] for x in features])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    relations, f_cache = model.f.forward(np.vstack(features))
+    # divide in the model's dtype; integer counts would promote the fusion
+    # stack and the backward pass to float64
+    sizes = counts[:, None].astype(relations.dtype)
+    pooled = np.add.reduceat(relations, starts, axis=0) / sizes
+    preds, g_cache = model.g.forward(pooled)
+    return preds, (f_cache, g_cache, counts, sizes)
+
+
 def relnet_forward_features(model: RelNetModel, features: np.ndarray) -> np.ndarray:
-    """Heatmap from an already-assembled (P, input_size) pair matrix."""
-    relations, _ = model.f.forward(features)
-    pooled = relations.mean(axis=0)
-    heatmap, _ = model.g.forward(pooled)
-    return heatmap
+    """Heatmap from one example's assembled (P, input_size) pair matrix."""
+    return forward_batch(model, [features])[0][0]
 
 
 def gnn_localize(model: RelNetModel, frame: MultichannelSignal, scene: Scene) -> LocalizationResult:

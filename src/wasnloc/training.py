@@ -1,10 +1,11 @@
 """Minibatch training of the relation network with early stopping.
 
 Examples arrive as precomputed pair-feature matrices plus target maps.
-Within a batch, the pair rows of all examples are stacked into one matrix
-so the relation stack runs as a single matmul; a segment mean then pools
-pairs back to per-example vectors for the fusion stack. Gradients flow
-through the same stacking in reverse. Each stack's backward pass writes
+A batch goes through :func:`relnet.forward_batch`, the forward evaluation
+uses too: the pair rows of all examples are stacked into one matrix so the
+relation stack runs as a single matmul, and a segment mean pools pairs
+back to per-example vectors for the fusion stack. Gradients flow through
+the same stacking in reverse. Each stack's backward pass writes
 its gradients into the stack's flat gradient buffer (the twin of its flat
 parameter buffer), and Adam updates the two parameter buffers from those
 in place, so a training step allocates no per-tensor gradient arrays.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mlp import AdamConfig, AdamState, adam_step
-from .relnet import RelNetModel, mae_loss
+from .relnet import RelNetModel, forward_batch, mae_loss
 
 
 class TrainingDivergedError(RuntimeError):
@@ -61,19 +62,6 @@ class EpochStats:
     val_loss: float
 
 
-def _batch_forward(model: RelNetModel, batch: list[FeatureExample]):
-    stacked = np.vstack([ex.features for ex in batch])
-    counts = np.array([ex.features.shape[0] for ex in batch])
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    relations, f_cache = model.f.forward(stacked)
-    # divide in the model's dtype, as the inference-time mean does; integer
-    # counts would promote the fusion stack and the backward pass to float64
-    sizes = counts[:, None].astype(relations.dtype)
-    pooled = np.add.reduceat(relations, starts, axis=0) / sizes
-    preds, g_cache = model.g.forward(pooled)
-    return preds, (f_cache, g_cache, counts, sizes)
-
-
 def _batch_backward(model: RelNetModel, caches, d_preds: np.ndarray) -> None:
     """Fill ``model.f.grad`` and ``model.g.grad`` for one batch."""
     f_cache, g_cache, counts, sizes = caches
@@ -86,7 +74,7 @@ def _dataset_loss(model: RelNetModel, dataset: list[FeatureExample], batch_size:
     total = 0.0
     for start in range(0, len(dataset), batch_size):
         batch = dataset[start : start + batch_size]
-        preds, _ = _batch_forward(model, batch)
+        preds, _ = forward_batch(model, [ex.features for ex in batch])
         targets = np.vstack([ex.target for ex in batch])
         loss, _ = mae_loss(preds, targets)
         total += loss * len(batch)
@@ -121,7 +109,7 @@ def train(
         running = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [train_set[k] for k in order[start : start + config.batch_size]]
-            preds, caches = _batch_forward(model, batch)
+            preds, caches = forward_batch(model, [ex.features for ex in batch])
             targets = np.vstack([ex.target for ex in batch])
             loss, d_preds = mae_loss(preds, targets)
             if not np.isfinite(loss):

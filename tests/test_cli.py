@@ -90,6 +90,10 @@ class TestConfigParsing:
             (dataset_config_from_obj, {"scene": {"min_separation": "x"}}, "/scene/min_separation"),
             (dataset_config_from_obj, {"precompute_features": "no"}, "/precompute_features"),
             (dataset_config_from_obj, {"scene": {"t60_range": ["0.3", 0.6]}}, "/scene/t60_range"),
+            (dataset_config_from_obj, {"max_order": "3"}, "/max_order"),
+            (dataset_config_from_obj, {"max_order": 2.5}, "/max_order"),
+            (dataset_config_from_obj, {"max_order": -1}, "/max_order"),
+            (dataset_config_from_obj, {"source": {"corpus_dir": 5}}, "/source/corpus_dir"),
         ],
         ids=[
             "grid_n",
@@ -102,6 +106,10 @@ class TestConfigParsing:
             "min_separation",
             "precompute_features",
             "t60_range",
+            "max_order_str",
+            "max_order_fraction",
+            "max_order_negative",
+            "corpus_dir",
         ],
     )
     def test_ill_typed_value_reports_pointer(self, parse, obj, pointer):

@@ -1,12 +1,19 @@
+import importlib
+
 import numpy as np
 import pytest
 from conftest import TINY_GRID_N
 
-from wasnloc.dataset import load_manifest, load_split_features
+from wasnloc.classical import pick_peak
+from wasnloc.dataset import example_features, load_manifest, load_split_features, split_entries
 from wasnloc.evaluate import EvalReport, evaluate, write_report_csv
+from wasnloc.features import Grid
 from wasnloc.mlp import MlpSpec
-from wasnloc.relnet import RelNetConfig, RelNetModel, save_checkpoint
+from wasnloc.relnet import RelNetConfig, RelNetModel, load_checkpoint, relnet_forward_features, save_checkpoint
 from wasnloc.training import TrainConfig, train
+
+# the package re-exports the function evaluate under its module's name
+evaluate_module = importlib.import_module("wasnloc.evaluate")
 
 
 def tiny_net_config():
@@ -77,6 +84,53 @@ class TestEvaluate:
         )
         # identical checkpoints: std exactly zero, still reported
         assert all(row.std_error_m == 0.0 for row in report.rows)
+
+    def test_features_read_once_for_all_checkpoints(self, tiny_dataset, tiny_checkpoint, monkeypatch):
+        root, manifest = tiny_dataset
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1]["dir"])
+            return example_features(*args)
+
+        monkeypatch.setattr(evaluate_module, "example_features", counting)
+        monkeypatch.setattr(evaluate_module, "_BATCH", 3)  # 4 test examples: a full and a partial batch
+        evaluate("gnn-slf", root, split="test", checkpoints=[tiny_checkpoint, load_checkpoint(tiny_checkpoint)])
+        entries = manifest["splits"]["test"]["examples"]
+        assert sorted(calls) == sorted(e["dir"] for e in entries)
+
+    @pytest.mark.parametrize("batch", [1, 3, 32])
+    def test_gnn_means_equal_per_example_loop(self, tiny_dataset, tiny_checkpoint, monkeypatch, batch):
+        root, _ = tiny_dataset
+        model = load_checkpoint(tiny_checkpoint)
+        entries = split_entries(root, load_manifest(root), "test")
+        errors = []
+        for entry in entries:
+            heatmap = relnet_forward_features(model, example_features(root, entry, model.config))
+            top_two = np.sort(heatmap)[-2:]
+            # the batched forward rounds differently in the last bits; a wide
+            # enough gap keeps the argmax, so the errors must be equal
+            assert top_two[1] - top_two[0] > 1e-4
+            width, length, _ = entry["room"]
+            estimate = pick_peak(heatmap, Grid(width, length, model.config.grid_n), "max")
+            errors.append(np.linalg.norm(estimate - np.asarray(entry["source_xy"])))
+        ms = np.array([e["m"] for e in entries])
+        want = [(m, float(np.mean(np.array(errors)[ms == m]))) for m in sorted(set(ms.tolist()))]
+
+        monkeypatch.setattr(evaluate_module, "_BATCH", batch)
+        report = evaluate("gnn-slf", root, split="test", checkpoints=[model])
+        assert [(row.m, row.mean_error_m) for row in report.rows] == want
+
+    def test_mixed_grid_checkpoints_rejected(self, tiny_dataset, tiny_checkpoint, tmp_path):
+        root, _ = tiny_dataset
+        n_out = (TINY_GRID_N + 1) ** 2
+        other = RelNetModel.init_random(
+            RelNetConfig(grid_n=TINY_GRID_N + 1, f_spec=MlpSpec((8, n_out)), g_spec=MlpSpec((8, n_out)))
+        )
+        path = tmp_path / "other.ckpt"
+        save_checkpoint(other, path)
+        with pytest.raises(ValueError, match=f"{path}.* grid_n {TINY_GRID_N + 1}.* {TINY_GRID_N}"):
+            evaluate("gnn-slf", root, split="test", checkpoints=[tiny_checkpoint, path])
 
     def test_gnn_gcc_end_to_end(self, tiny_dataset, tmp_path):
         root, manifest = tiny_dataset

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import zlib
 
@@ -17,6 +18,7 @@ from wasnloc.relnet import (
     RelNetConfig,
     RelNetModel,
     assemble_input,
+    forward_batch,
     gnn_localize,
     load_checkpoint,
     mae_loss,
@@ -191,11 +193,44 @@ class TestRelNetForward:
         doubled = relnet_forward_features(model, np.vstack([features, features]))
         np.testing.assert_allclose(doubled, base, rtol=1e-5, atol=1e-6)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["gcc", "slf"]),
+        pairs=st.lists(st.integers(1, 21), min_size=1, max_size=12),
+        cuts=st.sets(st.integers(1, 11)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_forward_batch_matches_one_example_forward(self, kind, pairs, cuts, seed):
+        """Any split of any examples into batches gives each example the
+        heatmap of its own one-example forward, up to float32 rounding
+        (BLAS rounds a product of one row differently from one of many)."""
+        model = _paper_model(kind)
+        rng = np.random.default_rng(seed)
+        features = [rng.uniform(0.0, 1.0, (p, model.config.input_size)).astype(np.float32) for p in pairs]
+        bounds = [0, *sorted(c for c in cuts if c < len(pairs)), len(pairs)]
+        batched = np.vstack([forward_batch(model, features[a:b])[0] for a, b in zip(bounds, bounds[1:])])
+        for heatmap, x in zip(batched, features):
+            single = relnet_forward_features(model, x)
+            np.testing.assert_allclose(heatmap, single, rtol=1e-5, atol=1e-6)
+            top_two = np.sort(single)[-2:]
+            if top_two[1] - top_two[0] > 1e-4:
+                assert int(np.argmax(heatmap)) == int(np.argmax(single))
+
     def test_gcc_features_have_configured_width(self):
         config = small_config(kind="gcc")
         scene = planar_scene(m=3)
         features = assemble_input(*raw_pair_features(anechoic_frame(scene), scene, config.grid_n), config)
         assert features.shape == (3, 200 + 9)
+
+
+@functools.cache
+def _paper_model(kind):
+    """The paper's architecture (625-wide F and G) with seeded random
+    weights, the last layer scaled so that on inputs in [0, 1] the heatmap,
+    like a trained model's, is of the order of the exp(-distance) target."""
+    model = RelNetModel.init_random(RelNetConfig(feature_kind=kind), rng_seed=21)
+    model.g.layers[-1][0][...] *= 0.1
+    return model
 
 
 def identity_model(grid_n):

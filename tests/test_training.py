@@ -3,13 +3,12 @@ import pytest
 from test_mlp import _reference_adam_step, _reference_backward
 
 from wasnloc.mlp import AdamConfig, MlpSpec
-from wasnloc.relnet import RelNetConfig, RelNetModel, mae_loss, relnet_forward_features
+from wasnloc.relnet import RelNetConfig, RelNetModel, forward_batch, mae_loss, relnet_forward_features
 from wasnloc.training import (
     EpochStats,
     FeatureExample,
     TrainConfig,
     TrainingDivergedError,
-    _batch_forward,
     _dataset_loss,
     train,
     write_history_csv,
@@ -151,7 +150,7 @@ def test_history_matches_per_layer_reference():
         running = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[k] for k in order[start : start + cfg.batch_size]]
-            preds, (f_cache, g_cache, counts, sizes) = _batch_forward(ref, batch)
+            preds, (f_cache, g_cache, counts, sizes) = forward_batch(ref, [ex.features for ex in batch])
             loss, d_preds = mae_loss(preds, np.vstack([ex.target for ex in batch]))
             running += loss * len(batch)
             g_grads, d_pooled = _reference_backward(ref.g.layers, g_cache, d_preds)
