@@ -22,7 +22,7 @@ from .features import (
     slf_project,
     theoretical_tdoa_grid,
 )
-from .mlp import AdamConfig, AdamState, Mlp, MlpSpec, adam_step
+from .mlp import AdamState, Mlp, adam_step
 from .relnet import (
     RelNetConfig,
     RelNetModel,

@@ -1,9 +1,10 @@
 """Command-line interface: simulate, train, eval, localize, render-heatmap.
 
-Configuration files are JSON; unknown or ill-typed entries are reported
-with a JSON-pointer style path. Every subcommand prints a JSON result on
-stdout and returns exit code 0 on success; failures print a structured
-error object on stderr and return nonzero.
+Configuration files are JSON, read into the config dataclasses by one
+walker driven by their field types (:func:`_value`); unknown or ill-typed
+entries are reported with a JSON-pointer style path. Every subcommand
+prints a JSON result on stdout and returns exit code 0 on success;
+failures print a structured error object on stderr and return nonzero.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import dataclasses
 import json
 import math
 import sys
+import types
+import typing
 from pathlib import Path
 
 from .classical import slf_localize, tdoa_localize
@@ -32,17 +35,13 @@ from .features import (
     heatmap_to_csv,
     heatmap_to_pgm,
 )
-from .mlp import MlpSpec
 from .relnet import (
-    FEATURE_KINDS,
     RelNetConfig,
     RelNetModel,
     gnn_localize,
     load_checkpoint,
     save_checkpoint,
 )
-from .scenes import SceneDistribution
-from .signals import SourceSignalConfig
 from .training import TrainConfig, train, write_history_csv
 
 
@@ -54,139 +53,88 @@ def _pointer(path: list[str]) -> str:
     return "/" + "/".join(path)
 
 
-def _convert(conv, value, path: list[str]):
-    """conv(value); a value conv rejects raises ConfigError at path."""
-    try:
-        return conv(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{_pointer(path)}: {exc}") from exc
+# The JSON values each scalar field type takes, and how an error names them.
+_SCALARS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+}
 
 
-def _build(cls, obj: dict, path: list[str], converters: dict | None = None):
-    """cls(**obj) after converting values; a key that is not a field of the
-    dataclass cls, or a value it rejects, raises ConfigError at its path.
-    A field annotated ``int``, ``float``, ``bool``, ``int | None`` or
-    ``str | None`` without a converter takes only a JSON integer, number,
-    boolean, integer or string, and null where None is allowed
-    (:data:`_BY_ANNOTATION`)."""
+def _value(tp, value, path: list[str]):
+    """The JSON value converted to the type tp; ConfigError at path if it is
+    not of that type. An int takes a JSON integer, a float any JSON number,
+    a bool true or false, a str a string (a bool is never a number); a
+    tuple a list of the right length, a Literal one of its values, X | None
+    null or an X, a dataclass an object (:func:`_build`). Any other type
+    raises TypeError, so a new config field cannot go unchecked."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in _SCALARS:
+        accepted, expected = _SCALARS[tp]
+        if isinstance(value, accepted) and (tp is bool or not isinstance(value, bool)):
+            try:
+                return tp(value)
+            except OverflowError:  # a JSON integer beyond the float range
+                expected = "a number within the float range"
+    elif dataclasses.is_dataclass(tp):
+        return _build(tp, value, path)
+    elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        inner = args[0] if args[1] is type(None) else args[1]
+        return None if value is None else _value(inner, value, path)
+    elif origin is typing.Literal:
+        if any(type(value) is type(a) and value == a for a in args):
+            return value
+        expected = f"one of {args}"
+    elif origin is tuple:
+        variadic = args[-1:] == (Ellipsis,)
+        if isinstance(value, list) and (variadic or len(value) == len(args)):
+            items = args[:1] * len(value) if variadic else args
+            return tuple(_value(t, v, path) for t, v in zip(items, value))
+        expected = "a list" if variadic else f"a list of {len(args)} entries"
+    else:
+        raise TypeError(f"{_pointer(path)}: no JSON rule for the type {tp!r}")
+    raise ConfigError(f"{_pointer(path)}: expected {expected}, got {value!r}")
+
+
+def _build(cls, obj, path: list[str]):
+    """The dataclass cls from a JSON object whose keys name its fields,
+    each value converted by :func:`_value` with its field's type. A bad key
+    or value, or a value the dataclass rejects, raises ConfigError at its
+    path."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{_pointer(path)}: must be a JSON object")
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    converters = converters or {}
+    hints = typing.get_type_hints(cls)  # field name -> type
     kwargs = {}
     for key, value in obj.items():
-        if key not in fields:
+        if key not in hints:
             raise ConfigError(f"{_pointer(path + [key])}: unknown key")
-        conv = converters.get(key, _BY_ANNOTATION.get(fields[key]))
-        kwargs[key] = _convert(conv, value, path + [key]) if conv else value
+        kwargs[key] = _value(hints[key], value, path + [key])
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{_pointer(path)}: {exc}") from exc
 
 
-def _int(value) -> int:
-    """A JSON integer; a string, bool or fractional number is refused, not parsed or cut."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _float(value) -> float:
-    """A JSON number, integer or not; a string or bool is refused, not parsed."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _bool(value) -> bool:
-    """JSON true or false; a string or number is refused."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _str(value) -> str:
-    """A JSON string; a number or bool is refused, not converted."""
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _optional(conv):
-    """null as None, anything else through conv."""
-    return lambda value: None if value is None else conv(value)
-
-
-def _order(value) -> int:
-    """A JSON integer >= 0 (a reflection order)."""
-    if _int(value) < 0:
-        raise ValueError(f"expected an integer >= 0, got {value!r}")
-    return value
-
-
-# Converters by field annotation (every config module defers annotations, so they are strings).
-_BY_ANNOTATION = {
-    "int": _int,
-    "float": _float,
-    "bool": _bool,
-    "int | None": _optional(_int),
-    "str | None": _optional(_str),
-}
-
-
-def _pair(value) -> tuple[float, float]:
-    lo, hi = value
-    return (_float(lo), _float(hi))
-
-
-def _int_tuple(value) -> tuple[int, ...]:
-    return tuple(_int(v) for v in value)
-
-
 def dataset_config_from_obj(obj: dict) -> DatasetConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("/: config must be a JSON object")
-    obj = dict(obj)
-    scene = _build(
-        SceneDistribution,
-        obj.pop("scene", {}),
-        ["scene"],
-        {
-            "width_range": _pair,
-            "length_range": _pair,
-            "height_range": _pair,
-            "t60_range": _pair,
-            "mic_counts": _int_tuple,
-        },
-    )
-    source = _build(SourceSignalConfig, obj.pop("source", {}), ["source"])
-    converters = {
-        "train_mic_counts": _int_tuple,
-        "val_mic_counts": _int_tuple,
-        "test_mic_counts": _int_tuple,
-        "snr_db": lambda v: math.inf if v in ("inf", None) else _float(v),
-        "max_order": _optional(_order),
-    }
-    return _build(DatasetConfig, {**obj, "scene": scene, "source": source}, [], converters)
+    """Beyond the field types: snr_db may be "inf" (no noise; JSON has no
+    infinity), and max_order, a reflection order, must be >= 0."""
+    if isinstance(obj, dict) and obj.get("snr_db") == "inf":
+        obj = {**obj, "snr_db": math.inf}
+    config = _build(DatasetConfig, obj, [])
+    if config.max_order is not None and config.max_order < 0:
+        raise ConfigError(f"/max_order: expected an integer >= 0, got {config.max_order}")
+    return config
 
 
 def train_configs_from_obj(obj: dict) -> tuple[RelNetConfig, TrainConfig]:
+    """The keys that name RelNetConfig fields build the network, the rest
+    the TrainConfig."""
     if not isinstance(obj, dict):
-        raise ConfigError("/: config must be a JSON object")
-    obj = dict(obj)
-    kind = obj.pop("feature_kind", "slf")
-    if kind not in FEATURE_KINDS:
-        raise ConfigError(f"/feature_kind: must be one of {FEATURE_KINDS}")
-    net_kwargs = {"feature_kind": kind}
-    if "grid_n" in obj:
-        net_kwargs["grid_n"] = obj.pop("grid_n")
-    for key, spec_key in (("f_layer_sizes", "f_spec"), ("g_layer_sizes", "g_spec")):
-        if key in obj:
-            net_kwargs[spec_key] = _convert(lambda v: MlpSpec(_int_tuple(v)), obj.pop(key), [key])
-    net = _build(RelNetConfig, net_kwargs, [])
-    train_cfg = _build(TrainConfig, obj, [])
-    return net, train_cfg
+        raise ConfigError("/: must be a JSON object")
+    net_keys = {f.name for f in dataclasses.fields(RelNetConfig)}
+    net = _build(RelNetConfig, {k: v for k, v in obj.items() if k in net_keys}, [])
+    return net, _build(TrainConfig, {k: v for k, v in obj.items() if k not in net_keys}, [])
 
 
 def _load_json(path) -> dict:
@@ -197,10 +145,9 @@ def _load_json(path) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    obj = _load_json(args.config) if args.config else {}
+    config = dataset_config_from_obj(_load_json(args.config) if args.config else {})
     if args.seed is not None:
-        obj["master_seed"] = args.seed
-    config = dataset_config_from_obj(obj)
+        config = dataclasses.replace(config, master_seed=args.seed)
     manifest = generate_dataset(config, args.out)
     counts = {split: manifest["splits"][split]["count"] for split in manifest["splits"]}
     print(json.dumps({"out": str(args.out), "counts": counts, "skipped": manifest["skipped"]}))
@@ -208,10 +155,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    obj = _load_json(args.config) if args.config else {}
+    net_config, train_config = train_configs_from_obj(_load_json(args.config) if args.config else {})
     if args.seed is not None:
-        obj["seed"] = args.seed
-    net_config, train_config = train_configs_from_obj(obj)
+        train_config = dataclasses.replace(train_config, seed=args.seed)
     manifest = load_manifest(args.data)
     train_set = load_split_features(args.data, manifest, "train", net_config)
     val_set = load_split_features(args.data, manifest, "val", net_config)

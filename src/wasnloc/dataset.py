@@ -1,11 +1,11 @@
 """Synthetic dataset generation and on-disk layout.
 
 Each example lives in its own directory: one float32 WAV per channel
-(ch_00.wav ...), the scene as scene.json and, optionally, a features.bin
-cache holding the raw per-pair GCC/SLF features so training never touches
-audio again; a cache that is stale or cannot be read is recomputed from
-the WAVs. A JSON manifest at the dataset root lists every example with
-its microphone count, room, true source position and seed.
+(ch_00.wav ...), the scene as scene.json and features.bin, a cache of the
+raw per-pair GCC/SLF features so training never touches audio again (a
+stale or unreadable cache is recomputed from the WAVs). A JSON manifest at
+the dataset root lists every example with its microphone count, room,
+true source position and seed.
 
 Example seeds are master_seed + split offset + index, so splits are
 disjoint by construction and regeneration with the same master seed is
@@ -102,7 +102,6 @@ class DatasetConfig:
     max_order: int | None = None
     scene: SceneDistribution = SceneDistribution()
     source: SourceSignalConfig = SourceSignalConfig()
-    precompute_features: bool = True
     grid_n: int = DEFAULT_GRID_N
     workers: int = 1
 
@@ -110,6 +109,11 @@ class DatasetConfig:
     def n_central(self) -> int:
         """Width of the cached GCC rows, the fixed DEFAULT_N_CENTRAL."""
         return DEFAULT_N_CENTRAL
+
+    @property
+    def precompute_features(self) -> bool:
+        """Always True: every example is written with its features.bin."""
+        return True
 
     def split_count(self, split: str) -> int:
         return {"train": self.train, "val": self.val, "test": self.test}[split]
@@ -151,9 +155,8 @@ def generate_example(config: DatasetConfig, split: str, index: int, out_root) ->
     for k in range(received.m):
         write_wav(example_dir / f"ch_{k:02d}.wav", received.channels[k], config.fs)
     (example_dir / "scene.json").write_text(scene_to_json(scene))
-    if config.precompute_features:
-        gcc, slf, meta = raw_pair_features(extract_frame(received), scene, config.grid_n)
-        write_feature_cache(example_dir / FEATURES_NAME, config.grid_n, gcc, slf, meta)
+    gcc, slf, meta = raw_pair_features(extract_frame(received), scene, config.grid_n)
+    write_feature_cache(example_dir / FEATURES_NAME, config.grid_n, gcc, slf, meta)
 
     return {
         "dir": f"{split}/{index:05d}",

@@ -3,23 +3,22 @@
 Everything here is plain numpy. A stack's parameters live in one flat
 buffer, ``Mlp.flat``, holding W0, b0, W1, b1, ... back to back (each W
 row-major, shape (fan_in, fan_out)); ``Mlp.layers`` is the list of (W, b)
-views into it. Hidden layers apply ReLU, the final layer is affine only.
-Forward passes accept a single vector or a (batch, features) matrix and
-return a cache from which ``backward`` writes exact analytic gradients into
-``Mlp.grad``, a twin of ``flat`` laid out the same way and allocated by the
-first backward pass, and returns the gradient for the input.
+views into it. A stack is given by its layer output sizes, a tuple such as
+``(625, 625, 625)``; hidden layers apply ReLU, the final layer is affine
+only. Forward passes accept a single vector or a (batch, features) matrix
+and return a cache from which ``backward`` writes exact analytic gradients
+into ``Mlp.grad``, a twin of ``flat`` laid out the same way and allocated
+by the first backward pass, and returns the gradient for the input.
 
-``adam_step`` updates a list of such buffers in place with the learning
-rate of an ``AdamConfig`` and the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS,
-one cache-sized tile at a time; every element goes through the same float
-operations in the same order and dtype as the textbook update (Kingma & Ba,
-2015).
+``adam_step`` updates a list of such buffers in place with a learning rate
+and the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, one cache-sized tile at
+a time; every element goes through the same float operations in the same
+order and dtype as the textbook update (Kingma & Ba, 2015).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,22 +30,14 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class MlpSpec:
-    """Layer output sizes; hidden activations are ReLU, the output is linear."""
-
-    layer_output_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.layer_output_sizes) < 1 or any(s <= 0 for s in self.layer_output_sizes):
-            raise ValueError("layer_output_sizes must be non-empty positive integers")
-
-
-def layer_shapes(input_size: int, spec: MlpSpec) -> list[tuple[tuple[int, int], tuple[int]]]:
-    """The (W shape, b shape) of each layer, in the order they lie in ``Mlp.flat``."""
+def layer_shapes(input_size: int, sizes: tuple[int, ...]) -> list[tuple[tuple[int, int], tuple[int]]]:
+    """The (W shape, b shape) of each layer, in the order they lie in
+    ``Mlp.flat``; ValueError unless ``sizes`` is non-empty and positive."""
+    if len(sizes) < 1 or any(s <= 0 for s in sizes):
+        raise ValueError(f"layer sizes must be non-empty positive integers, got {sizes!r}")
     shapes = []
     fan_in = input_size
-    for size in spec.layer_output_sizes:
+    for size in sizes:
         shapes.append(((fan_in, size), (size,)))
         fan_in = size
     return shapes
@@ -74,10 +65,10 @@ class Mlp:
     """A dense stack whose layers [(W0, b0), (W1, b1), ...] are views into
     the 1-D buffer ``flat``; the buffer is used as given, not copied."""
 
-    def __init__(self, input_size: int, spec: MlpSpec, flat: np.ndarray):
+    def __init__(self, input_size: int, sizes: tuple[int, ...], flat: np.ndarray):
         self.input_size = int(input_size)
-        self.spec = spec
-        shapes = layer_shapes(self.input_size, spec)
+        self.sizes = sizes
+        shapes = layer_shapes(self.input_size, sizes)
         size = _param_count(shapes)
         if flat.shape != (size,):
             raise ValueError(f"parameter buffer has shape {flat.shape}, the stack needs ({size},)")
@@ -87,21 +78,21 @@ class Mlp:
         self._grad_layers: list[tuple[np.ndarray, np.ndarray]] = []
 
     @classmethod
-    def empty(cls, input_size: int, spec: MlpSpec, dtype=np.float32) -> "Mlp":
+    def empty(cls, input_size: int, sizes: tuple[int, ...], dtype=np.float32) -> "Mlp":
         """A stack on a fresh, uninitialised parameter buffer."""
-        size = _param_count(layer_shapes(input_size, spec))
-        return cls(input_size, spec, np.empty(size, dtype=dtype))
+        size = _param_count(layer_shapes(input_size, sizes))
+        return cls(input_size, sizes, np.empty(size, dtype=dtype))
 
     @classmethod
     def init_random(
         cls,
         input_size: int,
-        spec: MlpSpec,
+        sizes: tuple[int, ...],
         rng: np.random.Generator,
         dtype=np.float32,
     ) -> "Mlp":
         """Seeded init: W uniform in +-sqrt(6 / fan_in), biases zero."""
-        net = cls.empty(input_size, spec, dtype)
+        net = cls.empty(input_size, sizes, dtype)
         for w, b in net.layers:
             bound = np.sqrt(6.0 / w.shape[0])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -110,7 +101,7 @@ class Mlp:
 
     @property
     def output_size(self) -> int:
-        return self.spec.layer_output_sizes[-1]
+        return self.sizes[-1]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         """Run the stack; returns (output, cache) with cache for backward.
@@ -143,7 +134,7 @@ class Mlp:
             raise ValueError("cache does not match this network")
         if self.grad is None:
             self.grad = np.empty_like(self.flat)
-            self._grad_layers = _views(self.grad, layer_shapes(self.input_size, self.spec))
+            self._grad_layers = _views(self.grad, layer_shapes(self.input_size, self.sizes))
         upstream = np.asarray(upstream)
         dz = upstream[None, :] if cache["squeeze"] else upstream
         for k in range(len(self.layers) - 1, -1, -1):
@@ -159,15 +150,7 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         """The parameters only; the copy allocates its own ``grad`` if trained."""
-        return Mlp(self.input_size, self.spec, self.flat.copy())
-
-
-@dataclass(frozen=True)
-class AdamConfig:
-    """The learning rate; the betas and eps are ADAM_BETA1, ADAM_BETA2 and
-    ADAM_EPS."""
-
-    lr: float = 5e-4
+        return Mlp(self.input_size, self.sizes, self.flat.copy())
 
 
 class AdamState:
@@ -183,9 +166,10 @@ def adam_step(
     state: AdamState,
     params: list[np.ndarray],
     grads: list[np.ndarray],
-    config: AdamConfig,
+    lr: float,
 ) -> list[np.ndarray]:
-    """One bias-corrected Adam update. Parameters are updated in place.
+    """One bias-corrected Adam update at learning rate ``lr``. Parameters
+    are updated in place.
 
     Each array is updated in tiles of ``_ADAM_TILE`` elements with two
     scratch buffers; per element this is m = b1*m + (1-b1)*g,
@@ -218,7 +202,7 @@ def adam_step(
             t1 *= gs
             vs += t1
             np.divide(ms, bc1, out=t1)  # m_hat
-            t1 *= config.lr
+            t1 *= lr
             np.divide(vs, bc2, out=t2)  # v_hat
             np.sqrt(t2, out=t2)
             t2 += ADAM_EPS

@@ -32,6 +32,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .features import (
     central_lags,
     slf_project,
 )
-from .mlp import Mlp, MlpSpec, layer_shapes
+from .mlp import Mlp, layer_shapes
 from .scenes import Scene, pair_metadata_vector
 from .signals import MultichannelSignal
 
@@ -54,7 +55,8 @@ PAIR_METADATA_SIZE = 9
 CHECKPOINT_VERSION = 2
 CHECKPOINT_MAGIC = b"WLNC"
 
-FEATURE_KINDS = ("gcc", "slf")
+FeatureKind = Literal["gcc", "slf"]
+FEATURE_KINDS = get_args(FeatureKind)
 
 
 class CheckpointError(RuntimeError):
@@ -65,25 +67,28 @@ class CheckpointError(RuntimeError):
 @dataclass(frozen=True)
 class RelNetConfig:
     """Architecture of one model: its feature kind, its grid and the layer
-    sizes of F and G. A GCC feature row holds the DEFAULT_N_CENTRAL central
-    lags of a DEFAULT_FFT_SIZE correlation; both sizes are fixed."""
+    output sizes of F and G (None: three layers of grid_n^2). A GCC feature
+    row holds the DEFAULT_N_CENTRAL central lags of a DEFAULT_FFT_SIZE
+    correlation; both sizes are fixed."""
 
-    feature_kind: str = "slf"
+    feature_kind: FeatureKind = "slf"
     grid_n: int = DEFAULT_GRID_N
-    f_spec: MlpSpec | None = None
-    g_spec: MlpSpec | None = None
+    f_layer_sizes: tuple[int, ...] | None = None
+    g_layer_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.feature_kind not in FEATURE_KINDS:
             raise ValueError(f"feature_kind must be one of {FEATURE_KINDS}")
         n_out = self.grid_n * self.grid_n
-        if self.f_spec is None:
-            object.__setattr__(self, "f_spec", MlpSpec((n_out, n_out, n_out)))
-        if self.g_spec is None:
-            object.__setattr__(self, "g_spec", MlpSpec((n_out, n_out, n_out)))
-        if self.f_spec.layer_output_sizes[-1] != self.g_spec.layer_output_sizes[-1]:
+        for name in ("f_layer_sizes", "g_layer_sizes"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, (n_out, n_out, n_out))
+        # ValueError unless both stacks have non-empty, positive sizes
+        layer_shapes(self.input_size, self.f_layer_sizes)
+        layer_shapes(self.f_layer_sizes[-1], self.g_layer_sizes)
+        if self.f_layer_sizes[-1] != self.g_layer_sizes[-1]:
             raise ValueError("relation and fusion stacks must share their output size")
-        if self.g_spec.layer_output_sizes[-1] != n_out:
+        if self.g_layer_sizes[-1] != n_out:
             raise ValueError("fusion output size must equal grid_n^2")
 
     @property
@@ -110,8 +115,8 @@ class RelNetModel:
     @classmethod
     def init_random(cls, config: RelNetConfig, rng_seed=0) -> "RelNetModel":
         rng = np.random.default_rng(rng_seed)
-        f = Mlp.init_random(config.input_size, config.f_spec, rng)
-        g = Mlp.init_random(f.output_size, config.g_spec, rng)
+        f = Mlp.init_random(config.input_size, config.f_layer_sizes, rng)
+        g = Mlp.init_random(f.output_size, config.g_layer_sizes, rng)
         return cls(config, f, g)
 
     def parameters(self) -> list[np.ndarray]:
@@ -235,9 +240,9 @@ def checkpoint_table(config: RelNetConfig) -> list[dict]:
     offsets of the flat parameter buffers :meth:`RelNetModel.parameters`."""
     table = []
     offset = 0
-    g_input = config.f_spec.layer_output_sizes[-1]
-    for prefix, input_size, spec in (("f", config.input_size, config.f_spec), ("g", g_input, config.g_spec)):
-        for k, shapes in enumerate(layer_shapes(input_size, spec)):
+    f_sizes, g_sizes = config.f_layer_sizes, config.g_layer_sizes
+    for prefix, input_size, sizes in (("f", config.input_size, f_sizes), ("g", f_sizes[-1], g_sizes)):
+        for k, shapes in enumerate(layer_shapes(input_size, sizes)):
             for part, shape in zip("wb", shapes):
                 table.append({"name": f"{prefix}.{k}.{part}", "shape": list(shape), "offset": offset})
                 offset += math.prod(shape)
@@ -260,8 +265,8 @@ def save_checkpoint(model: RelNetModel, path) -> None:
         "fft_size": DEFAULT_FFT_SIZE,
         "n_central": DEFAULT_N_CENTRAL,
         "input_size": cfg.input_size,
-        "f_sizes": list(cfg.f_spec.layer_output_sizes),
-        "g_sizes": list(cfg.g_spec.layer_output_sizes),
+        "f_sizes": list(cfg.f_layer_sizes),
+        "g_sizes": list(cfg.g_layer_sizes),
         "arrays": checkpoint_table(cfg),
         "blob_floats": len(blob) // 4,
         "blob_crc32": zlib.crc32(blob),
@@ -350,8 +355,8 @@ def load_checkpoint(path) -> RelNetModel:
         config = RelNetConfig(
             feature_kind=_field(header, "feature_kind", path, "str"),
             grid_n=_field(header, "grid_n", path),
-            f_spec=MlpSpec(tuple(_field(header, "f_sizes", path, "ints"))),
-            g_spec=MlpSpec(tuple(_field(header, "g_sizes", path, "ints"))),
+            f_layer_sizes=tuple(_field(header, "f_sizes", path, "ints")),
+            g_layer_sizes=tuple(_field(header, "g_sizes", path, "ints")),
         )
     except ValueError as exc:
         raise CheckpointError(
@@ -366,8 +371,8 @@ def load_checkpoint(path) -> RelNetModel:
         )
     _check_table(_field(header, "arrays", path, "list"), config, path)
 
-    f = Mlp.empty(config.input_size, config.f_spec)
-    g = Mlp.empty(f.output_size, config.g_spec)
+    f = Mlp.empty(config.input_size, config.f_layer_sizes)
+    g = Mlp.empty(f.output_size, config.g_layer_sizes)
     n_floats = f.flat.size + g.flat.size
     blob_floats = _field(header, "blob_floats", path)
     if blob_floats != n_floats:

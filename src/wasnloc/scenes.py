@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 DEFAULT_MIN_SEPARATION = 0.5
+# Candidate draws per scene before sample_scene gives up on placement.
+MAX_PLACEMENT_ATTEMPTS = 10_000
 
 SCENE_JSON_VERSION = 1
 
@@ -99,7 +101,7 @@ class SceneDistribution:
     ``mic_counts`` is the set of allowed microphone counts; one count is
     drawn uniformly per scene. All devices (mics and source) are placed
     uniformly at least ``min_separation`` meters from each other and from
-    every wall, by rejection sampling with at most ``max_attempts``
+    every wall, by rejection sampling with at most MAX_PLACEMENT_ATTEMPTS
     candidate draws per scene.
     """
 
@@ -109,7 +111,6 @@ class SceneDistribution:
     t60_range: tuple[float, float] = (0.3, 0.6)
     mic_counts: tuple[int, ...] = (5, 7)
     min_separation: float = DEFAULT_MIN_SEPARATION
-    max_attempts: int = 10_000
 
     def __post_init__(self):
         for name in ("width_range", "length_range", "height_range", "t60_range"):
@@ -127,8 +128,6 @@ class SceneDistribution:
                     f"SceneDistribution.{name}: lower bound {lo} leaves no room for "
                     f"min_separation {self.min_separation}"
                 )
-        if self.max_attempts < 1:
-            raise ValueError("SceneDistribution.max_attempts must be >= 1")
 
 
 def sample_scene(config: SceneDistribution, rng_seed) -> Scene:
@@ -142,7 +141,7 @@ def sample_scene(config: SceneDistribution, rng_seed) -> Scene:
     Raises
     ------
     PlacementError
-        If ``config.max_attempts`` candidate positions are exhausted.
+        If MAX_PLACEMENT_ATTEMPTS candidate positions are exhausted.
     """
     rng = np.random.default_rng(rng_seed)
     width = float(rng.uniform(*config.width_range))
@@ -159,7 +158,7 @@ def sample_scene(config: SceneDistribution, rng_seed) -> Scene:
     placed: list[np.ndarray] = []
     attempts = 0
     while len(placed) < m + 1:
-        if attempts >= config.max_attempts:
+        if attempts >= MAX_PLACEMENT_ATTEMPTS:
             raise PlacementError(
                 f"could not place {m} mics + source after {attempts} attempts "
                 f"(room {width:.2f}x{length:.2f}x{height:.2f}, separation {sep})"

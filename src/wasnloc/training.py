@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import AdamConfig, AdamState, adam_step
+from .mlp import AdamState, adam_step
 from .relnet import RelNetModel, forward_batch, mae_loss
 
 
@@ -96,7 +96,6 @@ def train(
     if not train_set or not val_set:
         raise ValueError("train and validation sets must be non-empty")
     rng = np.random.default_rng(config.seed)
-    adam_cfg = AdamConfig(lr=config.lr)
     params = model.parameters()
     adam = AdamState(params)
 
@@ -116,7 +115,7 @@ def train(
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             running += loss * len(batch)
             _batch_backward(model, caches, d_preds)
-            adam_step(adam, params, [model.f.grad, model.g.grad], adam_cfg)
+            adam_step(adam, params, [model.f.grad, model.g.grad], config.lr)
         train_loss = running / len(train_set)
         val_loss = _dataset_loss(model, val_set, config.batch_size)
         history.append(EpochStats(epoch, train_loss, val_loss))

@@ -1,12 +1,18 @@
+import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
 from conftest import TINY_GRID_N, tiny_dataset_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wasnloc.cli import ConfigError, dataset_config_from_obj, main, train_configs_from_obj
+from wasnloc.cli import ConfigError, _build, dataset_config_from_obj, main, train_configs_from_obj
 from wasnloc.dataset import DatasetConfig, _config_to_json
+from wasnloc.relnet import RelNetConfig
+from wasnloc.training import TrainConfig
 
 
 def run_cli(capsys, *argv):
@@ -70,8 +76,16 @@ class TestConfigParsing:
         )
         assert net.feature_kind == "gcc"
         assert net.grid_n == 10
-        assert net.f_spec.layer_output_sizes == (64, 100)
+        assert net.f_layer_sizes == (64, 100)
         assert trn.lr == 1e-3 and trn.max_epochs == 7 and trn.seed == 5
+
+    @pytest.mark.parametrize(
+        "obj, pointer",
+        [({"precompute_features": True}, "/precompute_features"), ({"scene": {"max_attempts": 200}}, "/scene/max_attempts")],
+    )
+    def test_removed_option_is_unknown_key(self, obj, pointer):
+        with pytest.raises(ConfigError, match=f"^{pointer}: unknown key"):
+            dataset_config_from_obj(obj)
 
     def test_train_config_bad_kind(self):
         with pytest.raises(ConfigError, match="/feature_kind"):
@@ -87,6 +101,7 @@ class TestConfigParsing:
             (dataset_config_from_obj, {"train": "many"}, "/train"),
             (dataset_config_from_obj, {"scene": {"mic_counts": "57"}}, "/scene/mic_counts"),
             (dataset_config_from_obj, {"duration_s": "long"}, "/duration_s"),
+            (dataset_config_from_obj, {"duration_s": 10**400}, "/duration_s"),
             (dataset_config_from_obj, {"scene": {"min_separation": "x"}}, "/scene/min_separation"),
             (dataset_config_from_obj, {"precompute_features": "no"}, "/precompute_features"),
             (dataset_config_from_obj, {"scene": {"t60_range": ["0.3", 0.6]}}, "/scene/t60_range"),
@@ -103,6 +118,7 @@ class TestConfigParsing:
             "train",
             "mic_counts",
             "duration_s",
+            "duration_s_overflow",
             "min_separation",
             "precompute_features",
             "t60_range",
@@ -115,6 +131,79 @@ class TestConfigParsing:
     def test_ill_typed_value_reports_pointer(self, parse, obj, pointer):
         with pytest.raises(ConfigError, match=f"^{pointer}: "):
             parse(obj)
+
+
+# Any JSON value, nested a little.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+
+
+def _well_typed(tp, value) -> bool:
+    """Whether a JSON value has the type tp by the documented rules; a
+    dataclass takes any object here, its fields are cases of their own."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return isinstance(value, dict)
+    if type(None) in args:
+        return value is None or _well_typed(next(a for a in args if a is not type(None)), value)
+    if origin is typing.Literal:
+        return any(type(value) is type(a) and value == a for a in args)
+    if origin is tuple:
+        items = [args[0]] * len(value) if args[-1] is Ellipsis and isinstance(value, list) else list(args)
+        return isinstance(value, list) and len(items) == len(value) and all(map(_well_typed, items, value))
+    return type(value) in ((int, float) if tp is float else (tp,))
+
+
+def _field_cases(cls, path=()):
+    """(path, type) of every field of cls and of the dataclasses it nests."""
+    for name, tp in typing.get_type_hints(cls).items():
+        yield path + (name,), tp
+        if dataclasses.is_dataclass(tp):
+            yield from _field_cases(tp, path + (name,))
+
+
+FIELD_CASES = [
+    pytest.param(parse, path, tp, id=f"{cls.__name__}/{'/'.join(path)}")
+    for parse, cls in (
+        (dataset_config_from_obj, DatasetConfig),
+        (train_configs_from_obj, RelNetConfig),
+        (train_configs_from_obj, TrainConfig),
+    )
+    for path, tp in _field_cases(cls)
+]
+
+
+class TestWalkerProperties:
+    @pytest.mark.parametrize("parse, path, tp", FIELD_CASES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_ill_typed_field_reports_its_pointer(self, parse, path, tp, data):
+        # "inf" is how snr_db spells no noise
+        value = data.draw(JSON_VALUES.filter(lambda v: v != "inf" and not _well_typed(tp, v)))
+        for key in reversed(path):
+            value = {key: value}
+        with pytest.raises(ConfigError) as info:
+            parse(value)
+        assert str(info.value).startswith("/" + "/".join(path) + ": ")
+
+    def test_defaults_round_trip_through_json(self):
+        echoed = json.loads(json.dumps(dataclasses.asdict(DatasetConfig())))
+        assert dataset_config_from_obj(echoed) == DatasetConfig()
+        obj = {**dataclasses.asdict(RelNetConfig()), **dataclasses.asdict(TrainConfig())}
+        assert train_configs_from_obj(json.loads(json.dumps(obj))) == (RelNetConfig(), TrainConfig())
+        # null for an optional field is its default
+        assert train_configs_from_obj({"f_layer_sizes": None, "g_layer_sizes": None})[0] == RelNetConfig()
+
+    def test_field_type_without_json_rule_raises_type_error(self):
+        @dataclasses.dataclass
+        class Table:
+            rows: dict = dataclasses.field(default_factory=dict)
+
+        with pytest.raises(TypeError, match="^/rows: "):
+            _build(Table, {"rows": {}}, [])
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +384,14 @@ class TestCliCommands:
         payload = json.loads(err)
         assert payload["error"] == "ConfigError"
         assert "/scene" in payload["message"]
+
+    @pytest.mark.parametrize("command", [["simulate"], ["train", "--data", "unused"]], ids=["simulate", "train"])
+    def test_non_object_config_with_seed_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, *command, "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert json.loads(err) == {"error": "ConfigError", "message": "/: must be a JSON object"}
 
     def test_seed_override_changes_dataset(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -8,7 +8,6 @@ from wasnloc.classical import pick_peak
 from wasnloc.dataset import example_features, load_manifest, load_split_features, split_entries
 from wasnloc.evaluate import EvalReport, evaluate, write_report_csv
 from wasnloc.features import Grid
-from wasnloc.mlp import MlpSpec
 from wasnloc.relnet import RelNetConfig, RelNetModel, load_checkpoint, relnet_forward_features, save_checkpoint
 from wasnloc.training import TrainConfig, train
 
@@ -21,8 +20,8 @@ def tiny_net_config():
     return RelNetConfig(
         feature_kind="slf",
         grid_n=TINY_GRID_N,
-        f_spec=MlpSpec((32, n_out)),
-        g_spec=MlpSpec((32, n_out)),
+        f_layer_sizes=(32, n_out),
+        g_layer_sizes=(32, n_out),
     )
 
 
@@ -125,7 +124,7 @@ class TestEvaluate:
         root, _ = tiny_dataset
         n_out = (TINY_GRID_N + 1) ** 2
         other = RelNetModel.init_random(
-            RelNetConfig(grid_n=TINY_GRID_N + 1, f_spec=MlpSpec((8, n_out)), g_spec=MlpSpec((8, n_out)))
+            RelNetConfig(grid_n=TINY_GRID_N + 1, f_layer_sizes=(8, n_out), g_layer_sizes=(8, n_out))
         )
         path = tmp_path / "other.ckpt"
         save_checkpoint(other, path)
@@ -137,8 +136,8 @@ class TestEvaluate:
         config = RelNetConfig(
             feature_kind="gcc",
             grid_n=TINY_GRID_N,
-            f_spec=MlpSpec((32, TINY_GRID_N**2)),
-            g_spec=MlpSpec((32, TINY_GRID_N**2)),
+            f_layer_sizes=(32, TINY_GRID_N**2),
+            g_layer_sizes=(32, TINY_GRID_N**2),
         )
         train_set = load_split_features(root, manifest, "train", config)
         val_set = load_split_features(root, manifest, "val", config)

@@ -6,21 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wasnloc import mlp as mlp_module
-from wasnloc.mlp import AdamConfig, AdamState, Mlp, MlpSpec, adam_step
+from wasnloc.mlp import AdamState, Mlp, adam_step
 
 # Kingma & Ba's defaults, which the update must use.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def test_single_affine_layer():
-    net = Mlp(2, MlpSpec((1,)), np.array([1.0, 1.0, 0.0]))  # W0 = [[1], [1]], b0 = [0]
+    net = Mlp(2, (1,), np.array([1.0, 1.0, 0.0]))  # W0 = [[1], [1]], b0 = [0]
     out, _ = net.forward(np.array([2.0, 3.0]))
     assert out.tolist() == [5.0]
 
 
 def test_hidden_relu_clamps():
     # W0 = [[1], [-1]], b0 = [0], W1 = [[1]], b1 = [0]
-    net = Mlp(2, MlpSpec((1, 1)), np.array([1.0, -1.0, 0.0, 1.0, 0.0]))
+    net = Mlp(2, (1, 1), np.array([1.0, -1.0, 0.0, 1.0, 0.0]))
     out, cache = net.forward(np.array([1.0, 2.0]))
     assert cache["preacts"][0].tolist() == [[-1.0]]
     assert out.tolist() == [0.0]
@@ -29,7 +29,7 @@ def test_hidden_relu_clamps():
 def test_forward_matches_manual_matrix_chain():
     # independent oracle: explicit matrix arithmetic, no shared code path
     rng = np.random.default_rng(3)
-    net = Mlp.init_random(7, MlpSpec((11, 9, 4)), rng, dtype=np.float64)
+    net = Mlp.init_random(7, (11, 9, 4), rng, dtype=np.float64)
     x = rng.standard_normal(7)
     (w0, b0), (w1, b1), (w2, b2) = net.layers
     h1 = np.maximum(x @ w0 + b0, 0.0)
@@ -41,7 +41,7 @@ def test_forward_matches_manual_matrix_chain():
 
 def test_forward_batched_matches_loop():
     rng = np.random.default_rng(4)
-    net = Mlp.init_random(5, MlpSpec((8, 3)), rng, dtype=np.float64)
+    net = Mlp.init_random(5, (8, 3), rng, dtype=np.float64)
     batch = rng.standard_normal((6, 5))
     out_batch, _ = net.forward(batch)
     for row, x in zip(out_batch, batch):
@@ -50,7 +50,7 @@ def test_forward_batched_matches_loop():
 
 
 def test_layers_are_views_of_flat_buffer():
-    net = Mlp.init_random(5, MlpSpec((4, 3)), np.random.default_rng(2))
+    net = Mlp.init_random(5, (4, 3), np.random.default_rng(2))
     (w0, b0), (w1, b1) = net.layers
     assert [w0.shape, b0.shape, w1.shape, b1.shape] == [(5, 4), (4,), (4, 3), (3,)]
     assert np.array_equal(net.flat, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
@@ -60,12 +60,12 @@ def test_layers_are_views_of_flat_buffer():
 
 def test_buffer_size_mismatch_rejected():
     with pytest.raises(ValueError, match="buffer"):
-        Mlp(2, MlpSpec((1,)), np.zeros(4))
+        Mlp(2, (1,), np.zeros(4))
 
 
 def test_copy_owns_its_buffer_and_no_gradient():
     rng = np.random.default_rng(5)
-    net = Mlp.init_random(3, MlpSpec((4, 2)), rng)
+    net = Mlp.init_random(3, (4, 2), rng)
     out, cache = net.forward(rng.standard_normal(3).astype(np.float32))
     net.backward(cache, np.ones_like(out))
     twin = net.copy()
@@ -74,14 +74,14 @@ def test_copy_owns_its_buffer_and_no_gradient():
 
 
 def test_input_size_mismatch():
-    net = Mlp.init_random(5, MlpSpec((3,)), np.random.default_rng(0))
+    net = Mlp.init_random(5, (3,), np.random.default_rng(0))
     with pytest.raises(ValueError):
         net.forward(np.zeros(4))
 
 
 def test_init_bounds_and_zero_bias():
     rng = np.random.default_rng(8)
-    net = Mlp.init_random(100, MlpSpec((50, 20)), rng, dtype=np.float64)
+    net = Mlp.init_random(100, (50, 20), rng, dtype=np.float64)
     (w0, b0), (w1, b1) = net.layers
     assert np.all(np.abs(w0) <= np.sqrt(6.0 / 100))
     assert np.all(np.abs(w1) <= np.sqrt(6.0 / 50))
@@ -91,7 +91,7 @@ def test_init_bounds_and_zero_bias():
 class TestBackward:
     def test_linear_mae_gradient_sign(self):
         # 1-layer linear net, L = |pred - target|: dL/dW = sign(p - t) * x
-        net = Mlp(2, MlpSpec((1,)), np.array([0.5, 0.5, 0.0]))
+        net = Mlp(2, (1,), np.array([0.5, 0.5, 0.0]))
         x = np.array([2.0, -3.0])
         pred, cache = net.forward(x)
         target = np.array([10.0])
@@ -101,7 +101,7 @@ class TestBackward:
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(0)
-        net = Mlp.init_random(4, MlpSpec((6, 2)), rng)
+        net = Mlp.init_random(4, (6, 2), rng)
         out, cache = net.forward(rng.standard_normal(4).astype(np.float32))
         dx = net.backward(cache, np.zeros_like(out))
         assert not dx.any()
@@ -110,7 +110,7 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(5))
     def test_finite_difference_check(self, seed):
         rng = np.random.default_rng(seed)
-        net = Mlp.init_random(6, MlpSpec((9, 5)), rng, dtype=np.float64)
+        net = Mlp.init_random(6, (9, 5), rng, dtype=np.float64)
         x = rng.standard_normal(6)
         target = rng.standard_normal(5)
 
@@ -142,21 +142,20 @@ class TestAdam:
         # g=1: m_hat=1, v_hat=1 -> dw = -lr / (1 + eps)
         p = [np.array([0.0])]
         state = AdamState(p)
-        cfg = AdamConfig(lr=5e-4)
-        adam_step(state, p, [np.array([1.0])], cfg)
+        adam_step(state, p, [np.array([1.0])], 5e-4)
         assert p[0][0] == pytest.approx(-5e-4 / (1.0 + 1e-8), rel=1e-12)
 
     def test_zero_gradient_no_change(self):
         p = [np.full(3, 7.0)]
         state = AdamState(p)
         for _ in range(5):
-            adam_step(state, p, [np.zeros(3)], AdamConfig())
+            adam_step(state, p, [np.zeros(3)], 5e-4)
         assert np.array_equal(p[0], np.full(3, 7.0))
 
     def test_equal_gradients_equal_updates(self):
         p = [np.array([1.0, 1.0])]
         state = AdamState(p)
-        adam_step(state, p, [np.array([0.3, 0.3])], AdamConfig())
+        adam_step(state, p, [np.array([0.3, 0.3])], 5e-4)
         assert p[0][0] == p[0][1]
 
     def test_matches_reference_recurrence(self):
@@ -164,29 +163,29 @@ class TestAdam:
         rng = np.random.default_rng(11)
         p = [np.array([0.2])]
         state = AdamState(p)
-        cfg = AdamConfig(lr=1e-3)
+        lr = 1e-3
         w, m, v = 0.2, 0.0, 0.0
         for t in range(1, 8):
             g = float(rng.standard_normal())
-            adam_step(state, p, [np.array([g])], cfg)
+            adam_step(state, p, [np.array([g])], lr)
             m = BETA1 * m + (1 - BETA1) * g
             v = BETA2 * v + (1 - BETA2) * g * g
             m_hat = m / (1 - BETA1**t)
             v_hat = v / (1 - BETA2**t)
-            w -= cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
+            w -= lr * m_hat / (np.sqrt(v_hat) + EPS)
             assert p[0][0] == pytest.approx(w, rel=1e-12)
 
     def test_non_contiguous_parameter_rejected(self):
         p = [np.zeros((4, 4))[:, ::2]]
         state = AdamState(p)
         with pytest.raises(ValueError, match="contiguous"):
-            adam_step(state, p, [np.ones((4, 2))], AdamConfig())
+            adam_step(state, p, [np.ones((4, 2))], 5e-4)
 
     def test_shape_mismatch_rejected(self):
         p = [np.zeros(2)]
         state = AdamState(p)
         with pytest.raises(ValueError):
-            adam_step(state, p, [np.zeros(2), np.zeros(2)], AdamConfig())
+            adam_step(state, p, [np.zeros(2), np.zeros(2)], 5e-4)
 
 
 def _reference_backward(layers, cache, upstream):
@@ -206,7 +205,7 @@ def _reference_backward(layers, cache, upstream):
     return grads, d_input
 
 
-def _reference_adam_step(state, params, grads, config):
+def _reference_adam_step(state, params, grads, lr):
     """Frozen copy of the untiled, one-array-at-a-time Adam update; ``state``
     is a dict with per-tensor lists "m" and "v" and the step count "t"."""
     state["t"] += 1
@@ -221,7 +220,7 @@ def _reference_adam_step(state, params, grads, config):
         v += (1.0 - b2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= config.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def _flat(arrays):
@@ -241,10 +240,10 @@ class TestFlatBufferReference:
     )
     def test_bit_identical_to_per_layer_code(self, input_size, sizes, rows, dtype, steps, tile, seed):
         rng = np.random.default_rng(seed)
-        net = Mlp.init_random(input_size, MlpSpec(tuple(sizes)), rng, dtype=dtype)
+        net = Mlp.init_random(input_size, tuple(sizes), rng, dtype=dtype)
         ref = net.copy()
         ref_params = [p for layer in ref.layers for p in layer]
-        cfg = AdamConfig(lr=float(rng.uniform(1e-4, 1e-1)))
+        lr = float(rng.uniform(1e-4, 1e-1))
         state = AdamState([net.flat])
         ref_state = {"m": [np.zeros_like(p) for p in ref_params], "v": [np.zeros_like(p) for p in ref_params], "t": 0}
         with mock.patch.object(mlp_module, "_ADAM_TILE", tile):
@@ -263,8 +262,8 @@ class TestFlatBufferReference:
                     assert np.array_equal(d_input, ref_d_input)
                 else:
                     assert d_input is None
-                adam_step(state, [net.flat], [net.grad], cfg)
-                _reference_adam_step(ref_state, ref_params, [p for layer in ref_grads for p in layer], cfg)
+                adam_step(state, [net.flat], [net.grad], lr)
+                _reference_adam_step(ref_state, ref_params, [p for layer in ref_grads for p in layer], lr)
                 assert np.array_equal(net.flat, ref.flat)
                 assert np.array_equal(state.m[0], _flat(ref_state["m"]))
                 assert np.array_equal(state.v[0], _flat(ref_state["v"]))

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wasnloc.features import DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, Grid
-from wasnloc.mlp import MlpSpec
 from wasnloc.relnet import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -36,8 +35,8 @@ def small_config(kind="slf", grid_n=5):
     return RelNetConfig(
         feature_kind=kind,
         grid_n=grid_n,
-        f_spec=MlpSpec((16, n_out)),
-        g_spec=MlpSpec((16, n_out)),
+        f_layer_sizes=(16, n_out),
+        g_layer_sizes=(16, n_out),
     )
 
 
@@ -325,8 +324,8 @@ def _reference_checkpoint_bytes(model):
         "fft_size": DEFAULT_FFT_SIZE,
         "n_central": DEFAULT_N_CENTRAL,
         "input_size": cfg.input_size,
-        "f_sizes": list(cfg.f_spec.layer_output_sizes),
-        "g_sizes": list(cfg.g_spec.layer_output_sizes),
+        "f_sizes": list(cfg.f_layer_sizes),
+        "g_sizes": list(cfg.g_layer_sizes),
         "arrays": arrays,
         "blob_floats": offset,
         "blob_crc32": zlib.crc32(blob),
@@ -532,8 +531,7 @@ class TestCheckpointProperties:
         bytes equal the frozen per-array writer's, and those load back to the
         same configuration and bit-identical buffers."""
         n_out = grid_n * grid_n
-        f_spec, g_spec = MlpSpec((*f_hidden, n_out)), MlpSpec((*g_hidden, n_out))
-        config = RelNetConfig(kind, grid_n, f_spec, g_spec)
+        config = RelNetConfig(kind, grid_n, (*f_hidden, n_out), (*g_hidden, n_out))
         model = RelNetModel.init_random(config, rng_seed=seed)
         path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
         save_checkpoint(model, path)
@@ -553,12 +551,12 @@ class TestConfigValidation:
             RelNetConfig(
                 feature_kind="slf",
                 grid_n=5,
-                f_spec=MlpSpec((16, 24)),
-                g_spec=MlpSpec((16, 24)),
+                f_layer_sizes=(16, 24),
+                g_layer_sizes=(16, 24),
             )
 
     def test_default_specs_are_three_by_grid_squared(self):
         config = RelNetConfig(feature_kind="slf", grid_n=25)
-        assert config.f_spec.layer_output_sizes == (625, 625, 625)
-        assert config.g_spec.layer_output_sizes == (625, 625, 625)
+        assert config.f_layer_sizes == (625, 625, 625)
+        assert config.g_layer_sizes == (625, 625, 625)
         assert config.input_size == 625 + 9

@@ -113,7 +113,6 @@ class TestSampleScene:
             height_range=(2.1, 2.1),
             mic_counts=(7,),
             min_separation=1.0,
-            max_attempts=200,
         )
         with pytest.raises(PlacementError):
             sample_scene(config, 0)

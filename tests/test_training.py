@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from test_mlp import _reference_adam_step, _reference_backward
 
-from wasnloc.mlp import AdamConfig, MlpSpec
 from wasnloc.relnet import RelNetConfig, RelNetModel, forward_batch, mae_loss, relnet_forward_features
 from wasnloc.training import (
     EpochStats,
@@ -20,8 +19,8 @@ def tiny_config(grid_n=4):
     return RelNetConfig(
         feature_kind="slf",
         grid_n=grid_n,
-        f_spec=MlpSpec((24, n_out)),
-        g_spec=MlpSpec((24, n_out)),
+        f_layer_sizes=(24, n_out),
+        g_layer_sizes=(24, n_out),
     )
 
 
@@ -132,7 +131,7 @@ def test_history_matches_per_layer_reference():
     """Criterion 8's architecture and settings on synthetic data: the loss
     history and the final weights equal those of the training loop run on
     the frozen per-layer backward pass and per-tensor Adam, bit for bit."""
-    config = RelNetConfig(feature_kind="slf", grid_n=10, f_spec=MlpSpec((64, 100)), g_spec=MlpSpec((64, 100)))
+    config = RelNetConfig(feature_kind="slf", grid_n=10, f_layer_sizes=(64, 100), g_layer_sizes=(64, 100))
     train_set = synthetic_dataset(config, 6, seed=7)
     val_set = synthetic_dataset(config, 3, seed=8)
     cfg = TrainConfig(max_epochs=4, batch_size=2, seed=5)
@@ -142,7 +141,6 @@ def test_history_matches_per_layer_reference():
 
     params = [p for net in (ref.f, ref.g) for layer in net.layers for p in layer]
     state = {"m": [np.zeros_like(p) for p in params], "v": [np.zeros_like(p) for p in params], "t": 0}
-    adam_cfg = AdamConfig(lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     ref_history = []
     for epoch in range(1, len(history) + 1):
@@ -157,7 +155,7 @@ def test_history_matches_per_layer_reference():
             d_relations = np.repeat(d_pooled / sizes, counts, axis=0)
             f_grads, _ = _reference_backward(ref.f.layers, f_cache, d_relations)
             grads = [p for layer in f_grads + g_grads for p in layer]
-            _reference_adam_step(state, params, grads, adam_cfg)
+            _reference_adam_step(state, params, grads, cfg.lr)
         ref_history.append((epoch, running / len(train_set), _dataset_loss(ref, val_set, cfg.batch_size)))
 
     assert [(h.epoch, h.train_loss, h.val_loss) for h in history] == ref_history
