@@ -1,8 +1,8 @@
 """Command-line interface: simulate, train, eval, localize, render-heatmap.
 
-Configuration files are JSON, read into the config dataclasses by one
-walker driven by their field types (:func:`_value`); unknown or ill-typed
-entries are reported with a JSON-pointer style path. Every subcommand
+Configuration files are JSON, read into the config dataclasses by the
+walker of :mod:`typedjson`, driven by their field types; unknown or
+ill-typed entries are reported with a JSON-pointer style path. Every subcommand
 prints a JSON result on stdout and returns exit code 0 on success;
 failures print a structured error object on stderr and return nonzero.
 """
@@ -14,8 +14,6 @@ import dataclasses
 import json
 import math
 import sys
-import types
-import typing
 from pathlib import Path
 
 from .classical import slf_localize, tdoa_localize
@@ -43,77 +41,7 @@ from .relnet import (
     save_checkpoint,
 )
 from .training import TrainConfig, train, write_history_csv
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message starts with a JSON-pointer path."""
-
-
-def _pointer(path: list[str]) -> str:
-    return "/" + "/".join(path)
-
-
-# The JSON values each scalar field type takes, and how an error names them.
-_SCALARS = {
-    int: (int, "an integer"),
-    float: ((int, float), "a number"),
-    bool: (bool, "true or false"),
-    str: (str, "a string"),
-}
-
-
-def _value(tp, value, path: list[str]):
-    """The JSON value converted to the type tp; ConfigError at path if it is
-    not of that type. An int takes a JSON integer, a float any JSON number,
-    a bool true or false, a str a string (a bool is never a number); a
-    tuple a list of the right length, a Literal one of its values, X | None
-    null or an X, a dataclass an object (:func:`_build`). Any other type
-    raises TypeError, so a new config field cannot go unchecked."""
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if tp in _SCALARS:
-        accepted, expected = _SCALARS[tp]
-        if isinstance(value, accepted) and (tp is bool or not isinstance(value, bool)):
-            try:
-                return tp(value)
-            except OverflowError:  # a JSON integer beyond the float range
-                expected = "a number within the float range"
-    elif dataclasses.is_dataclass(tp):
-        return _build(tp, value, path)
-    elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        inner = args[0] if args[1] is type(None) else args[1]
-        return None if value is None else _value(inner, value, path)
-    elif origin is typing.Literal:
-        if any(type(value) is type(a) and value == a for a in args):
-            return value
-        expected = f"one of {args}"
-    elif origin is tuple:
-        variadic = args[-1:] == (Ellipsis,)
-        if isinstance(value, list) and (variadic or len(value) == len(args)):
-            items = args[:1] * len(value) if variadic else args
-            return tuple(_value(t, v, path) for t, v in zip(items, value))
-        expected = "a list" if variadic else f"a list of {len(args)} entries"
-    else:
-        raise TypeError(f"{_pointer(path)}: no JSON rule for the type {tp!r}")
-    raise ConfigError(f"{_pointer(path)}: expected {expected}, got {value!r}")
-
-
-def _build(cls, obj, path: list[str]):
-    """The dataclass cls from a JSON object whose keys name its fields,
-    each value converted by :func:`_value` with its field's type. A bad key
-    or value, or a value the dataclass rejects, raises ConfigError at its
-    path."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{_pointer(path)}: must be a JSON object")
-    hints = typing.get_type_hints(cls)  # field name -> type
-    kwargs = {}
-    for key, value in obj.items():
-        if key not in hints:
-            raise ConfigError(f"{_pointer(path + [key])}: unknown key")
-        kwargs[key] = _value(hints[key], value, path + [key])
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{_pointer(path)}: {exc}") from exc
+from .typedjson import ConfigError, build
 
 
 def dataset_config_from_obj(obj: dict) -> DatasetConfig:
@@ -121,7 +49,7 @@ def dataset_config_from_obj(obj: dict) -> DatasetConfig:
     infinity), and max_order, a reflection order, must be >= 0."""
     if isinstance(obj, dict) and obj.get("snr_db") == "inf":
         obj = {**obj, "snr_db": math.inf}
-    config = _build(DatasetConfig, obj, [])
+    config = build(DatasetConfig, obj, [])
     if config.max_order is not None and config.max_order < 0:
         raise ConfigError(f"/max_order: expected an integer >= 0, got {config.max_order}")
     return config
@@ -133,14 +61,14 @@ def train_configs_from_obj(obj: dict) -> tuple[RelNetConfig, TrainConfig]:
     if not isinstance(obj, dict):
         raise ConfigError("/: must be a JSON object")
     net_keys = {f.name for f in dataclasses.fields(RelNetConfig)}
-    net = _build(RelNetConfig, {k: v for k, v in obj.items() if k in net_keys}, [])
-    return net, _build(TrainConfig, {k: v for k, v in obj.items() if k not in net_keys}, [])
+    net = build(RelNetConfig, {k: v for k, v in obj.items() if k in net_keys}, [])
+    return net, build(TrainConfig, {k: v for k, v in obj.items() if k not in net_keys}, [])
 
 
 def _load_json(path) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond the digit limit
         raise ConfigError(f"/: {path} is not valid JSON: {exc}") from exc
 
 

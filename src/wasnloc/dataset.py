@@ -105,6 +105,14 @@ class DatasetConfig:
     grid_n: int = DEFAULT_GRID_N
     workers: int = 1
 
+    def __post_init__(self):
+        for name, low in (("grid_n", 2), ("workers", 1), ("train", 0), ("val", 0), ("test", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"DatasetConfig.{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("fs", "duration_s"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"DatasetConfig.{name} must be > 0, got {getattr(self, name)}")
+
     @property
     def n_central(self) -> int:
         """Width of the cached GCC rows, the fixed DEFAULT_N_CENTRAL."""
@@ -221,7 +229,7 @@ def load_manifest(data_dir) -> dict:
     path = Path(data_dir) / MANIFEST_NAME
     try:
         manifest = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also bad UTF-8 and integer literals beyond the digit limit
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or "version" not in manifest:
         raise ValueError(f"{path}: manifest has no field 'version'")

@@ -22,16 +22,16 @@ The training target for a source at p_s assigns each grid cell
 exp(-distance(cell center, p_s)), so the map peaks at 1 on the source cell
 and decays exponentially with distance in meters.
 
-A checkpoint's array table is a function of the architecture
-(:func:`checkpoint_table`): it is written from it and checked against it.
+A checkpoint holds the RelNetConfig and the two flat parameter buffers; the
+header is read by the same walker as the CLI's config files
+(:mod:`typedjson`), and the layer shapes follow from the config.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Literal, get_args
 
 import numpy as np
@@ -48,11 +48,13 @@ from .features import (
 from .mlp import Mlp, layer_shapes
 from .scenes import Scene, pair_metadata_vector
 from .signals import MultichannelSignal
+from .typedjson import ConfigError, convert
 
 PAIR_METADATA_SIZE = 9
 # Version 2: pairs are mean-pooled and SLF rows min-max scaled per pair;
 # a version-1 model was trained on summed, per-example-scaled input.
-CHECKPOINT_VERSION = 2
+# Version 3: the header holds the RelNetConfig instead of an array table.
+CHECKPOINT_VERSION = 3
 CHECKPOINT_MAGIC = b"WLNC"
 
 FeatureKind = Literal["gcc", "slf"]
@@ -61,7 +63,7 @@ FEATURE_KINDS = get_args(FeatureKind)
 
 class CheckpointError(RuntimeError):
     """Checkpoint file is unreadable: bad magic, version, size or checksum, or
-    a header field or array shape that is missing, mistyped or inconsistent."""
+    a header field that is missing, mistyped or inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ class RelNetConfig:
     g_layer_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.grid_n < 2:
+            raise ValueError(f"RelNetConfig.grid_n must be >= 2, got {self.grid_n}")
         if self.feature_kind not in FEATURE_KINDS:
             raise ValueError(f"feature_kind must be one of {FEATURE_KINDS}")
         n_out = self.grid_n * self.grid_n
@@ -120,7 +124,7 @@ class RelNetModel:
         return cls(config, f, g)
 
     def parameters(self) -> list[np.ndarray]:
-        """The flat parameter buffers [F, G], in checkpoint table order."""
+        """The flat parameter buffers [F, G], in checkpoint blob order."""
         return [self.f.flat, self.g.flat]
 
     def copy(self) -> "RelNetModel":
@@ -234,41 +238,19 @@ def mae_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad.astype(pred.dtype, copy=False)
 
 
-def checkpoint_table(config: RelNetConfig) -> list[dict]:
-    """The checkpoint's array table for an architecture: one {name, shape,
-    offset} entry per W and b of F then G, in the order and at the float
-    offsets of the flat parameter buffers :meth:`RelNetModel.parameters`."""
-    table = []
-    offset = 0
-    f_sizes, g_sizes = config.f_layer_sizes, config.g_layer_sizes
-    for prefix, input_size, sizes in (("f", config.input_size, f_sizes), ("g", f_sizes[-1], g_sizes)):
-        for k, shapes in enumerate(layer_shapes(input_size, sizes)):
-            for part, shape in zip("wb", shapes):
-                table.append({"name": f"{prefix}.{k}.{part}", "shape": list(shape), "offset": offset})
-                offset += math.prod(shape)
-    return table
-
-
 def save_checkpoint(model: RelNetModel, path) -> None:
     """Write a model as a JSON header plus a little-endian float32 blob.
 
-    Layout: magic, uint32 header length, UTF-8 JSON header (architecture,
-    feature kind, grid size, the :func:`checkpoint_table`, CRC32 of the
-    blob), then the flat parameter buffers of F and G back to back.
+    Layout: magic, uint32 header length, UTF-8 JSON header (version, the
+    fixed feature sizes, the RelNetConfig under its field names, CRC32 of
+    the blob), then the flat parameter buffers of F and G back to back.
     """
-    cfg = model.config
     blob = b"".join(np.ascontiguousarray(p, dtype="<f4").tobytes() for p in model.parameters())
     header = {
         "version": CHECKPOINT_VERSION,
-        "feature_kind": cfg.feature_kind,
-        "grid_n": cfg.grid_n,
         "fft_size": DEFAULT_FFT_SIZE,
         "n_central": DEFAULT_N_CENTRAL,
-        "input_size": cfg.input_size,
-        "f_sizes": list(cfg.f_layer_sizes),
-        "g_sizes": list(cfg.g_layer_sizes),
-        "arrays": checkpoint_table(cfg),
-        "blob_floats": len(blob) // 4,
+        "config": asdict(model.config),
         "blob_crc32": zlib.crc32(blob),
     }
     payload = json.dumps(header).encode("utf-8")
@@ -279,57 +261,48 @@ def save_checkpoint(model: RelNetModel, path) -> None:
         fh.write(blob)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# Each header field and the type the config walker reads it as; the first
+# three must hold these values.
+_HEADER_TYPES = {"version": int, "fft_size": int, "n_central": int, "config": RelNetConfig, "blob_crc32": int}
+_HEADER_VALUES = {"version": CHECKPOINT_VERSION, "fft_size": DEFAULT_FFT_SIZE, "n_central": DEFAULT_N_CENTRAL}
 
 
-def _field(header: dict, key: str, path, kind: str = "int"):
-    """header[key] checked to be of kind "int", "str", "list" or "ints" (a
-    list of non-negative ints); CheckpointError naming the file and the field."""
-    if key not in header:
-        raise CheckpointError(f"{path}: header has no field {key!r}")
-    value = header[key]
-    ok = {
-        "int": _is_int(value),
-        "str": isinstance(value, str),
-        "list": isinstance(value, list),
-        "ints": isinstance(value, list) and all(_is_int(v) and v >= 0 for v in value),
-    }[kind]
-    if not ok:
-        raise CheckpointError(f"{path}: header field {key!r} is {value!r}, expected {kind}")
-    return value
-
-
-def _check_table(arrays: list, config: RelNetConfig, path) -> None:
-    """The stored array table must equal :func:`checkpoint_table` of the
-    header's architecture, entry by entry and value for value (types too);
-    CheckpointError names the first array and field that differ."""
-    table = checkpoint_table(config)
-    for k, want in enumerate(table):
-        have = arrays[k] if k < len(arrays) and isinstance(arrays[k], dict) else {}
-        for key, value in want.items():
-            if key not in have:
-                raise CheckpointError(f"{path}: array {want['name']!r} has no field {key!r}")
-            if json.dumps(have[key]) != json.dumps(value):
-                raise CheckpointError(
-                    f"{path}: array {want['name']!r} has {key} {have[key]!r}, but header fields "
-                    f"'input_size', 'f_sizes' and 'g_sizes' give {value!r}"
-                )
-    if len(arrays) != len(table):
-        raise CheckpointError(
-            f"{path}: header field 'arrays' has {len(arrays)} entries, expected {len(table)}"
-        )
+def _read_header(payload: bytes) -> dict:
+    """The header's fields, each read by the config walker; ConfigError at
+    the pointer of the first one that is missing, unknown, ill-typed or not
+    its fixed value. The version is checked first, so a file of another
+    version is refused as such. Every RelNetConfig field must be present:
+    a default could differ from the one the model was saved with."""
+    try:
+        header = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:  # also bad UTF-8 and integer literals beyond the digit limit
+        raise ConfigError(f"/: not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ConfigError("/: must be a JSON object")
+    values = {}
+    for key, tp in _HEADER_TYPES.items():
+        if key not in header:
+            raise ConfigError(f"/{key}: missing")
+        value = header[key]
+        if tp is RelNetConfig and isinstance(value, dict):
+            for field in fields(RelNetConfig):
+                if field.name not in value:
+                    raise ConfigError(f"/{key}/{field.name}: missing")
+        values[key] = convert(tp, value, [key])
+        if key in _HEADER_VALUES and values[key] != _HEADER_VALUES[key]:
+            raise ConfigError(f"/{key}: {key} {values[key]}, expected {_HEADER_VALUES[key]}")
+    for key in header.keys() - values.keys():
+        raise ConfigError(f"/{key}: unknown key")
+    return values
 
 
 def load_checkpoint(path) -> RelNetModel:
     """Read a model written by save_checkpoint.
 
-    The architecture comes from the header fields; 'fft_size' and
-    'n_central' must equal the fixed DEFAULT_FFT_SIZE and DEFAULT_N_CENTRAL,
-    the stored array table must equal the one :func:`checkpoint_table`
-    derives from the architecture, and the blob must hold exactly its
-    floats. Anything malformed, stale or inconsistent raises CheckpointError
-    naming the file and the field or array.
+    The header is read by the config walker (:func:`_read_header`); the blob
+    must hold exactly the parameters of the header's config and match its
+    CRC32. Anything malformed, stale or inconsistent raises CheckpointError
+    naming the file and the field's JSON pointer.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -339,50 +312,17 @@ def load_checkpoint(path) -> RelNetModel:
     if len(data) < 8 + header_len:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header is not a JSON object")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: version {header.get('version')!r}, expected {CHECKPOINT_VERSION}"
-        )
-    for key, fixed in (("fft_size", DEFAULT_FFT_SIZE), ("n_central", DEFAULT_N_CENTRAL)):
-        if _field(header, key, path) != fixed:
-            raise CheckpointError(f"{path}: header field {key!r} is {header[key]}, expected {fixed}")
-    try:
-        config = RelNetConfig(
-            feature_kind=_field(header, "feature_kind", path, "str"),
-            grid_n=_field(header, "grid_n", path),
-            f_layer_sizes=tuple(_field(header, "f_sizes", path, "ints")),
-            g_layer_sizes=tuple(_field(header, "g_sizes", path, "ints")),
-        )
-    except ValueError as exc:
-        raise CheckpointError(
-            f"{path}: header fields 'feature_kind', 'grid_n', 'f_sizes' and 'g_sizes' "
-            f"are inconsistent: {exc}"
-        ) from exc
-    input_size = _field(header, "input_size", path)
-    if input_size != config.input_size:
-        raise CheckpointError(
-            f"{path}: header field 'input_size' is {input_size}, but 'feature_kind' "
-            f"{config.feature_kind!r} and 'grid_n' {config.grid_n} give {config.input_size}"
-        )
-    _check_table(_field(header, "arrays", path, "list"), config, path)
-
+        header = _read_header(data[8 : 8 + header_len])
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: header {exc}") from exc
+    config = header["config"]
     f = Mlp.empty(config.input_size, config.f_layer_sizes)
     g = Mlp.empty(f.output_size, config.g_layer_sizes)
-    n_floats = f.flat.size + g.flat.size
-    blob_floats = _field(header, "blob_floats", path)
-    if blob_floats != n_floats:
-        raise CheckpointError(
-            f"{path}: header field 'blob_floats' is {blob_floats}, the array table covers {n_floats}"
-        )
     blob = data[8 + header_len :]
-    if len(blob) != 4 * n_floats:
-        raise CheckpointError(f"{path}: blob is {len(blob)} bytes, expected {4 * n_floats}")
-    if zlib.crc32(blob) != _field(header, "blob_crc32", path):
+    n_bytes = 4 * (f.flat.size + g.flat.size)
+    if len(blob) != n_bytes:
+        raise CheckpointError(f"{path}: blob is {len(blob)} bytes, header field 'config' gives {n_bytes}")
+    if zlib.crc32(blob) != header["blob_crc32"]:
         raise CheckpointError(f"{path}: checksum failure against header field 'blob_crc32'")
     flat = np.frombuffer(blob, dtype="<f4")
     f.flat[...] = flat[: f.flat.size]

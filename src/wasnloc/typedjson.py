@@ -1,0 +1,84 @@
+"""JSON values read into typed dataclasses, checked against the field types.
+
+One walker, driven by ``typing.get_type_hints``, reads every JSON artifact
+that holds a config: the CLI's config files and a checkpoint's header.
+Errors are :class:`ConfigError` whose message starts with the JSON pointer
+of the offending value.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import types
+import typing
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; the message starts with a JSON-pointer path."""
+
+
+def _pointer(path: list[str]) -> str:
+    return "/" + "/".join(path)
+
+
+# The JSON values each scalar field type takes, and how an error names them.
+_SCALARS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+}
+
+
+def convert(tp, value, path: list[str]):
+    """The JSON value converted to the type tp; ConfigError at path if it is
+    not of that type. An int takes a JSON integer, a float any JSON number,
+    a bool true or false, a str a string (a bool is never a number); a
+    tuple a list of the right length, a Literal one of its values, X | None
+    null or an X, a dataclass an object (:func:`build`). Any other type
+    raises TypeError, so a new config field cannot go unchecked."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in _SCALARS:
+        accepted, expected = _SCALARS[tp]
+        if isinstance(value, accepted) and (tp is bool or not isinstance(value, bool)):
+            try:
+                return tp(value)
+            except OverflowError:  # a JSON integer beyond the float range
+                expected = "a number within the float range"
+    elif dataclasses.is_dataclass(tp):
+        return build(tp, value, path)
+    elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        inner = args[0] if args[1] is type(None) else args[1]
+        return None if value is None else convert(inner, value, path)
+    elif origin is typing.Literal:
+        if any(type(value) is type(a) and value == a for a in args):
+            return value
+        expected = f"one of {args}"
+    elif origin is tuple:
+        variadic = args[-1:] == (Ellipsis,)
+        if isinstance(value, list) and (variadic or len(value) == len(args)):
+            items = args[:1] * len(value) if variadic else args
+            return tuple(convert(t, v, path) for t, v in zip(items, value))
+        expected = "a list" if variadic else f"a list of {len(args)} entries"
+    else:
+        raise TypeError(f"{_pointer(path)}: no JSON rule for the type {tp!r}")
+    raise ConfigError(f"{_pointer(path)}: expected {expected}, got {value!r}")
+
+
+def build(cls, obj, path: list[str]):
+    """The dataclass cls from a JSON object whose keys name its fields,
+    each value converted by :func:`convert` with its field's type. A bad key
+    or value, or a value the dataclass rejects, raises ConfigError at its
+    path."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{_pointer(path)}: must be a JSON object")
+    hints = typing.get_type_hints(cls)  # field name -> type
+    kwargs = {}
+    for key, value in obj.items():
+        if key not in hints:
+            raise ConfigError(f"{_pointer(path + [key])}: unknown key")
+        kwargs[key] = convert(hints[key], value, path + [key])
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{_pointer(path)}: {exc}") from exc

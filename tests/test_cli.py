@@ -9,10 +9,11 @@ from conftest import TINY_GRID_N, tiny_dataset_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wasnloc.cli import ConfigError, _build, dataset_config_from_obj, main, train_configs_from_obj
+from wasnloc.cli import ConfigError, dataset_config_from_obj, main, train_configs_from_obj
 from wasnloc.dataset import DatasetConfig, _config_to_json
 from wasnloc.relnet import RelNetConfig
 from wasnloc.training import TrainConfig
+from wasnloc.typedjson import build
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +41,21 @@ class TestConfigParsing:
     def test_bad_range_reports_scene_pointer(self):
         with pytest.raises(ConfigError, match="/scene"):
             dataset_config_from_obj({"scene": {"t60_range": [0.6, 0.3]}})
+
+    @pytest.mark.parametrize(
+        "obj", [{"grid_n": -3}, {"grid_n": 0}, {"fs": 0}, {"duration_s": -1}, {"train": -2}, {"workers": 0}]
+    )
+    def test_out_of_range_dataset_value_reported_at_root(self, obj):
+        (field,) = obj
+        with pytest.raises(ConfigError, match=f"^/: DatasetConfig.{field} must be "):
+            dataset_config_from_obj(obj)
+
+    def test_empty_val_split_is_legal(self):
+        assert dataset_config_from_obj({"train": 1, "val": 0, "test": 2}) == DatasetConfig(train=1, val=0, test=2)
+
+    def test_out_of_range_network_grid_reported_at_root(self):
+        with pytest.raises(ConfigError, match="^/: RelNetConfig.grid_n must be >= 2, got -3"):
+            train_configs_from_obj({"grid_n": -3})
 
     def test_inf_snr_sentinel(self):
         assert dataset_config_from_obj({"snr_db": "inf"}).snr_db == float("inf")
@@ -203,7 +219,7 @@ class TestWalkerProperties:
             rows: dict = dataclasses.field(default_factory=dict)
 
         with pytest.raises(TypeError, match="^/rows: "):
-            _build(Table, {"rows": {}}, [])
+            build(Table, {"rows": {}}, [])
 
 
 @pytest.fixture(scope="module")
@@ -392,6 +408,15 @@ class TestCliCommands:
         code, _, err = run_cli(capsys, *command, "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "out"))
         assert code == 1
         assert json.loads(err) == {"error": "ConfigError", "message": "/: must be a JSON object"}
+
+    def test_huge_integer_literal_is_config_error(self, tmp_path, capsys):
+        # beyond the 4300-digit limit json.loads raises a plain ValueError
+        cfg = tmp_path / "big.json"
+        cfg.write_text('{"train": 1' + "0" * 5000 + "}")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError" and payload["message"].startswith("/: ")
 
     def test_seed_override_changes_dataset(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

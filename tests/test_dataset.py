@@ -178,6 +178,12 @@ class TestManifest:
         with pytest.raises(ValueError, match=r"manifest\.json: not valid JSON"):
             load_manifest(tmp_path)
 
+    def test_huge_integer_literal_names_file(self, tmp_path):
+        # beyond the 4300-digit limit json.loads raises a plain ValueError
+        (tmp_path / "manifest.json").write_text('{"version": 1' + "0" * 5000 + "}")
+        with pytest.raises(ValueError, match=r"manifest\.json: not valid JSON"):
+            load_manifest(tmp_path)
+
     @pytest.mark.parametrize(
         "edit, field",
         [

@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import json
-import zlib
 
 import numpy as np
 import pytest
@@ -9,10 +8,9 @@ from conftest import FS, anechoic_frame, planar_scene
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wasnloc.cli import train_configs_from_obj
 from wasnloc.features import DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, Grid
 from wasnloc.relnet import (
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
     CheckpointError,
     RelNetConfig,
     RelNetModel,
@@ -294,44 +292,36 @@ class TestGnnLocalize:
         assert 0.0 < x < scene.room.width and 0.0 < y < scene.room.length
 
 
-def rewrite_header(path, edit):
-    """Apply edit to a saved checkpoint's JSON header in place."""
+def write_header(path, payload: bytes):
+    """Replace a saved checkpoint's header with the given payload bytes."""
     raw = path.read_bytes()
     header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    header = json.loads(raw[8 : 8 + header_len])
-    edit(header)
-    payload = json.dumps(header).encode()
     path.write_bytes(raw[:4] + np.uint32(len(payload)).tobytes() + payload + raw[8 + header_len :])
 
 
-def _reference_checkpoint_bytes(model):
-    """Frozen copy of the checkpoint writer from before the parameters moved
-    into flat buffers: a table entry and a blob slice per (W, b) array."""
-    cfg = model.config
-    arrays, blobs = [], []
-    offset = 0
-    for prefix, net in (("f", model.f), ("g", model.g)):
-        for k, (w, b) in enumerate(net.layers):
-            for part, p in (("w", w), ("b", b)):
-                arrays.append({"name": f"{prefix}.{k}.{part}", "shape": list(p.shape), "offset": offset})
-                offset += p.size
-                blobs.append(np.ascontiguousarray(p, dtype="<f4").tobytes())
-    blob = b"".join(blobs)
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "feature_kind": cfg.feature_kind,
-        "grid_n": cfg.grid_n,
-        "fft_size": DEFAULT_FFT_SIZE,
-        "n_central": DEFAULT_N_CENTRAL,
-        "input_size": cfg.input_size,
-        "f_sizes": list(cfg.f_layer_sizes),
-        "g_sizes": list(cfg.g_layer_sizes),
-        "arrays": arrays,
-        "blob_floats": offset,
-        "blob_crc32": zlib.crc32(blob),
-    }
-    payload = json.dumps(header).encode("utf-8")
-    return CHECKPOINT_MAGIC + np.uint32(len(payload)).tobytes() + payload + blob
+def read_header(path) -> tuple[dict, bytes]:
+    """A saved checkpoint's JSON header and the blob after it."""
+    raw = path.read_bytes()
+    header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
+    return json.loads(raw[8 : 8 + header_len]), raw[8 + header_len :]
+
+
+def rewrite_header(path, edit):
+    """Apply edit to a saved checkpoint's JSON header in place."""
+    header = read_header(path)[0]
+    edit(header)
+    write_header(path, json.dumps(header).encode())
+
+
+def _reference_blob(model):
+    """Frozen copy of the checkpoint blob from before the parameters moved
+    into flat buffers: a slice per W and b array of F, then of G."""
+    return b"".join(
+        np.ascontiguousarray(p, dtype="<f4").tobytes()
+        for net in (model.f, model.g)
+        for w, b in net.layers
+        for p in (w, b)
+    )
 
 
 class TestCheckpoint:
@@ -339,16 +329,7 @@ class TestCheckpoint:
         model = RelNetModel.init_random(small_config(), rng_seed=17)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        assert path.read_bytes() == _reference_checkpoint_bytes(model)
-
-    def test_per_array_file_loads_to_identical_buffers(self, tmp_path):
-        model = RelNetModel.init_random(small_config(), rng_seed=18)
-        path = tmp_path / "model.ckpt"
-        path.write_bytes(_reference_checkpoint_bytes(model))
-        loaded = load_checkpoint(path)
-        for net, want in ((loaded.f, model.f), (loaded.g, model.g)):
-            assert net.flat.dtype == np.float32 and np.array_equal(net.flat, want.flat)
-            assert net.grad is None
+        assert read_header(path)[1] == _reference_blob(model)
 
     def test_round_trip_forward_identical(self, tmp_path):
         config = small_config()
@@ -385,12 +366,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_header_blob_inconsistency(self, tmp_path):
+        # a valid config whose F has one more hidden unit than the blob holds
         config = small_config()
         model = RelNetModel.init_random(config, rng_seed=9)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        rewrite_header(path, lambda header: header.update(blob_floats=header["blob_floats"] + 1))
-        with pytest.raises(CheckpointError):
+        rewrite_header(path, lambda header: header["config"]["f_layer_sizes"].__setitem__(0, 17))
+        with pytest.raises(CheckpointError, match="header field 'config'"):
             load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
@@ -408,7 +390,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-
     def test_version_1_checkpoint_rejected(self, tmp_path):
         # version 1 models were trained on summed, per-example-scaled input
         model = RelNetModel.init_random(small_config(), rng_seed=13)
@@ -418,42 +399,73 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 1"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("field", ["blob_floats", "feature_kind", "grid_n", "g_sizes", "input_size"])
+    def test_version_2_checkpoint_rejected(self, tmp_path):
+        # a version-2 header spelled the architecture out as fields and an
+        # array table; the blob layout is the same
+        model = RelNetModel.init_random(small_config(), rng_seed=12)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        cfg = model.config
+        v2 = {
+            "version": 2,
+            "feature_kind": cfg.feature_kind,
+            "grid_n": cfg.grid_n,
+            "fft_size": DEFAULT_FFT_SIZE,
+            "n_central": DEFAULT_N_CENTRAL,
+            "input_size": cfg.input_size,
+            "f_sizes": list(cfg.f_layer_sizes),
+            "g_sizes": list(cfg.g_layer_sizes),
+            "arrays": [],
+            "blob_floats": model.f.flat.size + model.g.flat.size,
+            "blob_crc32": read_header(path)[0]["blob_crc32"],
+        }
+        write_header(path, json.dumps(v2).encode())
+        with pytest.raises(CheckpointError, match="version 2, expected 3"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["feature_kind", "grid_n", "f_layer_sizes", "g_layer_sizes"])
     def test_missing_header_field_named(self, tmp_path, field):
+        # no config field is filled from today's defaults
         path = tmp_path / "model.ckpt"
         save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=14), path)
-        rewrite_header(path, lambda header: header.pop(field))
-        with pytest.raises(CheckpointError, match=f"'{field}'"):
+        rewrite_header(path, lambda header: header["config"].pop(field))
+        with pytest.raises(CheckpointError, match=f"/config/{field}: missing"):
             load_checkpoint(path)
 
-    def test_missing_array_shape_named(self, tmp_path):
+    def test_negative_grid_n_refused(self, tmp_path):
+        config = small_config(grid_n=3)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=15), path)
-        rewrite_header(path, lambda header: header["arrays"][2].pop("shape"))
-        with pytest.raises(CheckpointError, match="'f.1.w'.*'shape'"):
+        save_checkpoint(RelNetModel.init_random(config, rng_seed=15), path)
+        rewrite_header(path, lambda header: header["config"].update(grid_n=-3))
+        with pytest.raises(CheckpointError, match="/config: .*grid_n must be >= 2, got -3"):
             load_checkpoint(path)
 
-    def test_transposed_weight_rejected(self, tmp_path):
-        # same floats, same count, but W of f.0 declared (16, in) not (in, 16)
+    def test_huge_integer_literal_refused(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=16), path)
-        rewrite_header(path, lambda header: header["arrays"][0]["shape"].reverse())
-        with pytest.raises(CheckpointError, match="'f.0.w' has shape"):
+        header = read_header(path)[0]
+        text = json.dumps({**header, "blob_crc32": 0}).replace('"blob_crc32": 0', '"blob_crc32": 1' + "0" * 5000)
+        write_header(path, text.encode())
+        with pytest.raises(CheckpointError, match="header /: not valid JSON"):
             load_checkpoint(path)
 
+    def test_header_config_is_a_train_config(self, tmp_path):
+        # the header spells the config as train.json does
+        model = RelNetModel.init_random(small_config("gcc", grid_n=4), rng_seed=11)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        net, _ = train_configs_from_obj(read_header(path)[0]["config"])
+        assert net == model.config
 
-HEADER_FIELDS = (
-    "version",
-    "feature_kind",
-    "grid_n",
-    "fft_size",
-    "n_central",
-    "input_size",
-    "f_sizes",
-    "g_sizes",
-    "arrays",
-    "blob_floats",
-    "blob_crc32",
+
+CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(RelNetConfig))
+HEADER_TARGETS = (
+    ("version",),
+    ("fft_size",),
+    ("n_central",),
+    ("config",),
+    ("blob_crc32",),
+    *(("config", name) for name in CONFIG_FIELDS),
 )
 
 
@@ -466,52 +478,50 @@ def _changed(value):
         return {"slf": "gcc", "gcc": "slf"}.get(value, value + "x")
     if isinstance(value, list):
         return [value[0] + 1] + value[1:]
+    if isinstance(value, dict):
+        return {**value, "extra": 1}
     return value + 1
 
 
-def _damage(header, target, mutation, entry_key):
-    """Drop, mistype or change one header field (target a name) or one
-    array-table entry (target an index) in place; returns the text the
-    error must contain."""
-    owner, key = (header["arrays"], target) if isinstance(target, int) else (header, target)
-    if isinstance(target, int):
-        needle = f"'{owner[key]['name']}'"
-    else:
-        needle = target if target == "version" else f"'{target}'"
+def _damage(header, target, mutation):
+    """Drop, mistype or change the header value at target (a key path) in
+    place; returns the text the error must contain: the value's JSON
+    pointer, the name of a changed top-level field, or 'config' for a
+    changed config value, which may only be inconsistent with the rest."""
+    *parents, key = target
+    owner = header
+    for name in parents:
+        owner = owner[name]
     if mutation == "drop":
         del owner[key]
     elif mutation == "wrong_type":
         owner[key] = _wrong_type(owner[key])
-    elif isinstance(target, int):
-        owner[key][entry_key] = _changed(owner[key][entry_key])
-    elif target == "arrays":
-        owner[key].append(dict(owner[key][-1]))
     else:
         owner[key] = _changed(owner[key])
-    return needle
+        return target[0]
+    return "/" + "/".join(target)
 
 
 class TestCheckpointProperties:
     @settings(max_examples=150, deadline=None)
     @given(
         kind=st.sampled_from(["gcc", "slf"]),
-        target=st.one_of(st.sampled_from(HEADER_FIELDS), st.integers(0, 7)),
+        target=st.sampled_from(HEADER_TARGETS),
         mutation=st.sampled_from(["drop", "wrong_type", "change"]),
-        entry_key=st.sampled_from(["name", "shape", "offset"]),
     )
-    @example(kind="gcc", target="fft_size", mutation="change", entry_key="name")
-    @example(kind="slf", target="fft_size", mutation="change", entry_key="name")
-    @example(kind="gcc", target="n_central", mutation="change", entry_key="name")
-    @example(kind="slf", target="n_central", mutation="change", entry_key="name")
-    def test_each_damaged_field_or_array_named(self, tmp_path_factory, kind, target, mutation, entry_key):
-        """One damaged header field or array-table entry raises CheckpointError
-        naming it, a changed fixed feature size ('fft_size', 'n_central')
-        included."""
+    @example(kind="gcc", target=("fft_size",), mutation="change")
+    @example(kind="slf", target=("fft_size",), mutation="change")
+    @example(kind="gcc", target=("n_central",), mutation="change")
+    @example(kind="slf", target=("n_central",), mutation="change")
+    def test_each_damaged_field_or_array_named(self, tmp_path_factory, kind, target, mutation):
+        """One dropped, mistyped or changed header field, config fields and
+        their layer-size arrays included, raises CheckpointError naming it,
+        a changed fixed feature size ('fft_size', 'n_central') included."""
         model = RelNetModel.init_random(small_config(kind), rng_seed=21)
         path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
         save_checkpoint(model, path)
         needles = []
-        rewrite_header(path, lambda header: needles.append(_damage(header, target, mutation, entry_key)))
+        rewrite_header(path, lambda header: needles.append(_damage(header, target, mutation)))
         with pytest.raises(CheckpointError) as info:
             load_checkpoint(path)
         assert needles[0] in str(info.value)
@@ -527,15 +537,17 @@ class TestCheckpointProperties:
     def test_reference_writer_output_loads_identically(
         self, tmp_path_factory, kind, grid_n, f_hidden, g_hidden, seed
     ):
-        """The derived table loses no check: for any architecture the saved
-        bytes equal the frozen per-array writer's, and those load back to the
-        same configuration and bit-identical buffers."""
+        """For any architecture the saved blob equals the frozen per-array
+        blob, the header's config is the config's fields by name, and the
+        file loads back to the same config and bit-identical buffers."""
         n_out = grid_n * grid_n
         config = RelNetConfig(kind, grid_n, (*f_hidden, n_out), (*g_hidden, n_out))
         model = RelNetModel.init_random(config, rng_seed=seed)
         path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
         save_checkpoint(model, path)
-        assert path.read_bytes() == _reference_checkpoint_bytes(model)
+        header, blob = read_header(path)
+        assert blob == _reference_blob(model)
+        assert header["config"] == json.loads(json.dumps(dataclasses.asdict(config)))
         loaded = load_checkpoint(path)
         assert loaded.config == config
         assert np.array_equal(loaded.f.flat, model.f.flat) and np.array_equal(loaded.g.flat, model.g.flat)
