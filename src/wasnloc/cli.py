@@ -45,11 +45,15 @@ from .typedjson import ConfigError, build
 
 
 def dataset_config_from_obj(obj: dict) -> DatasetConfig:
-    """Beyond the field types: snr_db may be "inf" (no noise; JSON has no
-    infinity), and max_order, a reflection order, must be >= 0."""
-    if isinstance(obj, dict) and obj.get("snr_db") == "inf":
-        obj = {**obj, "snr_db": math.inf}
+    """Beyond the field types: snr_db may be "inf" (no noise; a float field
+    takes only finite numbers), and max_order, a reflection order, must be
+    >= 0."""
+    no_noise = isinstance(obj, dict) and obj.get("snr_db") == "inf"
+    if no_noise:
+        obj = {key: value for key, value in obj.items() if key != "snr_db"}
     config = build(DatasetConfig, obj, [])
+    if no_noise:
+        config = dataclasses.replace(config, snr_db=math.inf)
     if config.max_order is not None and config.max_order < 0:
         raise ConfigError(f"/max_order: expected an integer >= 0, got {config.max_order}")
     return config

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -112,6 +113,8 @@ class DatasetConfig:
         for name in ("fs", "duration_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"DatasetConfig.{name} must be > 0, got {getattr(self, name)}")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"DatasetConfig.snr_db must be a number or inf, got {self.snr_db}")
 
     @property
     def n_central(self) -> int:
@@ -277,13 +280,17 @@ def write_feature_cache(path, grid_n: int, gcc: np.ndarray, slf: np.ndarray, met
         )
 
 
-def read_feature_cache(path, grid_n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def read_feature_cache(
+    path, grid_n: int, m: int, kinds: tuple[str, ...]
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
     """(gcc, slf, meta) of an example with m mics from its features.bin.
 
+    Of the feature members "gcc" and "slf" only those named in kinds are
+    decoded (a model reads one); the other is None and goes unchecked.
     FeatureCacheError names the file, and the member where there is one, if
     the file is not a readable npz, has another version, was built with
     other FEATURE_PARAMS values than grid_n and the fixed ones, or lacks a
-    member or holds one of other than M(M-1)/2 rows of its width.
+    member read or holds one of other than M(M-1)/2 rows of its width.
     """
     pairs = m * (m - 1) // 2
     widths = {"gcc": DEFAULT_N_CENTRAL, "slf": grid_n**2, "meta": PAIR_METADATA_SIZE}
@@ -300,16 +307,17 @@ def read_feature_cache(path, grid_n: int, m: int) -> tuple[np.ndarray, np.ndarra
             for name, have, want in zip(FEATURE_PARAMS, stored[1:], wanted[1:]):
                 if have != want:
                     raise FeatureCacheError(f"{path}: built with {name} {have:g}, expected {want:g}")
-            arrays = []
-            for member, width in widths.items():
+            arrays = {}
+            for member in (*kinds, "meta"):
                 if member not in data.files:
                     raise FeatureCacheError(f"{path}: no member {member!r}")
-                arrays.append(data[member])
-                if arrays[-1].shape != (pairs, width):
+                arrays[member] = data[member]
+                if arrays[member].shape != (pairs, widths[member]):
                     raise FeatureCacheError(
-                        f"{path}: member {member!r} has shape {arrays[-1].shape}, expected {(pairs, width)}"
+                        f"{path}: member {member!r} has shape {arrays[member].shape}, "
+                        f"expected {(pairs, widths[member])}"
                     )
-            return tuple(arrays)
+            return arrays.get("gcc"), arrays.get("slf"), arrays["meta"]
     except FeatureCacheError:
         raise
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -357,14 +365,16 @@ def load_example(data_dir, entry: dict) -> tuple[MultichannelSignal, Scene]:
 def example_features(data_dir, entry: dict, config: RelNetConfig) -> np.ndarray:
     """Assembled (P, input_size) float32 pair matrix for one example.
 
-    Prefers the on-disk cache; falls back to recomputing from the WAVs
-    when the cache is missing, unreadable, has another format version or
-    was built with other parameters.
+    Prefers the on-disk cache, of which it decodes only the configured
+    feature kind and the metadata; falls back to recomputing from the WAVs
+    when the cache is missing, unreadable, has another format version, was
+    built with other parameters or has a damaged member of those read.
     """
     cache_path = Path(data_dir) / entry["dir"] / FEATURES_NAME
     if cache_path.exists():
         try:
-            return assemble_input(*read_feature_cache(cache_path, config.grid_n, entry["m"]), config)
+            cached = read_feature_cache(cache_path, config.grid_n, entry["m"], (config.feature_kind,))
+            return assemble_input(*cached, config)
         except FeatureCacheError as exc:
             logger.info("recomputing features: %s", exc)
     received, scene = load_example(data_dir, entry)

@@ -6,6 +6,12 @@ independent white Gaussian noise scaled per channel to a prescribed SNR.
 Source waveforms come either from a directory of mono WAV files or from a
 built-in speech-like generator (pink noise with a slow syllabic amplitude
 modulation) so the full pipeline runs without any external corpus.
+
+A scene is convolved in one frequency-domain pass: one source spectrum
+multiplies the spectra of all M stacked RIRs in one batched transform, so
+each channel equals ``scipy.signal.fftconvolve`` of the source and its RIR
+bit for bit. ``scipy.signal`` itself, which doubles the package's memory
+at import, is loaded only to resample corpus WAVs of another rate.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import fft
 from scipy.io import wavfile
-from scipy.signal import fftconvolve, resample_poly
 
 from .rir import DEFAULT_FS, simulate_rir
 from .scenes import Scene
@@ -72,16 +78,25 @@ def auralize(
 
     All channels share the source's time origin, so inter-channel delays
     are carried entirely by the RIR tap positions. ``max_order=0`` gives
-    direct-path-only (anechoic) channels.
+    direct-path-only (anechoic) channels. The M RIRs of a room have equal
+    length, so they are stacked and convolved in one batched real FFT
+    against one source spectrum, at fftconvolve's own transform length:
+    each channel equals ``scipy.signal.fftconvolve(source_signal, taps)``
+    bit for bit.
     """
     sig = np.asarray(source_signal, dtype=float).ravel()
     if sig.size == 0:
         raise ValueError("source signal is empty")
-    channels = []
-    for mic in scene.mics.positions:
-        rir = simulate_rir(scene.room, scene.source.position, mic, fs, max_order=max_order)
-        channels.append(fftconvolve(sig, rir.taps))
-    return MultichannelSignal(np.vstack(channels), fs)
+    taps = np.vstack(
+        [
+            simulate_rir(scene.room, scene.source.position, mic, fs, max_order=max_order).taps
+            for mic in scene.mics.positions
+        ]
+    )
+    n = sig.size + taps.shape[1] - 1
+    nfft = fft.next_fast_len(n, True)
+    spectra = fft.rfft(sig, nfft) * fft.rfft(taps, nfft, axis=-1)
+    return MultichannelSignal(fft.irfft(spectra, nfft, axis=-1)[:, :n].copy(), fs)
 
 
 def add_noise(signals: MultichannelSignal, snr_db: float, rng_seed) -> MultichannelSignal:
@@ -148,6 +163,8 @@ def provide_source_signal_with_id(
     if sig.size == 0:
         raise CorpusError(f"{path} is empty")
     if file_fs != fs:
+        from scipy.signal import resample_poly  # kept off the import path, see the module docstring
+
         sig = resample_poly(sig, fs, file_fs)
     if sig.size < n:
         sig = np.tile(sig, int(np.ceil(n / sig.size)))

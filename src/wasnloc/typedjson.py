@@ -9,6 +9,7 @@ of the offending value.
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 
@@ -32,8 +33,9 @@ _SCALARS = {
 
 def convert(tp, value, path: list[str]):
     """The JSON value converted to the type tp; ConfigError at path if it is
-    not of that type. An int takes a JSON integer, a float any JSON number,
-    a bool true or false, a str a string (a bool is never a number); a
+    not of that type. An int takes a JSON integer, a float any finite JSON
+    number (never NaN or Infinity, which Python's json module reads), a
+    bool true or false, a str a string (a bool is never a number); a
     tuple a list of the right length, a Literal one of its values, X | None
     null or an X, a dataclass an object (:func:`build`). Any other type
     raises TypeError, so a new config field cannot go unchecked."""
@@ -42,9 +44,12 @@ def convert(tp, value, path: list[str]):
         accepted, expected = _SCALARS[tp]
         if isinstance(value, accepted) and (tp is bool or not isinstance(value, bool)):
             try:
-                return tp(value)
+                converted = tp(value)
             except OverflowError:  # a JSON integer beyond the float range
-                expected = "a number within the float range"
+                converted = math.inf
+            if tp is not float or math.isfinite(converted):
+                return converted
+            expected = "a finite number"
     elif dataclasses.is_dataclass(tp):
         return build(tp, value, path)
     elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:

@@ -60,6 +60,27 @@ class TestConfigParsing:
     def test_inf_snr_sentinel(self):
         assert dataset_config_from_obj({"snr_db": "inf"}).snr_db == float("inf")
 
+    # json.loads reads these literals as non-finite floats
+    def test_nan_snr_refused(self):
+        # once gave all-NaN channels
+        with pytest.raises(ConfigError, match="^/snr_db: expected a finite number, got nan"):
+            dataset_config_from_obj(json.loads('{"snr_db": NaN}'))
+
+    def test_negative_infinite_snr_refused(self):
+        # once a bare ZeroDivisionError in add_noise
+        with pytest.raises(ConfigError, match="^/snr_db: expected a finite number, got -inf"):
+            dataset_config_from_obj(json.loads('{"snr_db": -Infinity}'))
+
+    def test_infinite_duration_refused(self):
+        # once a bare OverflowError when the sample count was rounded
+        with pytest.raises(ConfigError, match="^/duration_s: expected a finite number, got inf"):
+            dataset_config_from_obj(json.loads('{"duration_s": Infinity}'))
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_dataset_config_refuses_nan_and_negative_infinite_snr(self, snr_db):
+        with pytest.raises(ValueError, match="^DatasetConfig.snr_db must be a number or inf"):
+            DatasetConfig(snr_db=snr_db)
+
     @pytest.mark.parametrize("key", ["fft_size", "n_central"])
     @pytest.mark.parametrize("parse", [dataset_config_from_obj, train_configs_from_obj])
     def test_fixed_feature_size_is_unknown_key(self, parse, key):
@@ -149,9 +170,9 @@ class TestConfigParsing:
             parse(obj)
 
 
-# Any JSON value, nested a little.
+# Any JSON value, nested a little; json.loads also reads NaN and Infinity.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
     max_leaves=5,
 )
@@ -170,7 +191,9 @@ def _well_typed(tp, value) -> bool:
     if origin is tuple:
         items = [args[0]] * len(value) if args[-1] is Ellipsis and isinstance(value, list) else list(args)
         return isinstance(value, list) and len(items) == len(value) and all(map(_well_typed, items, value))
-    return type(value) in ((int, float) if tp is float else (tp,))
+    if tp is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    return type(value) is tp
 
 
 def _field_cases(cls, path=()):

@@ -207,12 +207,15 @@ class TestManifest:
             evaluate("tdoa", root, "dev", grid_n=TINY_GRID_N)
 
 
+BOTH_KINDS = ("gcc", "slf")
+
+
 class TestFeatureCache:
     def test_cache_matches_recompute(self, tiny_dataset):
         root, manifest = tiny_dataset
         entry = manifest["splits"]["val"]["examples"][0]
         config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
-        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry["m"])
+        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry["m"], BOTH_KINDS)
         received, scene = load_example(root, entry)
         frame = extract_frame(received)
         gcc2, slf2, meta2 = raw_pair_features(frame, scene, config.grid_n)
@@ -227,7 +230,7 @@ class TestFeatureCache:
         feats = example_features(root, entry, config)
         pairs = entry["m"] * (entry["m"] - 1) // 2
         assert feats.shape == (pairs, TINY_GRID_N**2 + 9)
-        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry["m"])
+        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry["m"], BOTH_KINDS)
         np.testing.assert_array_equal(feats, assemble_input(gcc, slf, meta, config))
 
     def test_grid_mismatch_falls_back_to_recompute(self, tiny_dataset):
@@ -245,11 +248,11 @@ class TestFeatureCache:
         expected = example_features(root, entry, config)
         copy = tmp_path / entry["dir"]
         shutil.copytree(root / entry["dir"], copy)
-        gcc, slf, meta = read_feature_cache(copy / "features.bin", config.grid_n, entry["m"])
+        gcc, slf, meta = read_feature_cache(copy / "features.bin", config.grid_n, entry["m"], BOTH_KINDS)
         with open(copy / "features.bin", "wb") as fh:
             np.savez(fh, gcc=gcc, slf=np.zeros_like(slf), meta=meta)
         with pytest.raises(FeatureCacheError, match="version None"):
-            read_feature_cache(copy / "features.bin", config.grid_n, entry["m"])
+            read_feature_cache(copy / "features.bin", config.grid_n, entry["m"], BOTH_KINDS)
         np.testing.assert_allclose(example_features(tmp_path, entry, config), expected, atol=1e-6)
 
     @pytest.mark.parametrize("built_with", [{"frame_ms": 250.0}, {"fft_size": 512}])
@@ -265,26 +268,27 @@ class TestFeatureCache:
         self._rewrite_members(path, forge)
         default = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
         with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: built with {field} "):
-            read_feature_cache(path, default.grid_n, entry["m"])
+            read_feature_cache(path, default.grid_n, entry["m"], BOTH_KINDS)
         received, scene = load_example(tmp_path, entry)
         frame = extract_frame(received)
         expected = assemble_input(*raw_pair_features(frame, scene, default.grid_n), default)
         np.testing.assert_array_equal(example_features(tmp_path, entry, default), expected)
 
     @staticmethod
-    def _damaged_cache(tiny_dataset, tmp_path, damage):
+    def _damaged_cache(tiny_dataset, tmp_path, damage, kind="slf"):
         """A copy of one example whose features.bin went through damage(path);
-        the cache must be refused and recomputed from the WAVs."""
+        a model of the feature kind must refuse the cache and recompute it
+        from the WAVs."""
         root, manifest = tiny_dataset
         entry = manifest["splits"]["test"]["examples"][1]
         shutil.copytree(root / entry["dir"], tmp_path / entry["dir"])
         path = tmp_path / entry["dir"] / FEATURES_NAME
         damage(path)
-        config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
+        config = RelNetConfig(feature_kind=kind, grid_n=TINY_GRID_N)
         received, scene = load_example(tmp_path, entry)
         expected = assemble_input(*raw_pair_features(extract_frame(received), scene, config.grid_n), config)
         np.testing.assert_array_equal(example_features(tmp_path, entry, config), expected)
-        return lambda: read_feature_cache(path, config.grid_n, entry["m"])
+        return lambda: read_feature_cache(path, config.grid_n, entry["m"], (kind,))
 
     @staticmethod
     def _rewrite_members(path, edit):
@@ -308,10 +312,14 @@ class TestFeatureCache:
         with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: unreadable file"):
             read()
 
+    # the model reading each member: gcc only a GCC model, meta any model
+    MEMBER_KINDS = {"gcc": "gcc", "slf": "slf", "meta": "slf"}
+
     @pytest.mark.parametrize("member", ["gcc", "slf", "meta"])
     def test_missing_member_recomputed(self, tiny_dataset, tmp_path, member):
         edit = lambda members: members.pop(member)  # noqa: E731
-        read = self._damaged_cache(tiny_dataset, tmp_path, lambda path: self._rewrite_members(path, edit))
+        damage = lambda path: self._rewrite_members(path, edit)  # noqa: E731
+        read = self._damaged_cache(tiny_dataset, tmp_path, damage, self.MEMBER_KINDS[member])
         with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: no member '{member}'"):
             read()
 
@@ -320,9 +328,29 @@ class TestFeatureCache:
         def drop_row(members):
             members[member] = members[member][:-1]
 
-        read = self._damaged_cache(tiny_dataset, tmp_path, lambda path: self._rewrite_members(path, drop_row))
+        damage = lambda path: self._rewrite_members(path, drop_row)  # noqa: E731
+        read = self._damaged_cache(tiny_dataset, tmp_path, damage, self.MEMBER_KINDS[member])
         with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: member '{member}' has shape"):
             read()
+
+    @pytest.mark.parametrize("kind, other", [("slf", "gcc"), ("gcc", "slf")])
+    def test_other_kind_not_decoded(self, tiny_dataset, tmp_path, kind, other):
+        # a model reads only its own feature member: damage to the other
+        # one goes unnoticed and the cache is still served
+        root, manifest = tiny_dataset
+        entry = manifest["splits"]["test"]["examples"][1]
+        shutil.copytree(root / entry["dir"], tmp_path / entry["dir"])
+        path = tmp_path / entry["dir"] / FEATURES_NAME
+        config = RelNetConfig(feature_kind=kind, grid_n=TINY_GRID_N)
+        expected = assemble_input(*read_feature_cache(path, config.grid_n, entry["m"], BOTH_KINDS), config)
+
+        def drop_row(members):
+            members[other] = members[other][:-1]
+
+        self._rewrite_members(path, drop_row)
+        cached = read_feature_cache(path, config.grid_n, entry["m"], (kind,))
+        assert cached[BOTH_KINDS.index(other)] is None
+        np.testing.assert_array_equal(example_features(tmp_path, entry, config), expected)
 
     def test_load_split_features_targets(self, tiny_dataset):
         root, manifest = tiny_dataset

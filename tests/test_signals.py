@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
+from scipy.signal import fftconvolve
 
 from wasnloc.rir import SPEED_OF_SOUND, simulate_rir
 from wasnloc.scenes import MicArray, RoomSpec, Scene, SourceSpec
@@ -79,6 +85,29 @@ class TestAuralize:
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
             auralize(two_mic_scene(), np.array([]), FS)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(2, 8),
+        t60=st.sampled_from([0.15, 0.2, 0.45, 0.6]),
+        # RIRs are 1.25 T60 long, 3000-12000 taps: the short signals are shorter
+        n_sig=st.integers(1, 2000) | st.integers(8000, 16000),
+        max_order=st.sampled_from([None, 0]),
+        fractions=st.lists(st.tuples(*[st.floats(0.05, 0.95)] * 3), min_size=9, max_size=9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_fftconvolve_per_channel(self, m, t60, n_sig, max_order, fractions, seed):
+        room = RoomSpec(5.0, 4.0, 3.0, t60)
+        points = np.asarray(fractions) * room.dims
+        source, mics = points[0], points[1 : m + 1]
+        assume(np.min(np.linalg.norm(mics - source, axis=1)) > 0.01)
+        scene = Scene(room=room, mics=MicArray(mics), source=SourceSpec(source), seed=0)
+        sig = np.random.default_rng(seed).standard_normal(n_sig)
+        out = auralize(scene, sig, FS, max_order=max_order)
+        assert out.channels.shape[0] == m
+        for k, mic in enumerate(mics):
+            rir = simulate_rir(room, source, mic, FS, max_order=max_order)
+            np.testing.assert_array_equal(out.channels[k], fftconvolve(sig, rir.taps))
 
 
 class TestAddNoise:
@@ -168,6 +197,14 @@ class TestCorpusSource:
         sig = provide_source_signal_with_id(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, FS, 0)[0]
         assert sig.size == 8000
         assert np.all(sig == 0.25)
+
+    def test_package_import_leaves_out_scipy_signal(self):
+        # scipy.signal loads only to resample a corpus file of another rate
+        code = "import sys, wasnloc, wasnloc.cli; print('scipy.signal' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_resampled_when_rate_differs(self, tmp_path):
         t = np.arange(32000) / 32000
