@@ -113,8 +113,19 @@ class DatasetConfig:
         for name in ("fs", "duration_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"DatasetConfig.{name} must be > 0, got {getattr(self, name)}")
+        if not math.isfinite(self.duration_s):
+            raise ValueError(f"DatasetConfig.duration_s must be finite, got {self.duration_s}")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"DatasetConfig.snr_db must be a number or inf, got {self.snr_db}")
+        if math.isfinite(self.snr_db):
+            try:  # the power ratio add_noise divides by
+                ratio = 10.0 ** (self.snr_db / 10.0)
+            except OverflowError:
+                ratio = math.inf
+            if not 0.0 < ratio < math.inf:
+                raise ValueError(
+                    f"DatasetConfig.snr_db must give a power ratio within the float range, got {self.snr_db}"
+                )
 
     @property
     def n_central(self) -> int:

@@ -13,6 +13,11 @@ incoherent energy budget so the simulated decay tracks the requested T60.
 
 No fractional-delay interpolation is applied: localization here works at
 grid resolution far above the ~2 cm path error of one sample at 16 kHz.
+
+``simulate_rir`` takes all microphones of a scene at once. The image
+positions, their reflection counts and amplitude numerators depend only on
+the room and the source, so they are enumerated once per call and shared;
+only distances, delays and the tap sums are per microphone.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ RIR_LENGTH_T60_FACTOR = 1.25
 _CHUNK = 2_000_000
 
 # Image positions per elementwise tile (rounded to whole x-rows, at least
-# one). Distances and masks are computed a tile at a time into buffers
-# reused across the call, which keeps the working set in cache; tiles only
-# split a block's work, not its summation order, so any value gives the
-# same taps.
+# one). Numerators, distances and masks are computed a tile at a time into
+# buffers reused across the call, which keeps the working set in cache;
+# tiles only split a block's work, not its summation order, so any value
+# gives the same taps.
 _TILE = 65_536
 
 
@@ -97,85 +102,97 @@ def _axis_images(src: float, dim: float, path_limit: float) -> tuple[np.ndarray,
 def simulate_rir(
     room: RoomSpec,
     source: np.ndarray,
-    mic: np.ndarray,
+    mics: np.ndarray,
     fs: int = DEFAULT_FS,
     *,
     max_order: int | None = None,
-) -> Rir:
-    """Image-source RIR between one source and one microphone.
+) -> list[Rir]:
+    """Image-source RIRs between one source and each of the (M, 3) mics.
 
-    The response is truncated at RIR_LENGTH_T60_FACTOR * T60 and the image
+    Each response is truncated at RIR_LENGTH_T60_FACTOR * T60 and the image
     set is enumerated (per dimension) out to the matching path length.
     ``max_order`` caps the total reflection count: 0 keeps only the direct
-    path, None applies no cap beyond the length-derived enumeration.
+    path, None applies no cap beyond the length-derived enumeration. The
+    image lattice and its reflection amplitudes depend only on the room and
+    the source, so one pass over the lattice serves all M mics; each mic's
+    taps are summed exactly as a call with that mic alone would sum them.
     """
     source = np.asarray(source, dtype=float).reshape(3)
-    mic = np.asarray(mic, dtype=float).reshape(3)
+    mics = np.asarray(mics, dtype=float).reshape(-1, 3)
     dims = room.dims
-    if np.any(source <= 0) or np.any(source >= dims) or np.any(mic <= 0) or np.any(mic >= dims):
-        raise ValueError("source and mic must lie strictly inside the room")
+    if np.any(source <= 0) or np.any(source >= dims):
+        raise ValueError("source must lie strictly inside the room")
+    for k, mic in enumerate(mics):
+        if np.any(mic <= 0) or np.any(mic >= dims):
+            raise ValueError(f"mic {k} must lie strictly inside the room")
     if fs <= 0:
         raise ValueError("fs must be positive")
-    direct = float(np.linalg.norm(source - mic))
-    if direct < 1e-9:
-        raise DegenerateGeometryError("source coincides with microphone")
+    direct = [float(np.linalg.norm(source - mic)) for mic in mics]
+    for k, d in enumerate(direct):
+        if d < 1e-9:
+            raise DegenerateGeometryError(f"source coincides with mic {k}")
 
     alpha = eyring_absorption(room)
     beta = -math.sqrt(1.0 - alpha)  # sign alternates with parity, see module docstring
     n_taps = int(math.ceil(RIR_LENGTH_T60_FACTOR * room.t60 * fs))
     path_limit = SPEED_OF_SOUND * n_taps / fs
-    taps = np.zeros(n_taps)
+    taps = np.zeros((len(mics), n_taps))
 
     if max_order == 0:
-        idx = int(np.rint(fs * direct / SPEED_OF_SOUND))
-        if idx < n_taps:
-            taps[idx] = 1.0 / (4.0 * math.pi * direct)
-        return Rir(taps=taps, fs=fs)
+        for row, d in zip(taps, direct):
+            idx = int(np.rint(fs * d / SPEED_OF_SOUND))
+            if idx < n_taps:
+                row[idx] = 1.0 / (4.0 * math.pi * d)
+        return [Rir(taps=row, fs=fs) for row in taps]
 
     ax = [_axis_images(source[d], dims[d], path_limit) for d in range(3)]
     (cx, rx), (cy, ry), (cz, rz) = ax
-    # Broadcast y/z once and walk the x-axis images in blocks of _CHUNK
-    # and tiles of _TILE positions (see there). Powers of beta come from a
-    # lookup table over the (small-integer) reflection counts.
-    dx2 = (cx - mic[0]) ** 2
-    dy2 = (cy - mic[1])[:, None] ** 2
-    dz2 = (cz - mic[2])[None, :] ** 2
-    dyz2 = (dy2 + dz2)[None, :, :]
+    # Walk the x-axis images in blocks of _CHUNK and tiles of _TILE
+    # positions (see there). Each tile's amplitude numerators, powers of
+    # beta looked up by the (small-integer) reflection counts, are shared by
+    # all mics; only the squared distances are per mic.
+    dx2 = [(cx - mic[0]) ** 2 for mic in mics]
+    dyz2 = [((cy - mic[1])[:, None] ** 2 + (cz - mic[2])[None, :] ** 2)[None, :, :] for mic in mics]
     ryz = (ry[:, None] + rz[None, :])[None, :, :]
     max_refl = int(rx.max() + ry.max() + rz.max())
     beta_pow = beta ** np.arange(max_refl + 1, dtype=float)
     limit2 = path_limit**2
-    block = max(1, _CHUNK // dyz2.size)
-    rows = min(max(1, _TILE // dyz2.size), cx.size)
-    d2_buf = np.empty((rows,) + dyz2.shape[1:])
+    block = max(1, _CHUNK // ryz.size)
+    rows = min(max(1, _TILE // ryz.size), cx.size)
+    d2_buf = np.empty((rows,) + ryz.shape[1:])
     keep_buf = np.empty(d2_buf.shape, dtype=bool)
+    refl_buf = np.empty(d2_buf.shape, dtype=ryz.dtype)
+    num_buf = np.empty(d2_buf.shape)
     for start in range(0, cx.size, block):
         stop = min(start + block, cx.size)
         # np.add.at sums in input order, tile after tile, so the block's sum
         # order does not depend on _TILE. d2 < limit2 rounds to at most tap
         # n_taps; the extra bin absorbs the images that land there.
-        partial = np.zeros(n_taps + 1)
+        partial = np.zeros((len(mics), n_taps + 1))
         for lo in range(start, stop, rows):
             hi = min(lo + rows, stop)
-            d2 = np.add(dx2[lo:hi, None, None], dyz2, out=d2_buf[: hi - lo])
-            keep = np.less(d2, limit2, out=keep_buf[: hi - lo])
-            if max_order is not None:
-                keep &= (rx[lo:hi, None, None] + ryz) <= max_order
-            counts = np.count_nonzero(keep.reshape(hi - lo, -1), axis=1)
-            dist = d2[keep]
-            if dist.size == 0:
-                continue
-            np.sqrt(dist, out=dist)
-            refl = np.broadcast_to(ryz, keep.shape)[keep] + np.repeat(rx[lo:hi], counts)
-            idx = dist * fs
-            idx /= SPEED_OF_SOUND
-            np.rint(idx, out=idx)
-            dist *= 4.0 * math.pi
-            amp = beta_pow.take(refl)
-            amp /= dist
-            np.add.at(partial, idx.astype(np.intp), amp)
-        taps += partial[:n_taps]
-    return Rir(taps=taps, fs=fs)
+            refl = np.add(rx[lo:hi, None, None], ryz, out=refl_buf[: hi - lo])
+            # counts index beta_pow by construction, so "clip" never clips;
+            # it only spares take a buffered copy of its output
+            num = beta_pow.take(refl, out=num_buf[: hi - lo], mode="clip")
+            for k in range(len(mics)):
+                d2 = np.add(dx2[k][lo:hi, None, None], dyz2[k], out=d2_buf[: hi - lo])
+                keep = np.less(d2, limit2, out=keep_buf[: hi - lo])
+                if max_order is not None:
+                    keep &= refl <= max_order
+                dist = d2[keep]
+                if dist.size == 0:
+                    continue
+                np.sqrt(dist, out=dist)
+                idx = dist * fs
+                idx /= SPEED_OF_SOUND
+                np.rint(idx, out=idx)
+                dist *= 4.0 * math.pi
+                amp = num[keep]
+                amp /= dist
+                np.add.at(partial[k], idx.astype(np.intp), amp)
+        taps += partial[:, :n_taps]
+    return [Rir(taps=row, fs=fs) for row in taps]
 
 
 def _edc_db_from_onset(taps: np.ndarray) -> np.ndarray:

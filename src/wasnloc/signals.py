@@ -78,21 +78,21 @@ def auralize(
 
     All channels share the source's time origin, so inter-channel delays
     are carried entirely by the RIR tap positions. ``max_order=0`` gives
-    direct-path-only (anechoic) channels. The M RIRs of a room have equal
-    length, so they are stacked and convolved in one batched real FFT
-    against one source spectrum, at fftconvolve's own transform length:
-    each channel equals ``scipy.signal.fftconvolve(source_signal, taps)``
-    bit for bit.
+    direct-path-only (anechoic) channels. The M RIRs come from one
+    ``simulate_rir`` call over the scene's mics and have equal length, so
+    they are stacked and convolved in one batched real FFT against one
+    source spectrum, at fftconvolve's own transform length: each channel
+    equals ``scipy.signal.fftconvolve(source_signal, taps)`` bit for bit.
+    Like fftconvolve, a one-sample source (or a one-tap RIR) is multiplied,
+    not transformed.
     """
     sig = np.asarray(source_signal, dtype=float).ravel()
     if sig.size == 0:
         raise ValueError("source signal is empty")
-    taps = np.vstack(
-        [
-            simulate_rir(scene.room, scene.source.position, mic, fs, max_order=max_order).taps
-            for mic in scene.mics.positions
-        ]
-    )
+    rirs = simulate_rir(scene.room, scene.source.position, scene.mics.positions, fs, max_order=max_order)
+    taps = np.vstack([r.taps for r in rirs])
+    if min(sig.size, taps.shape[1]) == 1:
+        return MultichannelSignal(sig * taps, fs)
     n = sig.size + taps.shape[1] - 1
     nfft = fft.next_fast_len(n, True)
     spectra = fft.rfft(sig, nfft) * fft.rfft(taps, nfft, axis=-1)

@@ -81,6 +81,22 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="^DatasetConfig.snr_db must be a number or inf"):
             DatasetConfig(snr_db=snr_db)
 
+    @pytest.mark.parametrize("snr_db", [4000, -4000])
+    def test_snr_beyond_float_power_range_reported_at_root(self, snr_db):
+        # once a bare OverflowError (4000) or ZeroDivisionError (-4000) in add_noise
+        with pytest.raises(ConfigError, match="^/: DatasetConfig.snr_db must give a power ratio within"):
+            dataset_config_from_obj({"snr_db": snr_db})
+
+    @pytest.mark.parametrize("snr_db", [3000, -3000])
+    def test_extreme_snr_within_float_power_range_accepted(self, snr_db):
+        assert dataset_config_from_obj({"snr_db": snr_db}).snr_db == snr_db
+
+    @pytest.mark.parametrize("duration_s", [math.inf, math.nan])
+    def test_dataset_config_refuses_non_finite_duration(self, duration_s):
+        # inf was once a bare OverflowError in generate_example
+        with pytest.raises(ValueError, match="^DatasetConfig.duration_s must be "):
+            DatasetConfig(duration_s=duration_s)
+
     @pytest.mark.parametrize("key", ["fft_size", "n_central"])
     @pytest.mark.parametrize("parse", [dataset_config_from_obj, train_configs_from_obj])
     def test_fixed_feature_size_is_unknown_key(self, parse, key):
@@ -431,6 +447,14 @@ class TestCliCommands:
         code, _, err = run_cli(capsys, *command, "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "out"))
         assert code == 1
         assert json.loads(err) == {"error": "ConfigError", "message": "/: must be a JSON object"}
+
+    def test_snr_beyond_float_power_range_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": 1, "val": 0, "test": 0, "snr_db": 4000}))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError" and payload["message"].startswith("/: DatasetConfig.snr_db ")
 
     def test_huge_integer_literal_is_config_error(self, tmp_path, capsys):
         # beyond the 4300-digit limit json.loads raises a plain ValueError

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wasnloc import rir as rir_module
@@ -48,7 +48,7 @@ class TestSimulateRir:
         room = RoomSpec(6.0, 5.0, 3.0, 0.5)
         src = np.array([1.0, 2.5, 1.5])
         mic = np.array([4.43, 2.5, 1.5])
-        rir = simulate_rir(room, src, mic, FS, max_order=0)
+        (rir,) = simulate_rir(room, src, [mic], FS, max_order=0)
         nz = np.flatnonzero(rir.taps)
         assert nz.tolist() == [160]
         assert rir.taps[160] == pytest.approx(1.0 / (4.0 * math.pi * 3.43))
@@ -57,14 +57,14 @@ class TestSimulateRir:
         config = SceneDistribution(mic_counts=(4, 7))
         for seed in range(40):
             scene = sample_scene(config, seed)
-            mic = scene.mics.positions[seed % scene.m]
-            rir = simulate_rir(scene.room, scene.source.position, mic, FS)
-            dist = np.linalg.norm(scene.source.position - mic)
-            assert np.flatnonzero(rir.taps)[0] == int(np.rint(FS * dist / SPEED_OF_SOUND))
+            rirs = simulate_rir(scene.room, scene.source.position, scene.mics.positions, FS)
+            for mic, rir in zip(scene.mics.positions, rirs):
+                dist = np.linalg.norm(scene.source.position - mic)
+                assert np.flatnonzero(rir.taps)[0] == int(np.rint(FS * dist / SPEED_OF_SOUND))
 
     def test_length_covers_t60(self):
         room = RoomSpec(4.0, 4.0, 3.0, 0.48)
-        rir = simulate_rir(room, [1, 1, 1], [3, 2, 2], FS)
+        (rir,) = simulate_rir(room, [1, 1, 1], [[3, 2, 2]], FS)
         assert rir.taps.size >= FS * room.t60
 
     def test_mirror_symmetry_equal_first_order_delays(self):
@@ -74,7 +74,7 @@ class TestSimulateRir:
         room = RoomSpec(4.0, 4.0, 4.0, 0.4)
         src = np.array([1.5, 2.0, 2.0])
         mic = np.array([2.5, 2.0, 2.0])
-        rir = simulate_rir(room, src, mic, FS, max_order=1)
+        (rir,) = simulate_rir(room, src, [mic], FS, max_order=1)
         # image over x=0 wall: (-1.5, 2, 2) -> dist 4; image over x=4 wall:
         # (6.5, 2, 2) -> dist 4: both land on the same tap
         tap = int(np.rint(FS * 4.0 / SPEED_OF_SOUND))
@@ -86,7 +86,7 @@ class TestSimulateRir:
         room = RoomSpec(3.0, 2.5, 2.0, 0.3)
         src = np.array([1.1, 0.8, 0.7])
         mic = np.array([2.2, 1.9, 1.3])
-        rir = simulate_rir(room, src, mic, fs)
+        (rir,) = simulate_rir(room, src, [mic], fs)
 
         alpha = eyring_absorption(room)
         beta = -math.sqrt(1.0 - alpha)
@@ -121,7 +121,7 @@ class TestSimulateRir:
 
     def test_tail_energy_decreasing(self):
         room = RoomSpec(5.0, 4.0, 3.0, 0.5)
-        rir = simulate_rir(room, [1.2, 1.1, 1.4], [3.8, 2.9, 1.7], FS)
+        (rir,) = simulate_rir(room, [1.2, 1.1, 1.4], [[3.8, 2.9, 1.7]], FS)
         win = int(0.05 * FS)
         energies = [
             np.sum(rir.taps[s : s + win] ** 2) for s in range(0, rir.taps.size - win, win)
@@ -132,12 +132,12 @@ class TestSimulateRir:
     def test_degenerate_geometry(self):
         room = RoomSpec(4.0, 4.0, 3.0, 0.4)
         with pytest.raises(DegenerateGeometryError):
-            simulate_rir(room, [2, 2, 1.5], [2, 2, 1.5], FS)
+            simulate_rir(room, [2, 2, 1.5], [[2, 2, 1.5]], FS)
 
     def test_points_outside_room_rejected(self):
         room = RoomSpec(4.0, 4.0, 3.0, 0.4)
         with pytest.raises(ValueError):
-            simulate_rir(room, [5.0, 2.0, 1.5], [2, 2, 1.5], FS)
+            simulate_rir(room, [5.0, 2.0, 1.5], [[2, 2, 1.5]], FS)
 
 
 def _reference_taps(room, source, mic, fs, max_order=None, c=SPEED_OF_SOUND, chunk=2_000_000):
@@ -188,27 +188,50 @@ class TestTiledImageLoop:
         dims=st.tuples(st.floats(3.0, 6.0), st.floats(3.0, 6.0), st.floats(3.0, 6.0)),
         t60=st.floats(0.15, 0.6),
         src=st.tuples(_unit, _unit, _unit),
-        mic=st.tuples(_unit, _unit, _unit),
+        # M = 1-8 mics drawn from 4 positions, so mics often coincide
+        pool=st.lists(st.tuples(_unit, _unit, _unit), min_size=4, max_size=4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=8),
         max_order=st.sampled_from([None, 1, 2, 5]),
     )
-    def test_bit_identical_to_reference(self, dims, t60, src, mic, max_order):
+    def test_bit_identical_to_reference(self, dims, t60, src, pool, picks, max_order):
         room = RoomSpec(*dims, t60)
         src = np.array(src) * room.dims
-        mic = np.array(mic) * room.dims
-        if np.linalg.norm(src - mic) < 0.01:
-            return
-        rir = simulate_rir(room, src, mic, 8000, max_order=max_order)
-        assert np.array_equal(rir.taps, _reference_taps(room, src, mic, 8000, max_order))
+        mics = np.array(pool)[picks] * room.dims
+        assume(np.min(np.linalg.norm(mics - src, axis=1)) >= 0.01)
+        rirs = simulate_rir(room, src, mics, 8000, max_order=max_order)
+        assert len(rirs) == len(mics)
+        for mic, rir in zip(mics, rirs):
+            assert np.array_equal(rir.taps, _reference_taps(room, src, mic, 8000, max_order))
 
     @pytest.mark.parametrize("tile", [1, 10**9])
     @pytest.mark.parametrize("max_order", [None, 2])
     def test_tile_size_leaves_taps_unchanged(self, monkeypatch, tile, max_order):
         room = RoomSpec(3.7, 5.2, 2.9, 0.45)
-        src, mic = [1.1, 3.9, 1.6], [2.8, 1.3, 1.0]
-        default = simulate_rir(room, src, mic, FS, max_order=max_order)
-        monkeypatch.setattr(rir_module, "_TILE", tile)
-        tiled = simulate_rir(room, src, mic, FS, max_order=max_order)
-        assert np.array_equal(tiled.taps, default.taps)
+        src, mics = [1.1, 3.9, 1.6], [[2.8, 1.3, 1.0], [0.4, 4.8, 2.5], [2.8, 1.3, 1.0]]
+        default_tile = rir_module._TILE
+        # one summation block, then many small ones
+        for chunk in (rir_module._CHUNK, 50_000):
+            monkeypatch.setattr(rir_module, "_CHUNK", chunk)
+            monkeypatch.setattr(rir_module, "_TILE", default_tile)
+            default = simulate_rir(room, src, mics, FS, max_order=max_order)
+            monkeypatch.setattr(rir_module, "_TILE", tile)
+            tiled = simulate_rir(room, src, mics, FS, max_order=max_order)
+            for mic, a, b in zip(mics, default, tiled):
+                assert np.array_equal(b.taps, a.taps)
+                assert np.array_equal(b.taps, _reference_taps(room, src, mic, FS, max_order, chunk=chunk))
+
+    @pytest.mark.parametrize("bad", [[4.2, 1.0, 1.0], [2.0, 2.0, 0.0], [-0.1, 2.0, 1.0]])
+    def test_mic_outside_room_named(self, bad):
+        room = RoomSpec(4.0, 4.0, 3.0, 0.4)
+        mics = [[1.0, 1.0, 1.0], [3.0, 3.0, 2.0], bad, [1.5, 2.5, 1.2]]
+        with pytest.raises(ValueError, match="^mic 2 must lie strictly inside the room"):
+            simulate_rir(room, [2.0, 1.0, 1.5], mics, FS)
+
+    def test_mic_on_source_named(self):
+        room = RoomSpec(4.0, 4.0, 3.0, 0.4)
+        mics = [[1.0, 1.0, 1.0], [3.0, 3.0, 2.0], [1.0, 1.0, 1.0], [2.0, 1.0, 1.5]]
+        with pytest.raises(DegenerateGeometryError, match="^source coincides with mic 3$"):
+            simulate_rir(room, [2.0, 1.0, 1.5], mics, FS)
 
 
 class TestSchroeder:
@@ -224,7 +247,7 @@ class TestSchroeder:
 
     def test_simulated_rir_near_requested_t60(self):
         room = RoomSpec(4.5, 5.5, 3.0, 0.5)
-        rir = simulate_rir(room, [1.5, 2.0, 1.2], [3.5, 4.0, 1.8], FS)
+        (rir,) = simulate_rir(room, [1.5, 2.0, 1.2], [[3.5, 4.0, 1.8]], FS)
         assert schroeder_decay_time(rir) == pytest.approx(room.t60, rel=0.2)
 
     def test_rejects_empty(self):
