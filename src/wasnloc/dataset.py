@@ -19,6 +19,7 @@ import dataclasses
 import json
 import logging
 import math
+import sys
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -122,7 +123,7 @@ class DatasetConfig:
                 ratio = 10.0 ** (self.snr_db / 10.0)
             except OverflowError:
                 ratio = math.inf
-            if not 0.0 < ratio < math.inf:
+            if not sys.float_info.min <= ratio < math.inf:  # keeps add_noise finite
                 raise ValueError(
                     f"DatasetConfig.snr_db must give a power ratio within the float range, got {self.snr_db}"
                 )

@@ -6,9 +6,10 @@ row-major, shape (fan_in, fan_out)); ``Mlp.layers`` is the list of (W, b)
 views into it. A stack is given by its layer output sizes, a tuple such as
 ``(625, 625, 625)``; hidden layers apply ReLU, the final layer is affine
 only. Forward passes accept a single vector or a (batch, features) matrix
-and return a cache from which ``backward`` writes exact analytic gradients
-into ``Mlp.grad``, a twin of ``flat`` laid out the same way and allocated
-by the first backward pass, and returns the gradient for the input.
+and cache each layer's input; ``backward`` reads each ReLU mask from the
+next layer's input, writes exact analytic gradients into ``Mlp.grad``, a
+twin of ``flat`` laid out the same way and allocated by the first
+backward pass, and returns the gradient for the input.
 
 ``adam_step`` updates a list of such buffers in place with a learning rate
 and the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, one cache-sized tile at
@@ -114,14 +115,13 @@ class Mlp:
         if a.shape[1] != self.input_size:
             raise ValueError(f"input size {a.shape[1]} != expected {self.input_size}")
         inputs = []
-        preacts = []
-        n_layers = len(self.layers)
         for k, (w, b) in enumerate(self.layers):
             inputs.append(a)
-            z = a @ w + b
-            preacts.append(z)
-            a = np.maximum(z, 0.0) if k < n_layers - 1 else z
-        cache = {"inputs": inputs, "preacts": preacts, "squeeze": squeeze}
+            a = a @ w
+            a += b
+            if k < len(self.layers) - 1:
+                np.maximum(a, 0.0, out=a)
+        cache = {"inputs": inputs, "squeeze": squeeze}
         return (a[0] if squeeze else a), cache
 
     def backward(self, cache: dict, upstream: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -139,7 +139,8 @@ class Mlp:
         dz = upstream[None, :] if cache["squeeze"] else upstream
         for k in range(len(self.layers) - 1, -1, -1):
             if k < len(self.layers) - 1:
-                dz = dz * (cache["preacts"][k] > 0)
+                # dz is this call's own product, so it is masked in place
+                np.multiply(dz, cache["inputs"][k + 1] > 0, out=dz)
             dw, db = self._grad_layers[k]
             np.matmul(cache["inputs"][k].T, dz, out=dw)
             np.sum(dz, axis=0, out=db)

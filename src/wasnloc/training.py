@@ -10,7 +10,8 @@ its gradients into the stack's flat gradient buffer (the twin of its flat
 parameter buffer), and Adam updates the two parameter buffers from those
 in place, so a training step allocates no per-tensor gradient arrays.
 The relation stack's input gradient is never computed: nothing upstream
-of the pair features is trained. Training is deterministic given the
+of the pair features is trained. The best-validation weights are copied
+into one model held for the run. Training is deterministic given the
 seed: the same seed and data reproduce the loss history bit for bit.
 """
 
@@ -122,7 +123,8 @@ def train(
 
         if val_loss < best_val:
             best_val = val_loss
-            best_model = model.copy()
+            np.copyto(best_model.f.flat, model.f.flat)
+            np.copyto(best_model.g.flat, model.g.flat)
             stall = 0
         else:
             stall += 1

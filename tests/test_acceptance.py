@@ -157,8 +157,10 @@ def test_criterion_4_gradient_correctness():
         target = rng.standard_normal(sizes[-1])
 
         out, cache = net.forward(x)
-        # stay away from both ReLU and MAE kinks
-        if min(np.min(np.abs(p)) for p in cache["preacts"]) < kink_margin:
+        # stay away from both ReLU and MAE kinks; the cache keeps each
+        # layer's input, from which its pre-activation is recomputed
+        preacts = [a @ w + b for a, (w, b) in zip(cache["inputs"], net.layers)]
+        if min(np.min(np.abs(p)) for p in preacts) < kink_margin:
             skipped += 1
             continue
         if np.min(np.abs(out - target)) < kink_margin:

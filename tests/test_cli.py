@@ -81,9 +81,10 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="^DatasetConfig.snr_db must be a number or inf"):
             DatasetConfig(snr_db=snr_db)
 
-    @pytest.mark.parametrize("snr_db", [4000, -4000])
+    @pytest.mark.parametrize("snr_db", [4000, -4000, -3230])
     def test_snr_beyond_float_power_range_reported_at_root(self, snr_db):
-        # once a bare OverflowError (4000) or ZeroDivisionError (-4000) in add_noise
+        # once a bare OverflowError (4000) or ZeroDivisionError (-4000) in
+        # add_noise; -3230 gives a subnormal ratio, and add_noise wrote inf
         with pytest.raises(ConfigError, match="^/: DatasetConfig.snr_db must give a power ratio within"):
             dataset_config_from_obj({"snr_db": snr_db})
 

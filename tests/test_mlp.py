@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ def test_hidden_relu_clamps():
     # W0 = [[1], [-1]], b0 = [0], W1 = [[1]], b1 = [0]
     net = Mlp(2, (1, 1), np.array([1.0, -1.0, 0.0, 1.0, 0.0]))
     out, cache = net.forward(np.array([1.0, 2.0]))
-    assert cache["preacts"][0].tolist() == [[-1.0]]
+    assert cache["inputs"][1].tolist() == [[0.0]]  # relu(1 - 2)
     assert out.tolist() == [0.0]
 
 
@@ -188,10 +189,29 @@ class TestAdam:
             adam_step(state, p, [np.zeros(2), np.zeros(2)], 5e-4)
 
 
+def _reference_forward(layers, x):
+    """Frozen copy of the forward pass Mlp used to run: fresh pre-activation
+    and ReLU arrays per layer, both cached. The in-place forward must give
+    the same outputs bit for bit."""
+    x = np.asarray(x)
+    squeeze = x.ndim == 1
+    a = x[None, :] if squeeze else x
+    inputs = []
+    preacts = []
+    for k, (w, b) in enumerate(layers):
+        inputs.append(a)
+        z = a @ w + b
+        preacts.append(z)
+        a = np.maximum(z, 0.0) if k < len(layers) - 1 else z
+    cache = {"inputs": inputs, "preacts": preacts, "squeeze": squeeze}
+    return (a[0] if squeeze else a), cache
+
+
 def _reference_backward(layers, cache, upstream):
-    """Frozen copy of the per-layer backward pass Mlp used to run: fresh
-    (dW, db) arrays per layer and the input gradient. The flat-buffer
-    backward must write the same gradients bit for bit."""
+    """Frozen copy of the per-layer backward pass Mlp used to run, on a
+    :func:`_reference_forward` cache: fresh (dW, db) arrays per layer and
+    the input gradient, ReLU masks read from the cached pre-activations.
+    The flat-buffer backward must write the same gradients bit for bit."""
     upstream = np.asarray(upstream)
     dz = upstream[None, :] if cache["squeeze"] else upstream
     grads = [None] * len(layers)
@@ -251,8 +271,10 @@ class TestFlatBufferReference:
                 shape = (input_size,) if rows == 0 else (rows, input_size)
                 x = rng.standard_normal(shape).astype(dtype)
                 out, cache = net.forward(x)
-                ref_out, ref_cache = ref.forward(x)
+                ref_out, ref_cache = _reference_forward(ref.layers, x)
                 assert np.array_equal(out, ref_out)
+                for got, want in zip(cache["inputs"], ref_cache["inputs"]):
+                    assert np.array_equal(got, want)
                 upstream = rng.standard_normal(out.shape).astype(dtype)
                 want_input = step % 2 == 0
                 d_input = net.backward(cache, upstream, input_grad=want_input)
@@ -267,3 +289,50 @@ class TestFlatBufferReference:
                 assert np.array_equal(net.flat, ref.flat)
                 assert np.array_equal(state.m[0], _flat(ref_state["m"]))
                 assert np.array_equal(state.v[0], _flat(ref_state["v"]))
+
+
+def _snapshot(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+# Values whose ReLU mask is easy to get wrong: signed zeros and NaN.
+_EDGE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, math.nan]), st.floats(-3.0, 3.0, width=32))
+
+
+class TestInPlaceForwardBackward:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        input_size=st.integers(1, 6),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        rows=st.integers(0, 4),  # 0: a single vector
+        dtype=st.sampled_from([np.float32, np.float64]),
+        values=st.lists(_EDGE_VALUES, min_size=64, max_size=64),
+        pokes=st.lists(st.tuples(st.integers(0, 10**6), _EDGE_VALUES), max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mutates_nothing_and_matches_reference(self, input_size, sizes, rows, dtype, values, pokes, seed):
+        net = Mlp.init_random(input_size, tuple(sizes), np.random.default_rng(seed), dtype=dtype)
+        for index, value in pokes:  # zero, signed-zero or NaN parameters
+            net.flat[index % net.flat.size] = value
+        pool = np.resize(np.array(values, dtype=dtype), 2 * 4 * 6)
+        shape = (input_size,) if rows == 0 else (rows, input_size)
+        x = pool[: math.prod(shape)].reshape(shape)
+        x_before = _snapshot([x])
+
+        out, cache = net.forward(x)
+        ref_out, ref_cache = _reference_forward(net.layers, x)
+        assert np.array_equal(out, ref_out, equal_nan=True)
+        upstream = pool[-out.size :].reshape(out.shape)
+        before = _snapshot([x, upstream, *cache["inputs"]])
+
+        d_input = net.backward(cache, upstream)
+        grad = net.grad.copy()
+        ref_grads, ref_d_input = _reference_backward(net.layers, ref_cache, upstream)
+        assert np.array_equal(grad, _flat(p for layer in ref_grads for p in layer), equal_nan=True)
+        assert np.array_equal(d_input, ref_d_input, equal_nan=True)
+
+        again = net.backward(cache, upstream)
+        assert np.array_equal(net.grad, grad, equal_nan=True)
+        assert np.array_equal(again, d_input, equal_nan=True)
+        assert _snapshot([x]) == x_before
+        assert _snapshot([x, upstream, *cache["inputs"]]) == before

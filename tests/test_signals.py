@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
+from wasnloc.dataset import DatasetConfig
 from wasnloc.rir import SPEED_OF_SOUND, simulate_rir
 from wasnloc.scenes import MicArray, RoomSpec, Scene, SourceSpec
 from wasnloc.signals import (
@@ -113,6 +114,23 @@ class TestAuralize:
 
 
 class TestAddNoise:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        snr_db=st.floats(-4000.0, 4000.0),
+        samples=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(snr_db=-3076.5, samples=[1.0], seed=0)  # about the lowest accepted SNR
+    @example(snr_db=-3230.0, samples=[0.03] * 4, seed=0)  # once accepted, and gave inf
+    def test_accepted_snr_keeps_unit_power_noise_finite(self, snr_db, samples, seed):
+        try:
+            snr_db = DatasetConfig(snr_db=snr_db).snr_db
+        except ValueError:
+            assume(False)
+        clean = MultichannelSignal(np.array([samples]), FS)
+        assume(np.mean(clean.channels**2) > 0.0)  # add_noise refuses a silent channel
+        assert np.isfinite(add_noise(clean, snr_db, seed).channels).all()
+
     def test_snr_calibration(self):
         rng = np.random.default_rng(4)
         clean = MultichannelSignal(rng.standard_normal((3, 8000)), FS)

@@ -1,14 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from test_mlp import _reference_adam_step, _reference_backward
+from test_mlp import _reference_adam_step, _reference_backward, _reference_forward
 
-from wasnloc.relnet import RelNetConfig, RelNetModel, forward_batch, mae_loss, relnet_forward_features
+from wasnloc import training
+from wasnloc.relnet import RelNetConfig, RelNetModel, mae_loss, relnet_forward_features
 from wasnloc.training import (
     EpochStats,
     FeatureExample,
     TrainConfig,
     TrainingDivergedError,
-    _dataset_loss,
     train,
     write_history_csv,
 )
@@ -38,6 +40,18 @@ def synthetic_dataset(config, count, seed, pairs=(3, 6)):
     return examples
 
 
+def noise_dataset(config, count, seed):
+    """Unlearnable validation noise: its loss stops improving quickly."""
+    rng = np.random.default_rng(seed)
+    return [
+        FeatureExample(
+            rng.uniform(0, 1, (4, config.input_size)).astype(np.float32),
+            rng.uniform(0, 1, config.grid_n**2).astype(np.float32),
+        )
+        for _ in range(count)
+    ]
+
+
 class TestTrain:
     def test_overfit_small_set_halves_loss(self):
         config = tiny_config()
@@ -51,15 +65,7 @@ class TestTrain:
         config = tiny_config()
         model = RelNetModel.init_random(config, rng_seed=1)
         train_set = synthetic_dataset(config, 16, seed=2)
-        # unlearnable validation noise: val loss stops improving quickly
-        rng = np.random.default_rng(3)
-        val_set = [
-            FeatureExample(
-                rng.uniform(0, 1, (4, config.input_size)).astype(np.float32),
-                rng.uniform(0, 1, config.grid_n**2).astype(np.float32),
-            )
-            for _ in range(8)
-        ]
+        val_set = noise_dataset(config, 8, seed=3)
         cfg = TrainConfig(lr=5e-4, batch_size=8, max_epochs=100, patience=3, seed=0)
         best, history = train(model, train_set, val_set, cfg)
         assert len(history) < 100
@@ -127,10 +133,32 @@ def test_history_csv(tmp_path):
     assert len(lines) == 3
 
 
+def _reference_forward_batch(model, features):
+    """Frozen copy of relnet.forward_batch on the frozen per-layer forward."""
+    counts = np.array([x.shape[0] for x in features])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    relations, f_cache = _reference_forward(model.f.layers, np.vstack(features))
+    sizes = counts[:, None].astype(relations.dtype)
+    pooled = np.add.reduceat(relations, starts, axis=0) / sizes
+    preds, g_cache = _reference_forward(model.g.layers, pooled)
+    return preds, (f_cache, g_cache, counts, sizes)
+
+
+def _reference_dataset_loss(model, dataset, batch_size):
+    total = 0.0
+    for start in range(0, len(dataset), batch_size):
+        batch = dataset[start : start + batch_size]
+        preds, _ = _reference_forward_batch(model, [ex.features for ex in batch])
+        loss, _ = mae_loss(preds, np.vstack([ex.target for ex in batch]))
+        total += loss * len(batch)
+    return total / len(dataset)
+
+
 def test_history_matches_per_layer_reference():
     """Criterion 8's architecture and settings on synthetic data: the loss
     history and the final weights equal those of the training loop run on
-    the frozen per-layer backward pass and per-tensor Adam, bit for bit."""
+    the frozen per-layer forward and backward passes and per-tensor Adam,
+    bit for bit."""
     config = RelNetConfig(feature_kind="slf", grid_n=10, f_layer_sizes=(64, 100), g_layer_sizes=(64, 100))
     train_set = synthetic_dataset(config, 6, seed=7)
     val_set = synthetic_dataset(config, 3, seed=8)
@@ -148,7 +176,7 @@ def test_history_matches_per_layer_reference():
         running = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[k] for k in order[start : start + cfg.batch_size]]
-            preds, (f_cache, g_cache, counts, sizes) = forward_batch(ref, [ex.features for ex in batch])
+            preds, (f_cache, g_cache, counts, sizes) = _reference_forward_batch(ref, [ex.features for ex in batch])
             loss, d_preds = mae_loss(preds, np.vstack([ex.target for ex in batch]))
             running += loss * len(batch)
             g_grads, d_pooled = _reference_backward(ref.g.layers, g_cache, d_preds)
@@ -156,7 +184,45 @@ def test_history_matches_per_layer_reference():
             f_grads, _ = _reference_backward(ref.f.layers, f_cache, d_relations)
             grads = [p for layer in f_grads + g_grads for p in layer]
             _reference_adam_step(state, params, grads, cfg.lr)
-        ref_history.append((epoch, running / len(train_set), _dataset_loss(ref, val_set, cfg.batch_size)))
+        ref_history.append((epoch, running / len(train_set), _reference_dataset_loss(ref, val_set, cfg.batch_size)))
 
     assert [(h.epoch, h.train_loss, h.val_loss) for h in history] == ref_history
     assert np.array_equal(model.f.flat, ref.f.flat) and np.array_equal(model.g.flat, ref.g.flat)
+
+
+def test_best_weights_buffer_is_the_best_epochs_own():
+    """The returned model holds the weights of the best validation epoch,
+    not the last, in buffers shared with nothing; train copies the model
+    once per call however many epochs improve."""
+    config = tiny_config()
+    train_set = synthetic_dataset(config, 16, seed=2)
+    val_set = noise_dataset(config, 8, seed=3)
+    cfg = TrainConfig(lr=1e-3, batch_size=8, max_epochs=30, patience=3, seed=0)
+    model = RelNetModel.init_random(config, rng_seed=1)
+    snapshots = []  # the trained weights at each epoch's validation
+    real_loss = training._dataset_loss
+
+    def loss_and_snapshot(m, *args):
+        snapshots.append((m.f.flat.copy(), m.g.flat.copy()))
+        return real_loss(m, *args)
+
+    with mock.patch.object(training, "_dataset_loss", loss_and_snapshot), mock.patch.object(
+        RelNetModel, "copy", autospec=True, side_effect=RelNetModel.copy
+    ) as copy_spy:
+        best, history = train(model, train_set, val_set, cfg)
+    losses = [h.val_loss for h in history]
+    best_epoch = losses.index(min(losses))
+    improving = sum(loss < min(losses[:k], default=np.inf) for k, loss in enumerate(losses))
+    assert best_epoch < len(history) - 1 and improving > 1  # the case the held buffer is for
+    assert copy_spy.call_count == 1
+    assert np.array_equal(best.f.flat, snapshots[best_epoch][0])
+    assert np.array_equal(best.g.flat, snapshots[best_epoch][1])
+    assert not np.array_equal(model.f.flat, best.f.flat)
+
+    trained = model.f.flat.copy(), model.g.flat.copy()
+    best.f.flat[:] = 1.0
+    best.g.flat[:] = 1.0
+    assert np.array_equal(model.f.flat, trained[0]) and np.array_equal(model.g.flat, trained[1])
+    model.f.flat[:] = 0.0
+    model.g.flat[:] = 0.0
+    assert (best.f.flat == 1.0).all() and (best.g.flat == 1.0).all()
