@@ -62,6 +62,7 @@ from .signals import (
     write_wav,
 )
 from .training import FeatureExample
+from .typedjson import ConfigError, build, loads
 
 logger = logging.getLogger(__name__)
 
@@ -108,9 +109,10 @@ class DatasetConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name, low in (("grid_n", 2), ("workers", 1), ("train", 0), ("val", 0), ("test", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"DatasetConfig.{name} must be >= {low}, got {getattr(self, name)}")
+        for name, low in (("grid_n", 2), ("workers", 1), ("train", 0), ("val", 0), ("test", 0), ("max_order", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:  # max_order None: no cap
+                raise ValueError(f"DatasetConfig.{name} must be >= {low}, got {value}")
         for name in ("fs", "duration_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"DatasetConfig.{name} must be > 0, got {getattr(self, name)}")
@@ -234,44 +236,57 @@ def _config_to_json(config: DatasetConfig) -> dict:
     return obj
 
 
-# Fields every manifest entry must carry, with the JSON type each must have.
-_ENTRY_FIELDS = {"dir": str, "m": int, "room": list, "source_xy": list}
+@dataclass(frozen=True)
+class _Entry:
+    """One manifest entry, as split_entries checks it."""
+
+    dir: str
+    m: int
+    room: tuple[float, float, float]
+    t60: float
+    source_xy: tuple[float, float]
+    seed: int
+
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError(f"m must be >= 2, got {self.m}")
+
+
+@dataclass(frozen=True)
+class _Split:
+    count: int
+    examples: tuple[_Entry, ...]
 
 
 def load_manifest(data_dir) -> dict:
-    """The dataset's manifest. Invalid JSON, another version, or a missing or
-    mistyped field raises ValueError naming the manifest file and the field."""
+    """The dataset's manifest. Invalid JSON, another version or no splits
+    object raises ValueError naming the manifest file and the JSON pointer
+    of the field; each split is checked when split_entries reads it."""
     path = Path(data_dir) / MANIFEST_NAME
     try:
-        manifest = json.loads(path.read_text())
-    except ValueError as exc:  # also bad UTF-8 and integer literals beyond the digit limit
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or "version" not in manifest:
-        raise ValueError(f"{path}: manifest has no field 'version'")
-    if manifest["version"] != MANIFEST_VERSION:
-        raise ValueError(f"{path}: unsupported manifest version {manifest['version']!r}")
-    if not isinstance(manifest.get("splits"), dict):
-        raise ValueError(f"{path}: field 'splits' is missing or not an object")
-    for name, split in manifest["splits"].items():
-        if not isinstance(split, dict) or not isinstance(split.get("examples"), list):
-            raise ValueError(f"{path}: field 'splits.{name}.examples' is missing or not a list")
-        for k, entry in enumerate(split["examples"]):
-            for key, kind in _ENTRY_FIELDS.items():
-                if not isinstance(entry, dict) or not isinstance(entry.get(key), kind):
-                    raise ValueError(
-                        f"{path}: field 'splits.{name}.examples[{k}].{key}' is missing or not {kind.__name__}"
-                    )
+        manifest = loads(path.read_bytes())
+        if not isinstance(manifest, dict):
+            raise ConfigError("/: must be a JSON object")
+        if manifest.get("version") != MANIFEST_VERSION:
+            raise ConfigError(f"/version: unsupported manifest version {manifest.get('version')!r}")
+        if not isinstance(manifest.get("splits"), dict):
+            raise ConfigError("/splits: missing or not an object")
+    except ConfigError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return manifest
 
 
 def split_entries(data_dir, manifest: dict, split: str) -> list[dict]:
-    """The manifest entries of one split; ValueError naming the manifest if
-    it has no such split."""
+    """The manifest entries of one split, checked against _Split and
+    _Entry; ValueError naming the manifest and the JSON pointer of the
+    first bad field, or the split if the manifest has no such split."""
+    path = Path(data_dir) / MANIFEST_NAME
     if split not in manifest["splits"]:
-        raise ValueError(
-            f"{Path(data_dir) / MANIFEST_NAME}: no split {split!r}, "
-            f"the manifest has {sorted(manifest['splits'])}"
-        )
+        raise ValueError(f"{path}: no split {split!r}, the manifest has {sorted(manifest['splits'])}")
+    try:
+        build(_Split, manifest["splits"][split], ["splits", split])
+    except ConfigError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return manifest["splits"][split]["examples"]
 
 
@@ -346,7 +361,7 @@ def load_example_dir(example_dir) -> tuple[MultichannelSignal, Scene]:
     example_dir = Path(example_dir)
     scene_path = example_dir / "scene.json"
     try:
-        scene = scene_from_json(scene_path.read_text())
+        scene = scene_from_json(scene_path.read_bytes())
     except ValueError as exc:
         raise ValueError(f"{scene_path}: {exc}") from exc
     expected = {f"ch_{k:02d}.wav" for k in range(scene.m)}

@@ -215,15 +215,18 @@ def heatmap_to_csv(values: np.ndarray, grid: Grid, path) -> None:
 
 
 def heatmap_from_csv(path) -> np.ndarray:
-    rows = []
+    """The cells of a heatmap_to_csv file, row by row; ValueError naming the
+    file unless it holds a square grid of finite numbers."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    mat = np.asarray(rows, dtype=float)
+        try:
+            mat = np.array([[float(tok) for tok in line.split(",")] for line in fh if line.strip()])
+        except ValueError as exc:  # a token that is not a number, or a ragged row
+            raise ValueError(f"{path}: {exc}") from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{path}: expected a square heatmap, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        row, col = np.argwhere(~np.isfinite(mat))[0]
+        raise ValueError(f"{path}: cell ({row}, {col}) is {mat[row, col]}, expected a finite number")
     return mat.ravel()
 
 

@@ -5,11 +5,11 @@ buffer, ``Mlp.flat``, holding W0, b0, W1, b1, ... back to back (each W
 row-major, shape (fan_in, fan_out)); ``Mlp.layers`` is the list of (W, b)
 views into it. A stack is given by its layer output sizes, a tuple such as
 ``(625, 625, 625)``; hidden layers apply ReLU, the final layer is affine
-only. Forward passes accept a single vector or a (batch, features) matrix
-and cache each layer's input; ``backward`` reads each ReLU mask from the
-next layer's input, writes exact analytic gradients into ``Mlp.grad``, a
-twin of ``flat`` laid out the same way and allocated by the first
-backward pass, and returns the gradient for the input.
+only. Forward passes take a (batch, features) matrix and cache each
+layer's input; ``backward`` reads each ReLU mask from the next layer's
+input, writes exact analytic gradients into ``Mlp.grad``, a twin of
+``flat`` laid out the same way and allocated by the first backward pass,
+and returns the gradient for the input.
 
 ``adam_step`` updates a list of such buffers in place with a learning rate
 and the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, one cache-sized tile at
@@ -105,15 +105,11 @@ class Mlp:
         return self.sizes[-1]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Run the stack; returns (output, cache) with cache for backward.
-
-        x may be (input_size,) or (batch, input_size); the output matches.
-        """
-        x = np.asarray(x)
-        squeeze = x.ndim == 1
-        a = x[None, :] if squeeze else x
-        if a.shape[1] != self.input_size:
-            raise ValueError(f"input size {a.shape[1]} != expected {self.input_size}")
+        """Run the stack on a (batch, input_size) x; returns the (batch,
+        output_size) output and the cache for backward."""
+        a = np.asarray(x)
+        if a.ndim != 2 or a.shape[1] != self.input_size:
+            raise ValueError(f"input shape {a.shape} != expected (batch, {self.input_size})")
         inputs = []
         for k, (w, b) in enumerate(self.layers):
             inputs.append(a)
@@ -121,8 +117,7 @@ class Mlp:
             a += b
             if k < len(self.layers) - 1:
                 np.maximum(a, 0.0, out=a)
-        cache = {"inputs": inputs, "squeeze": squeeze}
-        return (a[0] if squeeze else a), cache
+        return a, {"inputs": inputs}
 
     def backward(self, cache: dict, upstream: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Write the parameter gradients of a cached forward into ``grad``.
@@ -135,8 +130,7 @@ class Mlp:
         if self.grad is None:
             self.grad = np.empty_like(self.flat)
             self._grad_layers = _views(self.grad, layer_shapes(self.input_size, self.sizes))
-        upstream = np.asarray(upstream)
-        dz = upstream[None, :] if cache["squeeze"] else upstream
+        dz = np.asarray(upstream)
         for k in range(len(self.layers) - 1, -1, -1):
             if k < len(self.layers) - 1:
                 # dz is this call's own product, so it is masked in place
@@ -147,7 +141,7 @@ class Mlp:
             if k == 0 and not input_grad:
                 return None
             dz = dz @ self.layers[k][0].T
-        return dz[0] if cache["squeeze"] else dz
+        return dz
 
     def copy(self) -> "Mlp":
         """The parameters only; the copy allocates its own ``grad`` if trained."""

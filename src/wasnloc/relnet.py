@@ -48,7 +48,7 @@ from .features import (
 from .mlp import Mlp, layer_shapes
 from .scenes import Scene, pair_metadata_vector
 from .signals import MultichannelSignal
-from .typedjson import ConfigError, convert
+from .typedjson import ConfigError, build, loads
 
 PAIR_METADATA_SIZE = 9
 # Version 2: pairs are mean-pooled and SLF rows min-max scaled per pair;
@@ -246,14 +246,8 @@ def save_checkpoint(model: RelNetModel, path) -> None:
     the blob), then the flat parameter buffers of F and G back to back.
     """
     blob = b"".join(np.ascontiguousarray(p, dtype="<f4").tobytes() for p in model.parameters())
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "fft_size": DEFAULT_FFT_SIZE,
-        "n_central": DEFAULT_N_CENTRAL,
-        "config": asdict(model.config),
-        "blob_crc32": zlib.crc32(blob),
-    }
-    payload = json.dumps(header).encode("utf-8")
+    header = _Header(CHECKPOINT_VERSION, DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, model.config, zlib.crc32(blob))
+    payload = json.dumps(asdict(header)).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(np.uint32(len(payload)).tobytes())
@@ -261,38 +255,35 @@ def save_checkpoint(model: RelNetModel, path) -> None:
         fh.write(blob)
 
 
-# Each header field and the type the config walker reads it as; the first
-# three must hold these values.
-_HEADER_TYPES = {"version": int, "fft_size": int, "n_central": int, "config": RelNetConfig, "blob_crc32": int}
-_HEADER_VALUES = {"version": CHECKPOINT_VERSION, "fft_size": DEFAULT_FFT_SIZE, "n_central": DEFAULT_N_CENTRAL}
+@dataclass(frozen=True)
+class _Header:
+    """A checkpoint's JSON header, field for field."""
+
+    version: int
+    fft_size: int
+    n_central: int
+    config: RelNetConfig
+    blob_crc32: int
 
 
-def _read_header(payload: bytes) -> dict:
-    """The header's fields, each read by the config walker; ConfigError at
-    the pointer of the first one that is missing, unknown, ill-typed or not
-    its fixed value. The version is checked first, so a file of another
-    version is refused as such. Every RelNetConfig field must be present:
-    a default could differ from the one the model was saved with."""
-    try:
-        header = json.loads(payload.decode("utf-8"))
-    except ValueError as exc:  # also bad UTF-8 and integer literals beyond the digit limit
-        raise ConfigError(f"/: not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ConfigError("/: must be a JSON object")
-    values = {}
-    for key, tp in _HEADER_TYPES.items():
-        if key not in header:
-            raise ConfigError(f"/{key}: missing")
-        value = header[key]
-        if tp is RelNetConfig and isinstance(value, dict):
-            for field in fields(RelNetConfig):
-                if field.name not in value:
-                    raise ConfigError(f"/{key}/{field.name}: missing")
-        values[key] = convert(tp, value, [key])
-        if key in _HEADER_VALUES and values[key] != _HEADER_VALUES[key]:
-            raise ConfigError(f"/{key}: {key} {values[key]}, expected {_HEADER_VALUES[key]}")
-    for key in header.keys() - values.keys():
-        raise ConfigError(f"/{key}: unknown key")
+def _read_header(payload: bytes) -> _Header:
+    """The header read by the config walker; ConfigError at the pointer of
+    the first field that is missing, unknown, ill-typed or not its fixed
+    value (version, fft_size, n_central). The version is checked first, so
+    a file of another version is refused as such. Every RelNetConfig field
+    must be present: a default could differ from the one the model was
+    saved with."""
+    header = loads(payload)
+    if isinstance(header, dict) and header.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(f"/version: version {header.get('version')!r}, expected {CHECKPOINT_VERSION}")
+    config = header.get("config") if isinstance(header, dict) else None
+    missing = [f.name for f in fields(RelNetConfig) if isinstance(config, dict) and f.name not in config]
+    if missing:
+        raise ConfigError(f"/config/{missing[0]}: missing")
+    values = build(_Header, header, [])
+    for key, want in (("fft_size", DEFAULT_FFT_SIZE), ("n_central", DEFAULT_N_CENTRAL)):
+        if getattr(values, key) != want:
+            raise ConfigError(f"/{key}: {key} {getattr(values, key)}, expected {want}")
     return values
 
 
@@ -315,14 +306,14 @@ def load_checkpoint(path) -> RelNetModel:
         header = _read_header(data[8 : 8 + header_len])
     except ConfigError as exc:
         raise CheckpointError(f"{path}: header {exc}") from exc
-    config = header["config"]
+    config = header.config
     f = Mlp.empty(config.input_size, config.f_layer_sizes)
     g = Mlp.empty(f.output_size, config.g_layer_sizes)
     blob = data[8 + header_len :]
     n_bytes = 4 * (f.flat.size + g.flat.size)
     if len(blob) != n_bytes:
         raise CheckpointError(f"{path}: blob is {len(blob)} bytes, header field 'config' gives {n_bytes}")
-    if zlib.crc32(blob) != header["blob_crc32"]:
+    if zlib.crc32(blob) != header.blob_crc32:
         raise CheckpointError(f"{path}: checksum failure against header field 'blob_crc32'")
     flat = np.frombuffer(blob, dtype="<f4")
     f.flat[...] = flat[: f.flat.size]

@@ -11,9 +11,11 @@ and are safe to share between workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+
+from .typedjson import ConfigError, build, loads
 
 DEFAULT_MIN_SEPARATION = 0.5
 # Candidate draws per scene before sample_scene gives up on placement.
@@ -184,71 +186,43 @@ def pair_metadata_vector(p_i: np.ndarray, p_j: np.ndarray, room_dims: np.ndarray
     return np.hstack([p_i / dims, p_j / dims, np.broadcast_to(dims / 10.0, np.shape(p_i))])
 
 
+@dataclass(frozen=True)
+class _SourceDoc:
+    position: tuple[float, float, float]
+    signal_id: str
+
+
+@dataclass(frozen=True)
+class _SceneDoc:
+    """The layout of scene.json, read and written field for field."""
+
+    version: int
+    seed: int
+    room: RoomSpec
+    mics: tuple[tuple[float, float, float], ...]
+    source: _SourceDoc
+
+
 def scene_to_json(scene: Scene) -> str:
     """Serialize a scene to a canonical JSON document (stable key order)."""
-    obj = {
-        "version": SCENE_JSON_VERSION,
-        "seed": scene.seed,
-        "room": {
-            "width": scene.room.width,
-            "length": scene.room.length,
-            "height": scene.room.height,
-            "t60": scene.room.t60,
-        },
-        "mics": [[float(c) for c in p] for p in scene.mics.positions],
-        "source": {
-            "position": [float(c) for c in scene.source.position],
-            "signal_id": scene.source.signal_id,
-        },
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    mics = tuple(tuple(map(float, p)) for p in scene.mics.positions)
+    source = _SourceDoc(tuple(map(float, scene.source.position)), scene.source.signal_id)
+    doc = _SceneDoc(SCENE_JSON_VERSION, scene.seed, scene.room, mics, source)
+    return json.dumps(asdict(doc), indent=2) + "\n"
 
 
-def _json_field(obj: dict, key: str, kind: type, where: str = ""):
-    """obj[key] checked to be a kind (float accepts any JSON number)."""
-    field = f"{where}.{key}" if where else key
-    if key not in obj:
-        raise ValueError(f"scene JSON has no field {field!r}")
-    value = obj[key]
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"scene JSON field {field!r} is {value!r}, expected {kind.__name__}")
-    return float(value) if kind is float else value
-
-
-def _json_points(obj: dict, key: str, ndim: int, where: str = "") -> np.ndarray:
-    """obj[key] as one 3-D point (ndim 1) or a non-empty (N, 3) array (ndim 2)."""
-    field = f"{where}.{key}" if where else key
-    value = _json_field(obj, key, list, where)
-    try:
-        points = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"scene JSON field {field!r} is not numeric: {exc}") from exc
-    if points.ndim != ndim or points.shape[-1] != 3 or points.size == 0:
-        raise ValueError(f"scene JSON field {field!r} has shape {points.shape}, expected 3-D points")
-    return points
-
-
-def scene_from_json(text: str) -> Scene:
-    """Parse a scene_to_json document; ValueError naming any bad field."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("scene JSON is not an object")
-    if obj.get("version") != SCENE_JSON_VERSION:
-        raise ValueError(f"unsupported scene JSON version {obj.get('version')!r}")
-    room = _json_field(obj, "room", dict)
-    source = _json_field(obj, "source", dict)
-    return Scene(
-        room=RoomSpec(
-            *(_json_field(room, k, float, "room") for k in ("width", "length", "height", "t60"))
-        ),
-        mics=MicArray(_json_points(obj, "mics", 2)),
-        source=SourceSpec(
-            _json_points(source, "position", 1, "source"),
-            signal_id=_json_field(source, "signal_id", str, "source"),
-        ),
-        seed=_json_field(obj, "seed", int),
-    )
+def scene_from_json(text: str | bytes) -> Scene:
+    """Parse a scene_to_json document; ConfigError at the JSON pointer of
+    the first bad field. Another version is refused before any other field
+    is read."""
+    obj = loads(text)
+    if isinstance(obj, dict) and obj.get("version") != SCENE_JSON_VERSION:
+        raise ConfigError(f"/version: unsupported scene JSON version {obj.get('version')!r}")
+    doc = build(_SceneDoc, obj, [])
+    if not doc.mics:
+        raise ConfigError("/mics: expected at least one mic")
+    source = SourceSpec(np.array(doc.source.position), doc.source.signal_id)
+    return Scene(room=doc.room, mics=MicArray(np.array(doc.mics)), source=source, seed=doc.seed)
 
 
 def with_signal_id(scene: Scene, signal_id: str) -> Scene:

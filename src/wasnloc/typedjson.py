@@ -1,14 +1,17 @@
-"""JSON values read into typed dataclasses, checked against the field types.
+"""JSON artifacts read into typed dataclasses, checked against the field types.
 
-One walker, driven by ``typing.get_type_hints``, reads every JSON artifact
-that holds a config: the CLI's config files and a checkpoint's header.
-Errors are :class:`ConfigError` whose message starts with the JSON pointer
-of the offending value.
+:func:`loads` is the package's one JSON decoder, and one walker, driven by
+``typing.get_type_hints``, reads every JSON artifact into dataclasses: the
+CLI's config files, a checkpoint's header, each example's scene.json and
+the entries of a dataset's manifest. Errors are :class:`ConfigError` whose
+message starts with the JSON pointer of the offending value.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import json
 import math
 import types
 import typing
@@ -20,6 +23,15 @@ class ConfigError(ValueError):
 
 def _pointer(path: list[str]) -> str:
     return "/" + "/".join(path)
+
+
+def loads(text: str | bytes):
+    """The JSON value of text (bytes are decoded as UTF-8); ConfigError at
+    / if it is not valid JSON."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:  # also bad UTF-8 and integer literals beyond the digit limit
+        raise ConfigError(f"/: not valid JSON: {exc}") from exc
 
 
 # The JSON values each scalar field type takes, and how an error names them.
@@ -36,10 +48,10 @@ def convert(tp, value, path: list[str]):
     not of that type. An int takes a JSON integer, a float any finite JSON
     number (never NaN or Infinity, which Python's json module reads), a
     bool true or false, a str a string (a bool is never a number); a
-    tuple a list of the right length, a Literal one of its values, X | None
-    null or an X, a dataclass an object (:func:`build`). Any other type
-    raises TypeError, so a new config field cannot go unchecked."""
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    tuple a list of the right length, each entry converted at its own
+    pointer (path/k), a Literal one of its values, X | None null or an X, a
+    dataclass an object (:func:`build`). Any other type raises TypeError,
+    so a new config field cannot go unchecked."""
     if tp in _SCALARS:
         accepted, expected = _SCALARS[tp]
         if isinstance(value, accepted) and (tp is bool or not isinstance(value, bool)):
@@ -52,37 +64,50 @@ def convert(tp, value, path: list[str]):
             expected = "a finite number"
     elif dataclasses.is_dataclass(tp):
         return build(tp, value, path)
-    elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        inner = args[0] if args[1] is type(None) else args[1]
-        return None if value is None else convert(inner, value, path)
-    elif origin is typing.Literal:
-        if any(type(value) is type(a) and value == a for a in args):
-            return value
-        expected = f"one of {args}"
-    elif origin is tuple:
-        variadic = args[-1:] == (Ellipsis,)
-        if isinstance(value, list) and (variadic or len(value) == len(args)):
-            items = args[:1] * len(value) if variadic else args
-            return tuple(convert(t, v, path) for t, v in zip(items, value))
-        expected = "a list" if variadic else f"a list of {len(args)} entries"
     else:
-        raise TypeError(f"{_pointer(path)}: no JSON rule for the type {tp!r}")
+        origin, args = typing.get_origin(tp), typing.get_args(tp)
+        if origin is tuple:
+            variadic = args[-1:] == (Ellipsis,)
+            if isinstance(value, list) and (variadic or len(value) == len(args)):
+                items = args[:1] * len(value) if variadic else args
+                return tuple(convert(t, v, path + [str(k)]) for k, (t, v) in enumerate(zip(items, value)))
+            expected = "a list" if variadic else f"a list of {len(args)} entries"
+        elif origin is typing.Literal:
+            if any(type(value) is type(a) and value == a for a in args):
+                return value
+            expected = f"one of {args}"
+        elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+            inner = args[0] if args[1] is type(None) else args[1]
+            return None if value is None else convert(inner, value, path)
+        else:
+            raise TypeError(f"{_pointer(path)}: no JSON rule for the type {tp!r}")
     raise ConfigError(f"{_pointer(path)}: expected {expected}, got {value!r}")
+
+
+@functools.cache
+def _fields(cls) -> tuple[dict, list[str]]:
+    """cls's field types by name, and the names of the fields with no default."""
+    hints = typing.get_type_hints(cls)
+    return hints, [f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is dataclasses.MISSING]
 
 
 def build(cls, obj, path: list[str]):
     """The dataclass cls from a JSON object whose keys name its fields,
-    each value converted by :func:`convert` with its field's type. A bad key
-    or value, or a value the dataclass rejects, raises ConfigError at its
-    path."""
+    each value converted by :func:`convert` with its field's type. An
+    unknown key, a bad value or a missing field with no default raises
+    ConfigError at its own pointer, a value the dataclass rejects at the
+    object's."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{_pointer(path)}: must be a JSON object")
-    hints = typing.get_type_hints(cls)  # field name -> type
+    hints, required = _fields(cls)
     kwargs = {}
     for key, value in obj.items():
         if key not in hints:
             raise ConfigError(f"{_pointer(path + [key])}: unknown key")
         kwargs[key] = convert(hints[key], value, path + [key])
+    for key in required:
+        if key not in kwargs:
+            raise ConfigError(f"{_pointer(path + [key])}: missing")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -153,8 +153,8 @@ def test_criterion_4_gradient_correctness():
         sizes = tuple(int(s) for s in rng.integers(4, 12, size=3))
         input_size = int(rng.integers(4, 12))
         net = Mlp.init_random(input_size, sizes, rng, dtype=np.float64)
-        x = rng.standard_normal(input_size)
-        target = rng.standard_normal(sizes[-1])
+        x = rng.standard_normal((1, input_size))
+        target = rng.standard_normal((1, sizes[-1]))
 
         out, cache = net.forward(x)
         # stay away from both ReLU and MAE kinks; the cache keeps each

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import TINY_GRID_N, tiny_dataset_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wasnloc
 from wasnloc.cli import ConfigError, dataset_config_from_obj, main, train_configs_from_obj
 from wasnloc.dataset import DatasetConfig, _config_to_json
 from wasnloc.relnet import RelNetConfig
@@ -158,10 +160,10 @@ class TestConfigParsing:
             (dataset_config_from_obj, {"duration_s": 10**400}, "/duration_s"),
             (dataset_config_from_obj, {"scene": {"min_separation": "x"}}, "/scene/min_separation"),
             (dataset_config_from_obj, {"precompute_features": "no"}, "/precompute_features"),
-            (dataset_config_from_obj, {"scene": {"t60_range": ["0.3", 0.6]}}, "/scene/t60_range"),
+            (dataset_config_from_obj, {"scene": {"t60_range": ["0.3", 0.6]}}, "/scene/t60_range/0"),
             (dataset_config_from_obj, {"max_order": "3"}, "/max_order"),
             (dataset_config_from_obj, {"max_order": 2.5}, "/max_order"),
-            (dataset_config_from_obj, {"max_order": -1}, "/max_order"),
+            (dataset_config_from_obj, {"max_order": -1}, "/"),  # a DatasetConfig rule
             (dataset_config_from_obj, {"source": {"corpus_dir": 5}}, "/source/corpus_dir"),
         ],
         ids=[
@@ -213,6 +215,20 @@ def _well_typed(tp, value) -> bool:
     return type(value) is tp
 
 
+def _entry_pointer(tp, value) -> str:
+    """Where under its field an ill-typed value is reported: at the first
+    ill-typed entry of a list of the tuple type's length, else at the field
+    itself ("")."""
+    if type(None) in typing.get_args(tp):
+        tp = next(a for a in typing.get_args(tp) if a is not type(None))
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple and isinstance(value, list):
+        items = [args[0]] * len(value) if args[-1] is Ellipsis else list(args)
+        if len(items) == len(value):
+            return next(f"/{k}" for k, (t, v) in enumerate(zip(items, value)) if not _well_typed(t, v))
+    return ""
+
+
 def _field_cases(cls, path=()):
     """(path, type) of every field of cls and of the dataclasses it nests."""
     for name, tp in typing.get_type_hints(cls).items():
@@ -238,12 +254,13 @@ class TestWalkerProperties:
     @given(data=st.data())
     def test_ill_typed_field_reports_its_pointer(self, parse, path, tp, data):
         # "inf" is how snr_db spells no noise
-        value = data.draw(JSON_VALUES.filter(lambda v: v != "inf" and not _well_typed(tp, v)))
+        bad = data.draw(JSON_VALUES.filter(lambda v: v != "inf" and not _well_typed(tp, v)))
+        value = bad
         for key in reversed(path):
             value = {key: value}
         with pytest.raises(ConfigError) as info:
             parse(value)
-        assert str(info.value).startswith("/" + "/".join(path) + ": ")
+        assert str(info.value).startswith("/" + "/".join(path) + _entry_pointer(tp, bad) + ": ")
 
     def test_defaults_round_trip_through_json(self):
         echoed = json.loads(json.dumps(dataclasses.asdict(DatasetConfig())))
@@ -260,6 +277,11 @@ class TestWalkerProperties:
 
         with pytest.raises(TypeError, match="^/rows: "):
             build(Table, {"rows": {}}, [])
+
+    def test_typedjson_is_the_only_json_decoder(self):
+        src = Path(wasnloc.__file__).parent
+        decoders = sorted(p.name for p in src.glob("*.py") if "json.loads" in p.read_text())
+        assert decoders == ["typedjson.py"]
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ from conftest import TINY_GRID_N, tiny_dataset_config
 from wasnloc.dataset import (
     FEATURE_PARAMS,
     FEATURES_NAME,
+    SPLITS,
     DatasetConfig,
     FeatureCacheError,
     example_features,
@@ -19,6 +20,7 @@ from wasnloc.dataset import (
     load_manifest,
     load_split_features,
     read_feature_cache,
+    split_entries,
 )
 from wasnloc.evaluate import evaluate
 from wasnloc.features import Grid, extract_frame
@@ -121,7 +123,7 @@ class TestLoadExample:
         obj = json.loads((copy / "scene.json").read_text())
         del obj["seed"]
         (copy / "scene.json").write_text(json.dumps(obj))
-        with pytest.raises(ValueError, match=r"scene\.json: .*'seed'"):
+        with pytest.raises(ValueError, match=r"scene\.json: /seed: missing"):
             load_example(tmp_path, entry)
 
     @pytest.mark.parametrize("bad", ["length", "rate"])
@@ -175,29 +177,52 @@ class TestManifest:
 
     def test_invalid_json_names_file(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"version": 1,')
-        with pytest.raises(ValueError, match=r"manifest\.json: not valid JSON"):
+        with pytest.raises(ValueError, match=r"manifest\.json: /: not valid JSON"):
             load_manifest(tmp_path)
 
     def test_huge_integer_literal_names_file(self, tmp_path):
         # beyond the 4300-digit limit json.loads raises a plain ValueError
         (tmp_path / "manifest.json").write_text('{"version": 1' + "0" * 5000 + "}")
-        with pytest.raises(ValueError, match=r"manifest\.json: not valid JSON"):
+        with pytest.raises(ValueError, match=r"manifest\.json: /: not valid JSON"):
             load_manifest(tmp_path)
 
     @pytest.mark.parametrize(
         "edit, field",
         [
-            (lambda m: m.pop("version"), "'version'"),
-            (lambda m: m.pop("splits"), "'splits'"),
-            (lambda m: m["splits"]["val"].pop("examples"), r"'splits\.val\.examples'"),
-            (lambda m: m["splits"]["test"]["examples"][1].pop("dir"), r"'splits\.test\.examples\[1\]\.dir'"),
-            (lambda m: m["splits"]["train"]["examples"][0].update(m="4"), r"'splits\.train\.examples\[0\]\.m'"),
+            (lambda m: m.pop("version"), "/version: unsupported manifest version None"),
+            (lambda m: m.pop("splits"), "/splits: missing"),
+            (lambda m: m["splits"]["val"].pop("examples"), "/splits/val/examples: missing"),
+            (lambda m: m["splits"]["test"]["examples"][1].pop("dir"), "/splits/test/examples/1/dir: missing"),
+            (lambda m: m["splits"]["train"]["examples"][0].update(m="4"), "/splits/train/examples/0/m: expected"),
         ],
+        ids=["version", "splits", "examples", "entry_dir", "entry_m"],
     )
     def test_missing_field_named(self, tiny_dataset, tmp_path, edit, field):
         self._write(tiny_dataset, tmp_path, edit)
-        with pytest.raises(ValueError, match=rf"manifest\.json: .*{field}"):
-            load_manifest(tmp_path)
+        with pytest.raises(ValueError, match=rf"manifest\.json: {field}"):
+            manifest = load_manifest(tmp_path)
+            for split in SPLITS:
+                split_entries(tmp_path, manifest, split)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("room", [], "/room: expected a list of 3 entries"),
+            ("room", ["4", "4", "3"], "/room/0: expected a number"),
+            ("source_xy", [1], "/source_xy: expected a list of 2 entries"),
+            ("m", 1, ": m must be >= 2"),
+        ],
+        ids=["room_empty", "room_strings", "source_xy_short", "one_mic"],
+    )
+    def test_bad_entry_named(self, tiny_dataset, tmp_path, field, value, message):
+        self._write(tiny_dataset, tmp_path, lambda m: m["splits"]["test"]["examples"][2].update({field: value}))
+        manifest = load_manifest(tmp_path)  # entries are checked per split
+        assert split_entries(tmp_path, manifest, "train")
+        pattern = rf"manifest\.json: /splits/test/examples/2{message}"
+        with pytest.raises(ValueError, match=pattern):
+            split_entries(tmp_path, manifest, "test")
+        with pytest.raises(ValueError, match=pattern):
+            evaluate("tdoa", tmp_path, "test", grid_n=TINY_GRID_N)
 
     def test_unknown_split_named(self, tiny_dataset):
         root, manifest = tiny_dataset
@@ -372,6 +397,11 @@ class TestGenerateExample:
         assert (tmp_path / "a/train/00000/scene.json").read_bytes() == (
             tmp_path / "b/train/00000/scene.json"
         ).read_bytes()
+
+    def test_negative_max_order_refused(self):
+        # a negative reflection order keeps no image, so every channel would be silent
+        with pytest.raises(ValueError, match="DatasetConfig.max_order must be >= 0, got -1"):
+            DatasetConfig(max_order=-1, snr_db=math.inf)
 
     def test_anechoic_mode(self, tmp_path):
         from wasnloc.rir import SPEED_OF_SOUND

@@ -243,6 +243,24 @@ class TestHeatmapExport:
         back = heatmap_from_csv(tmp_path / "h.csv")
         np.testing.assert_array_equal(back, values)
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("1.0,2.0\n3.0\n", "inhomogeneous"),
+            ("1.0,2.0\n3.0,high\n", "could not convert"),
+            ("1.0,2.0\n3.0,nan\n", r"cell \(1, 1\) is nan"),
+            ("inf,2.0\n3.0,4.0\n", r"cell \(0, 0\) is inf"),
+            ("1.0,2.0\n", "square"),
+            ("", "square"),
+        ],
+        ids=["ragged", "not_a_number", "nan", "inf", "not_square", "empty"],
+    )
+    def test_csv_refusal_names_file(self, tmp_path, text, problem):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"h\.csv: .*{problem}"):
+            heatmap_from_csv(path)
+
     def test_pgm_format(self, tmp_path):
         grid = Grid(5.0, 4.0, n=4)
         values = np.linspace(0.0, 1.0, 16)

@@ -15,23 +15,23 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 def test_single_affine_layer():
     net = Mlp(2, (1,), np.array([1.0, 1.0, 0.0]))  # W0 = [[1], [1]], b0 = [0]
-    out, _ = net.forward(np.array([2.0, 3.0]))
-    assert out.tolist() == [5.0]
+    out, _ = net.forward(np.array([[2.0, 3.0]]))
+    assert out.tolist() == [[5.0]]
 
 
 def test_hidden_relu_clamps():
     # W0 = [[1], [-1]], b0 = [0], W1 = [[1]], b1 = [0]
     net = Mlp(2, (1, 1), np.array([1.0, -1.0, 0.0, 1.0, 0.0]))
-    out, cache = net.forward(np.array([1.0, 2.0]))
+    out, cache = net.forward(np.array([[1.0, 2.0]]))
     assert cache["inputs"][1].tolist() == [[0.0]]  # relu(1 - 2)
-    assert out.tolist() == [0.0]
+    assert out.tolist() == [[0.0]]
 
 
 def test_forward_matches_manual_matrix_chain():
     # independent oracle: explicit matrix arithmetic, no shared code path
     rng = np.random.default_rng(3)
     net = Mlp.init_random(7, (11, 9, 4), rng, dtype=np.float64)
-    x = rng.standard_normal(7)
+    x = rng.standard_normal((1, 7))
     (w0, b0), (w1, b1), (w2, b2) = net.layers
     h1 = np.maximum(x @ w0 + b0, 0.0)
     h2 = np.maximum(h1 @ w1 + b1, 0.0)
@@ -45,9 +45,9 @@ def test_forward_batched_matches_loop():
     net = Mlp.init_random(5, (8, 3), rng, dtype=np.float64)
     batch = rng.standard_normal((6, 5))
     out_batch, _ = net.forward(batch)
-    for row, x in zip(out_batch, batch):
-        single, _ = net.forward(x)
-        np.testing.assert_allclose(row, single, rtol=1e-12)
+    for k in range(len(batch)):
+        single, _ = net.forward(batch[k : k + 1])
+        np.testing.assert_allclose(out_batch[k : k + 1], single, rtol=1e-12)
 
 
 def test_layers_are_views_of_flat_buffer():
@@ -67,7 +67,7 @@ def test_buffer_size_mismatch_rejected():
 def test_copy_owns_its_buffer_and_no_gradient():
     rng = np.random.default_rng(5)
     net = Mlp.init_random(3, (4, 2), rng)
-    out, cache = net.forward(rng.standard_normal(3).astype(np.float32))
+    out, cache = net.forward(rng.standard_normal((1, 3)).astype(np.float32))
     net.backward(cache, np.ones_like(out))
     twin = net.copy()
     assert twin.grad is None
@@ -77,7 +77,7 @@ def test_copy_owns_its_buffer_and_no_gradient():
 def test_input_size_mismatch():
     net = Mlp.init_random(5, (3,), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        net.forward(np.zeros(4))
+        net.forward(np.zeros((1, 4)))
 
 
 def test_init_bounds_and_zero_bias():
@@ -93,17 +93,17 @@ class TestBackward:
     def test_linear_mae_gradient_sign(self):
         # 1-layer linear net, L = |pred - target|: dL/dW = sign(p - t) * x
         net = Mlp(2, (1,), np.array([0.5, 0.5, 0.0]))
-        x = np.array([2.0, -3.0])
+        x = np.array([[2.0, -3.0]])
         pred, cache = net.forward(x)
-        target = np.array([10.0])
+        target = np.array([[10.0]])
         upstream = np.sign(pred - target)
         net.backward(cache, upstream)
-        np.testing.assert_allclose(net.grad[:2], np.sign(pred - target) * x)  # dW0
+        np.testing.assert_allclose(net.grad[:2], (np.sign(pred - target) * x)[0])  # dW0
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(0)
         net = Mlp.init_random(4, (6, 2), rng)
-        out, cache = net.forward(rng.standard_normal(4).astype(np.float32))
+        out, cache = net.forward(rng.standard_normal((1, 4)).astype(np.float32))
         dx = net.backward(cache, np.zeros_like(out))
         assert not dx.any()
         assert net.grad.shape == net.flat.shape and not net.grad.any()
@@ -112,8 +112,8 @@ class TestBackward:
     def test_finite_difference_check(self, seed):
         rng = np.random.default_rng(seed)
         net = Mlp.init_random(6, (9, 5), rng, dtype=np.float64)
-        x = rng.standard_normal(6)
-        target = rng.standard_normal(5)
+        x = rng.standard_normal((1, 6))
+        target = rng.standard_normal((1, 5))
 
         def loss():
             out, _ = net.forward(x)
@@ -193,9 +193,7 @@ def _reference_forward(layers, x):
     """Frozen copy of the forward pass Mlp used to run: fresh pre-activation
     and ReLU arrays per layer, both cached. The in-place forward must give
     the same outputs bit for bit."""
-    x = np.asarray(x)
-    squeeze = x.ndim == 1
-    a = x[None, :] if squeeze else x
+    a = np.asarray(x)
     inputs = []
     preacts = []
     for k, (w, b) in enumerate(layers):
@@ -203,8 +201,7 @@ def _reference_forward(layers, x):
         z = a @ w + b
         preacts.append(z)
         a = np.maximum(z, 0.0) if k < len(layers) - 1 else z
-    cache = {"inputs": inputs, "preacts": preacts, "squeeze": squeeze}
-    return (a[0] if squeeze else a), cache
+    return a, {"inputs": inputs, "preacts": preacts}
 
 
 def _reference_backward(layers, cache, upstream):
@@ -212,8 +209,7 @@ def _reference_backward(layers, cache, upstream):
     :func:`_reference_forward` cache: fresh (dW, db) arrays per layer and
     the input gradient, ReLU masks read from the cached pre-activations.
     The flat-buffer backward must write the same gradients bit for bit."""
-    upstream = np.asarray(upstream)
-    dz = upstream[None, :] if cache["squeeze"] else upstream
+    dz = np.asarray(upstream)
     grads = [None] * len(layers)
     for k in range(len(layers) - 1, -1, -1):
         if k < len(layers) - 1:
@@ -221,8 +217,7 @@ def _reference_backward(layers, cache, upstream):
         a_in = cache["inputs"][k]
         grads[k] = (a_in.T @ dz, dz.sum(axis=0))
         dz = dz @ layers[k][0].T
-    d_input = dz[0] if cache["squeeze"] else dz
-    return grads, d_input
+    return grads, dz
 
 
 def _reference_adam_step(state, params, grads, lr):
@@ -252,7 +247,7 @@ class TestFlatBufferReference:
     @given(
         input_size=st.integers(1, 9),
         sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4),
-        rows=st.integers(0, 5),  # 0: a single vector
+        rows=st.integers(1, 5),
         dtype=st.sampled_from([np.float32, np.float64]),
         steps=st.integers(1, 4),
         tile=st.sampled_from([1, 7, 64, 65_536]),
@@ -268,8 +263,7 @@ class TestFlatBufferReference:
         ref_state = {"m": [np.zeros_like(p) for p in ref_params], "v": [np.zeros_like(p) for p in ref_params], "t": 0}
         with mock.patch.object(mlp_module, "_ADAM_TILE", tile):
             for step in range(steps):
-                shape = (input_size,) if rows == 0 else (rows, input_size)
-                x = rng.standard_normal(shape).astype(dtype)
+                x = rng.standard_normal((rows, input_size)).astype(dtype)
                 out, cache = net.forward(x)
                 ref_out, ref_cache = _reference_forward(ref.layers, x)
                 assert np.array_equal(out, ref_out)
@@ -304,7 +298,7 @@ class TestInPlaceForwardBackward:
     @given(
         input_size=st.integers(1, 6),
         sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
-        rows=st.integers(0, 4),  # 0: a single vector
+        rows=st.integers(1, 4),
         dtype=st.sampled_from([np.float32, np.float64]),
         values=st.lists(_EDGE_VALUES, min_size=64, max_size=64),
         pokes=st.lists(st.tuples(st.integers(0, 10**6), _EDGE_VALUES), max_size=4),
@@ -315,8 +309,7 @@ class TestInPlaceForwardBackward:
         for index, value in pokes:  # zero, signed-zero or NaN parameters
             net.flat[index % net.flat.size] = value
         pool = np.resize(np.array(values, dtype=dtype), 2 * 4 * 6)
-        shape = (input_size,) if rows == 0 else (rows, input_size)
-        x = pool[: math.prod(shape)].reshape(shape)
+        x = pool[: rows * input_size].reshape(rows, input_size)
         x_before = _snapshot([x])
 
         out, cache = net.forward(x)

@@ -143,9 +143,9 @@ class TestRelNetForward:
         frame = anechoic_frame(scene)
         features = assemble_input(*raw_pair_features(frame, scene, config.grid_n), config)
         assert features.shape == (1, config.input_size)
-        rel, _ = model.f.forward(features[0])
+        rel, _ = model.f.forward(features)
         expected, _ = model.g.forward(rel)
-        np.testing.assert_allclose(gnn_localize(model, frame, scene).heatmap, expected, rtol=1e-6)
+        np.testing.assert_allclose(gnn_localize(model, frame, scene).heatmap, expected[0], rtol=1e-6)
 
     def test_output_size_follows_grid(self):
         config = small_config(grid_n=7)

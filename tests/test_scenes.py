@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wasnloc.scenes import (
     MicArray,
@@ -13,9 +16,11 @@ from wasnloc.scenes import (
     sample_scene,
     scene_from_json,
     scene_to_json,
+    with_signal_id,
 )
 from wasnloc.relnet import raw_pair_features
 from wasnloc.signals import MultichannelSignal
+from wasnloc.typedjson import ConfigError
 
 
 def make_scene(mics, room=(4.0, 5.0, 3.0), source=(2.0, 2.5, 1.5), t60=0.4, seed=0):
@@ -171,21 +176,74 @@ class TestSceneJson:
         obj["version"] = 999
         with pytest.raises(ValueError):
             scene_from_json(json.dumps(obj))
+        # refused as another version before any other field is read
+        with pytest.raises(ConfigError, match="^/version: unsupported scene JSON version 2$"):
+            scene_from_json('{"version": 2, "mics": "none"}')
 
     def test_missing_field_named(self):
         obj = json.loads(scene_to_json(sample_scene(SceneDistribution(), 5)))
         del obj["source"]["signal_id"]
-        with pytest.raises(ValueError, match="'source.signal_id'"):
+        with pytest.raises(ValueError, match="^/source/signal_id: missing$"):
             scene_from_json(json.dumps(obj))
 
     def test_mistyped_field_named(self):
         obj = json.loads(scene_to_json(sample_scene(SceneDistribution(), 5)))
         obj["room"]["t60"] = "0.4"
-        with pytest.raises(ValueError, match="'room.t60'"):
+        with pytest.raises(ValueError, match="^/room/t60: "):
             scene_from_json(json.dumps(obj))
 
     def test_malformed_points_named(self):
         obj = json.loads(scene_to_json(sample_scene(SceneDistribution(), 5)))
         obj["mics"][1] = obj["mics"][1][:2]
-        with pytest.raises(ValueError, match="'mics'"):
+        with pytest.raises(ValueError, match="^/mics/1: "):
+            scene_from_json(json.dumps(obj))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), signal_id=st.text(max_size=8))
+    def test_round_trip_is_exact_for_any_m(self, m, seed, signal_id):
+        scene = with_signal_id(sample_scene(SceneDistribution(mic_counts=(m,)), seed), signal_id)
+        back = scene_from_json(scene_to_json(scene))
+        assert back.room == scene.room and back.seed == scene.seed and back.m == m
+        assert np.array_equal(back.mics.positions, scene.mics.positions)
+        assert np.array_equal(back.source.position, scene.source.position)
+        assert back.source.signal_id == signal_id
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(2, 8), data=st.data(), bad=st.sampled_from(["1.0", True, math.nan, [1.0, 2.0]]))
+    def test_bad_coordinate_named(self, m, data, bad):
+        obj = json.loads(scene_to_json(sample_scene(SceneDistribution(mic_counts=(m,)), m)))
+        coordinates = [
+            *(("mics", i, j) for i in range(m) for j in range(3)),
+            *(("source", "position", j) for j in range(3)),
+            *(("room", key) for key in ("width", "length", "height", "t60")),
+        ]
+        path = data.draw(st.sampled_from(coordinates))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = bad
+        with pytest.raises(ConfigError, match=f"^/{'/'.join(map(str, path))}: expected a"):
+            scene_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("length", [0, 2, 4])
+    @pytest.mark.parametrize("path", [("mics", 3), ("source", "position")], ids=["mic", "source"])
+    def test_point_of_wrong_length_named(self, path, length):
+        obj = json.loads(scene_to_json(sample_scene(SceneDistribution(mic_counts=(5,)), 5)))
+        obj[path[0]][path[1]] = [1.0] * length
+        with pytest.raises(ConfigError, match=f"^/{path[0]}/{path[1]}: expected a list of 3 entries"):
+            scene_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "text, pointer",
+        [("[]", "/"), ('{"version": 1,', "/"), (b"\xff", "/"), ('{"version": 1}', "/seed")],
+        ids=["not_object", "invalid_json", "bad_utf8", "empty"],
+    )
+    def test_malformed_document_named(self, text, pointer):
+        with pytest.raises(ConfigError, match=f"^{pointer}: "):
+            scene_from_json(text)
+
+    def test_no_mics_refused(self):
+        obj = json.loads(scene_to_json(sample_scene(SceneDistribution(), 5)))
+        obj["mics"] = []
+        with pytest.raises(ConfigError, match="^/mics: "):
             scene_from_json(json.dumps(obj))
