@@ -33,18 +33,15 @@ from .relnet import (
     target_map,
 )
 from .rir import (
-    Rir,
     average_decay_time,
     eyring_absorption,
     schroeder_decay_time,
     simulate_rir,
 )
 from .scenes import (
-    MicArray,
     RoomSpec,
     Scene,
     SceneDistribution,
-    SourceSpec,
     sample_scene,
 )
 from .signals import (

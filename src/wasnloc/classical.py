@@ -60,12 +60,11 @@ def pair_correlations(frame: MultichannelSignal, scene: Scene) -> tuple[np.ndarr
     """
     if frame.m != scene.m:
         raise ValueError(f"frame has {frame.m} channels but scene has {scene.m} mics")
-    mics = scene.mics.positions
     pairs = np.array(enumerate_pairs(scene.m))
-    rank = np.argsort(np.lexsort(mics.T[::-1]))  # position order; ties keep index order
+    rank = np.argsort(np.lexsort(scene.mics.T[::-1]))  # position order; ties keep index order
     swap = rank[pairs[:, 1]] < rank[pairs[:, 0]]
     pairs[swap] = pairs[swap, ::-1]
-    return pairs, gcc_phat(frame.channels, pairs), mean_mic_height(mics)
+    return pairs, gcc_phat(frame.channels, pairs), mean_mic_height(scene.mics)
 
 
 def pick_peak(heatmap: np.ndarray, grid: Grid, mode: str = "max") -> np.ndarray:
@@ -97,7 +96,7 @@ def tdoa_localize(frame: MultichannelSignal, scene: Scene, grid: Grid) -> Locali
     """
     pairs, corr, z_plane = pair_correlations(frame, scene)
     measured = (np.argmax(central_lags(corr), axis=1) - DEFAULT_N_CENTRAL // 2) / frame.fs
-    theo = theoretical_tdoa_grid(scene.mics.positions, pairs, grid, z_plane)
+    theo = theoretical_tdoa_grid(scene.mics, pairs, grid, z_plane)
     total = np.sum((theo - measured[:, None]) ** 2, axis=0)
     return LocalizationResult(pick_peak(total, grid, "min"), total)
 
@@ -108,5 +107,5 @@ def slf_localize(frame: MultichannelSignal, scene: Scene, grid: Grid) -> Localiz
     Sums the :func:`slf_project` maps of all pairs.
     """
     pairs, corr, z_plane = pair_correlations(frame, scene)
-    total = np.sum(slf_project(corr, frame.fs, scene.mics.positions, pairs, grid, z_plane), axis=0)
+    total = np.sum(slf_project(corr, frame.fs, scene.mics, pairs, grid, z_plane), axis=0)
     return LocalizationResult(pick_peak(total, grid, "max"), total)

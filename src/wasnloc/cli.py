@@ -24,7 +24,7 @@ from .dataset import (
     load_manifest,
     load_split_features,
 )
-from .evaluate import METHODS, evaluate, write_report_csv
+from .evaluate import METHODS, evaluate, load_models, write_report_csv
 from .features import (
     DEFAULT_GRID_N,
     Grid,
@@ -37,7 +37,6 @@ from .relnet import (
     RelNetConfig,
     RelNetModel,
     gnn_localize,
-    load_checkpoint,
     save_checkpoint,
 )
 from .training import TrainConfig, train, write_history_csv
@@ -144,9 +143,9 @@ def cmd_localize(args) -> int:
         localize = tdoa_localize if args.method == "tdoa" else slf_localize
         result = localize(frame, scene, grid)
     else:
-        if not args.checkpoint:
-            raise ConfigError(f"/checkpoint: required for method {args.method!r}")
-        model = load_checkpoint(args.checkpoint[0])
+        if args.checkpoint and len(args.checkpoint) > 1:
+            raise ConfigError(f"/checkpoint: localize runs one checkpoint, got {len(args.checkpoint)}")
+        (model,) = load_models(args.method, args.checkpoint)
         result = gnn_localize(model, frame, scene)
         grid = Grid(scene.room.width, scene.room.length, model.config.grid_n)
     if args.emit_heatmap:

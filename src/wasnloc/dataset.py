@@ -50,7 +50,6 @@ from .scenes import (
     sample_scene,
     scene_from_json,
     scene_to_json,
-    with_signal_id,
 )
 from .signals import (
     MultichannelSignal,
@@ -167,7 +166,7 @@ def generate_example(config: DatasetConfig, split: str, index: int, out_root) ->
     signal, signal_id = provide_source_signal_with_id(
         config.source, config.duration_s, config.fs, [seed, 1]
     )
-    scene = with_signal_id(scene, signal_id)
+    scene = replace(scene, signal_id=signal_id)
     try:
         received = auralize(scene, signal, config.fs, max_order=config.max_order)
     except InfeasibleRoomError as exc:
@@ -183,13 +182,17 @@ def generate_example(config: DatasetConfig, split: str, index: int, out_root) ->
     gcc, slf, meta = raw_pair_features(extract_frame(received), scene, config.grid_n)
     write_feature_cache(example_dir / FEATURES_NAME, config.grid_n, gcc, slf, meta)
 
+    return {"dir": f"{split}/{index:05d}", **_scene_fields(scene), "seed": seed}
+
+
+def _scene_fields(scene: Scene) -> dict:
+    """The fields of a manifest entry that restate its scene.json."""
+    room = scene.room
     return {
-        "dir": f"{split}/{index:05d}",
         "m": scene.m,
-        "room": [scene.room.width, scene.room.length, scene.room.height],
-        "t60": scene.room.t60,
-        "source_xy": [float(scene.source.position[0]), float(scene.source.position[1])],
-        "seed": seed,
+        "room": [room.width, room.length, room.height],
+        "t60": room.t60,
+        "source_xy": scene.source[:2].tolist(),
     }
 
 
@@ -386,7 +389,18 @@ def load_example_dir(example_dir) -> tuple[MultichannelSignal, Scene]:
 
 
 def load_example(data_dir, entry: dict) -> tuple[MultichannelSignal, Scene]:
-    return load_example_dir(Path(data_dir) / entry["dir"])
+    """The example of a manifest entry. The entry's m, room, t60 and
+    source_xy must equal its scene.json's exactly, since both are written
+    from the same floats; ValueError naming the manifest and the example
+    otherwise."""
+    received, scene = load_example_dir(Path(data_dir) / entry["dir"])
+    for name, value in _scene_fields(scene).items():
+        if entry[name] != value:
+            raise ValueError(
+                f"{Path(data_dir) / MANIFEST_NAME}: example {entry['dir']!r} has {name} {entry[name]!r}, "
+                f"but its scene.json has {value!r}"
+            )
+    return received, scene
 
 
 def example_features(data_dir, entry: dict, config: RelNetConfig) -> np.ndarray:

@@ -73,6 +73,31 @@ def _batch_estimates(
     return out
 
 
+def load_models(method: str, checkpoints: list | None) -> list[RelNetModel]:
+    """The networks a gnn-* method runs, from checkpoints (paths or loaded
+    RelNetModels). ValueError if there is none, if one was trained on
+    another feature kind than the method's, or if they do not all share
+    one ``grid_n``."""
+    if not checkpoints:
+        raise ValueError(f"method {method!r} needs at least one checkpoint")
+    kind = method.removeprefix("gnn-")
+    models = []
+    for ckpt in checkpoints:
+        model = ckpt if isinstance(ckpt, RelNetModel) else load_checkpoint(ckpt)
+        if model.config.feature_kind != kind:
+            raise ValueError(
+                f"checkpoint feature kind {model.config.feature_kind!r} "
+                f"does not match method {method!r}"
+            )
+        if models and model.config.grid_n != models[0].config.grid_n:
+            raise ValueError(
+                f"checkpoint {ckpt} has grid_n {model.config.grid_n}, but the first "
+                f"checkpoint has {models[0].config.grid_n}; all must share one grid"
+            )
+        models.append(model)
+    return models
+
+
 def evaluate(
     method: str,
     data_dir,
@@ -85,15 +110,18 @@ def evaluate(
 ) -> EvalReport:
     """Run one localizer over a dataset split, grouping errors by mic count.
 
-    ``checkpoints`` (paths or loaded RelNetModels) is required for the
-    gnn-* methods and all must share one ``grid_n`` (ValueError otherwise);
-    with several, per-M means are averaged across checkpoints and their
-    spread fills the std column. Examples are taken ``_BATCH`` at a time:
-    each example's pair features are read once and every network runs on
-    the batch in one :func:`relnet.forward_batch`.
+    ``checkpoints`` is required for the gnn-* methods and read by
+    :func:`load_models`; with several, per-M means are averaged across
+    checkpoints and their spread fills the std column. Heatmaps of the
+    first ``heatmap_count`` examples go to ``heatmap_dir``: one without the
+    other is refused. Examples are taken ``_BATCH`` at a time: each
+    example's pair features are read once and every network runs on the
+    batch in one :func:`relnet.forward_batch`.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    if (heatmap_count > 0) != (heatmap_dir is not None):
+        raise ValueError(f"heatmaps need a count >= 1 and a directory, got {heatmap_count} and {heatmap_dir!r}")
     entries = split_entries(data_dir, load_manifest(data_dir), split)
     if not entries:
         raise ValueError(f"split {split!r} is empty")
@@ -102,23 +130,7 @@ def evaluate(
 
     models: list[RelNetModel | None] = [None]
     if method.startswith("gnn-"):
-        if not checkpoints:
-            raise ValueError(f"method {method!r} needs at least one checkpoint")
-        kind = method.removeprefix("gnn-")
-        models = []
-        for ckpt in checkpoints:
-            model = ckpt if isinstance(ckpt, RelNetModel) else load_checkpoint(ckpt)
-            if model.config.feature_kind != kind:
-                raise ValueError(
-                    f"checkpoint feature kind {model.config.feature_kind!r} "
-                    f"does not match method {method!r}"
-                )
-            if models and model.config.grid_n != models[0].config.grid_n:
-                raise ValueError(
-                    f"checkpoint {ckpt} has grid_n {model.config.grid_n}, but the first "
-                    f"checkpoint has {models[0].config.grid_n}; all must share one grid"
-                )
-            models.append(model)
+        models = load_models(method, checkpoints)
         grid_n = models[0].config.grid_n
 
     errors = np.empty((len(models), len(entries)))

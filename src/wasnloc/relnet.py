@@ -165,9 +165,8 @@ def raw_pair_features(
     """
     pairs, corr, z_plane = pair_correlations(frame, scene)
     grid = Grid(scene.room.width, scene.room.length, grid_n)
-    mics = scene.mics.positions
-    slf = slf_project(corr, frame.fs, mics, pairs, grid, z_plane)
-    meta = pair_metadata_vector(mics[pairs[:, 0]], mics[pairs[:, 1]], scene.room.dims)
+    slf = slf_project(corr, frame.fs, scene.mics, pairs, grid, z_plane)
+    meta = pair_metadata_vector(scene.mics[pairs[:, 0]], scene.mics[pairs[:, 1]], scene.room.dims)
     return central_lags(corr), slf, meta
 
 

@@ -14,16 +14,16 @@ incoherent energy budget so the simulated decay tracks the requested T60.
 No fractional-delay interpolation is applied: localization here works at
 grid resolution far above the ~2 cm path error of one sample at 16 kHz.
 
-``simulate_rir`` takes all microphones of a scene at once. The image
-positions, their reflection counts and amplitude numerators depend only on
-the room and the source, so they are enumerated once per call and shared;
-only distances, delays and the tap sums are per microphone.
+``simulate_rir`` takes all microphones of a scene at once and returns an
+(M, n_taps) array whose row k is mic k's response. The image positions,
+their reflection counts and amplitude numerators depend only on the room
+and the source, so they are enumerated once per call and shared; only
+distances, delays and the tap sums are per microphone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,14 +56,6 @@ class DegenerateGeometryError(ValueError):
 
 class InfeasibleRoomError(ValueError):
     """The requested T60 has no physical absorption for this room."""
-
-
-@dataclass(frozen=True, eq=False)
-class Rir:
-    """Sample-indexed impulse response taps at rate fs."""
-
-    taps: np.ndarray
-    fs: int
 
 
 def eyring_absorption(room: RoomSpec) -> float:
@@ -106,8 +98,9 @@ def simulate_rir(
     fs: int = DEFAULT_FS,
     *,
     max_order: int | None = None,
-) -> list[Rir]:
-    """Image-source RIRs between one source and each of the (M, 3) mics.
+) -> np.ndarray:
+    """Image-source RIRs between one source and each of the (M, 3) mics, as
+    an (M, n_taps) array of taps at rate fs whose row k belongs to mic k.
 
     Each response is truncated at RIR_LENGTH_T60_FACTOR * T60 and the image
     set is enumerated (per dimension) out to the matching path length.
@@ -143,7 +136,7 @@ def simulate_rir(
             idx = int(np.rint(fs * d / SPEED_OF_SOUND))
             if idx < n_taps:
                 row[idx] = 1.0 / (4.0 * math.pi * d)
-        return [Rir(taps=row, fs=fs) for row in taps]
+        return taps
 
     ax = [_axis_images(source[d], dims[d], path_limit) for d in range(3)]
     (cx, rx), (cy, ry), (cz, rz) = ax
@@ -192,7 +185,7 @@ def simulate_rir(
                 amp /= dist
                 np.add.at(partial[k], idx.astype(np.intp), amp)
         taps += partial[:, :n_taps]
-    return [Rir(taps=row, fs=fs) for row in taps]
+    return taps
 
 
 def _edc_db_from_onset(taps: np.ndarray) -> np.ndarray:
@@ -218,8 +211,9 @@ def _fit_decay_time(db: np.ndarray, fs: int, fit_db: tuple[float, float]) -> flo
     return -60.0 / slope
 
 
-def schroeder_decay_time(rir: Rir, fit_db: tuple[float, float] = (0.0, -10.0)) -> float:
-    """Time to fall 60 dB, from backward integration of the squared response.
+def schroeder_decay_time(taps: np.ndarray, fs: int, fit_db: tuple[float, float] = (0.0, -10.0)) -> float:
+    """Time to fall 60 dB, from backward integration of the squared response
+    taps sampled at rate fs.
 
     A line is fitted to the Schroeder curve between the two fit levels (dB,
     measured from the direct-sound arrival) and extrapolated to -60 dB.
@@ -227,21 +221,22 @@ def schroeder_decay_time(rir: Rir, fit_db: tuple[float, float] = (0.0, -10.0)) -
     windows are unreliable on responses truncated at 1.25 T60, where the
     missing tail steepens the end of the curve.
     """
-    return _fit_decay_time(_edc_db_from_onset(rir.taps), rir.fs, fit_db)
+    return _fit_decay_time(_edc_db_from_onset(taps), fs, fit_db)
 
 
-def average_decay_time(rirs: list[Rir], fit_db: tuple[float, float] = (0.0, -10.0)) -> float:
-    """Room decay time from several measurement positions.
+def average_decay_time(rirs, fs: int, fit_db: tuple[float, float] = (0.0, -10.0)) -> float:
+    """Room decay time from several measurement positions, one response per
+    row of rirs (such as simulate_rir's array), sampled at rate fs.
 
     Onset-aligned, energy-normalized Schroeder curves are averaged across
     the given responses before the slope fit, the usual way a single room
     figure is measured from multiple source-microphone pairs. Steadier
     than any single response, whose early reflections are position-bound.
     """
-    if not rirs:
+    if len(rirs) == 0:
         raise ValueError("need at least one RIR")
-    curves = [_edc_db_from_onset(r.taps) for r in rirs]
+    curves = [_edc_db_from_onset(taps) for taps in rirs]
     length = min(c.size for c in curves)
     mean_energy = np.mean([10.0 ** (c[:length] / 10.0) for c in curves], axis=0)
     db = 10.0 * np.log10(np.maximum(mean_energy, 1e-300))
-    return _fit_decay_time(db, rirs[0].fs, fit_db)
+    return _fit_decay_time(db, fs, fit_db)

@@ -4,14 +4,16 @@ A scene is one simulated world: a shoebox room with a reverberation time,
 M microphones and a single static source. Scenes are sampled from a
 configurable distribution (uniform room dimensions and T60, uniform device
 placement with a minimum mutual/wall separation) and are a pure function of
-(distribution, seed). All types are treated as immutable after construction
-and are safe to share between workers.
+(distribution, seed). A :class:`Scene` holds the mic geometry as a plain
+(M, 3) array and the source position as a (3,) array, so any M passes
+through every layer unchanged. Scenes and their arrays are treated as
+immutable after construction and are safe to share between workers.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,43 +59,26 @@ class RoomSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class MicArray:
-    """Microphone positions as an (M, 3) array in meters."""
+class Scene:
+    """A room, the (M, 3) mic positions and the (3,) source position in
+    meters, the sampling seed and the identifier of the source waveform."""
 
-    positions: np.ndarray
-
-    def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
-            raise ValueError("MicArray.positions must have shape (M, 3), M >= 1")
-        object.__setattr__(self, "positions", pos)
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class SourceSpec:
-    """Source position in meters and an identifier of its waveform."""
-
-    position: np.ndarray
+    room: RoomSpec
+    mics: np.ndarray
+    source: np.ndarray
+    seed: int
     signal_id: str = "synthetic"
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float).reshape(3)
-        object.__setattr__(self, "position", pos)
-
-
-@dataclass(frozen=True, eq=False)
-class Scene:
-    room: RoomSpec
-    mics: MicArray
-    source: SourceSpec
-    seed: int
+        mics = np.atleast_2d(np.asarray(self.mics, dtype=float))
+        if mics.ndim != 2 or mics.shape[1] != 3 or mics.shape[0] < 1:
+            raise ValueError(f"Scene.mics must have shape (M, 3), M >= 1, got {mics.shape}")
+        object.__setattr__(self, "mics", mics)
+        object.__setattr__(self, "source", np.asarray(self.source, dtype=float).reshape(3))
 
     @property
     def m(self) -> int:
-        return len(self.mics)
+        return self.mics.shape[0]
 
 
 @dataclass(frozen=True)
@@ -170,9 +155,7 @@ def sample_scene(config: SceneDistribution, rng_seed) -> Scene:
         if all(np.linalg.norm(cand - q) >= sep for q in placed):
             placed.append(cand)
 
-    mics = MicArray(np.array(placed[:m]))
-    source = SourceSpec(placed[m], signal_id=f"synthetic:{rng_seed}")
-    return Scene(room=room, mics=mics, source=source, seed=int(rng_seed))
+    return Scene(room, np.array(placed[:m]), placed[m], int(rng_seed), f"synthetic:{rng_seed}")
 
 
 def pair_metadata_vector(p_i: np.ndarray, p_j: np.ndarray, room_dims: np.ndarray) -> np.ndarray:
@@ -205,8 +188,8 @@ class _SceneDoc:
 
 def scene_to_json(scene: Scene) -> str:
     """Serialize a scene to a canonical JSON document (stable key order)."""
-    mics = tuple(tuple(map(float, p)) for p in scene.mics.positions)
-    source = _SourceDoc(tuple(map(float, scene.source.position)), scene.source.signal_id)
+    mics = tuple(tuple(map(float, p)) for p in scene.mics)
+    source = _SourceDoc(tuple(map(float, scene.source)), scene.signal_id)
     doc = _SceneDoc(SCENE_JSON_VERSION, scene.seed, scene.room, mics, source)
     return json.dumps(asdict(doc), indent=2) + "\n"
 
@@ -221,9 +204,4 @@ def scene_from_json(text: str | bytes) -> Scene:
     doc = build(_SceneDoc, obj, [])
     if not doc.mics:
         raise ConfigError("/mics: expected at least one mic")
-    source = SourceSpec(np.array(doc.source.position), doc.source.signal_id)
-    return Scene(room=doc.room, mics=MicArray(np.array(doc.mics)), source=source, seed=doc.seed)
-
-
-def with_signal_id(scene: Scene, signal_id: str) -> Scene:
-    return replace(scene, source=replace(scene.source, signal_id=signal_id))
+    return Scene(doc.room, np.array(doc.mics), np.array(doc.source.position), doc.seed, doc.source.signal_id)

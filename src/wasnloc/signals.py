@@ -8,10 +8,11 @@ built-in speech-like generator (pink noise with a slow syllabic amplitude
 modulation) so the full pipeline runs without any external corpus.
 
 A scene is convolved in one frequency-domain pass: one source spectrum
-multiplies the spectra of all M stacked RIRs in one batched transform, so
-each channel equals ``scipy.signal.fftconvolve`` of the source and its RIR
-bit for bit. ``scipy.signal`` itself, which doubles the package's memory
-at import, is loaded only to resample corpus WAVs of another rate.
+multiplies the spectra of all M RIRs, the rows of one ``simulate_rir``
+array, in one batched transform, so each channel equals
+``scipy.signal.fftconvolve`` of the source and its RIR bit for bit.
+``scipy.signal`` itself, which doubles the package's memory at import, is
+loaded only to resample corpus WAVs of another rate.
 """
 
 from __future__ import annotations
@@ -78,19 +79,18 @@ def auralize(
 
     All channels share the source's time origin, so inter-channel delays
     are carried entirely by the RIR tap positions. ``max_order=0`` gives
-    direct-path-only (anechoic) channels. The M RIRs come from one
-    ``simulate_rir`` call over the scene's mics and have equal length, so
-    they are stacked and convolved in one batched real FFT against one
-    source spectrum, at fftconvolve's own transform length: each channel
-    equals ``scipy.signal.fftconvolve(source_signal, taps)`` bit for bit.
+    direct-path-only (anechoic) channels. The M RIRs are the rows of one
+    ``simulate_rir`` array over the scene's mics, so they are convolved in
+    one batched real FFT against one source spectrum, at fftconvolve's own
+    transform length: each channel equals
+    ``scipy.signal.fftconvolve(source_signal, taps)`` bit for bit.
     Like fftconvolve, a one-sample source (or a one-tap RIR) is multiplied,
     not transformed.
     """
     sig = np.asarray(source_signal, dtype=float).ravel()
     if sig.size == 0:
         raise ValueError("source signal is empty")
-    rirs = simulate_rir(scene.room, scene.source.position, scene.mics.positions, fs, max_order=max_order)
-    taps = np.vstack([r.taps for r in rirs])
+    taps = simulate_rir(scene.room, scene.source, scene.mics, fs, max_order=max_order)
     if min(sig.size, taps.shape[1]) == 1:
         return MultichannelSignal(sig * taps, fs)
     n = sig.size + taps.shape[1] - 1

@@ -21,8 +21,15 @@ class ConfigError(ValueError):
     """Invalid configuration; the message starts with a JSON-pointer path."""
 
 
-def _pointer(path: list[str]) -> str:
-    return "/" + "/".join(path)
+def _pointer(path) -> str:
+    """The JSON pointer of a path: a list of keys, or a (parent path, key)
+    pair, which a walker passes down so that no pointer is built unless a
+    value fails."""
+    keys = []
+    while isinstance(path, tuple):
+        path, key = path
+        keys.append(str(key))
+    return "/" + "/".join([*path, *reversed(keys)])
 
 
 def loads(text: str | bytes):
@@ -43,7 +50,7 @@ _SCALARS = {
 }
 
 
-def convert(tp, value, path: list[str]):
+def convert(tp, value, path):
     """The JSON value converted to the type tp; ConfigError at path if it is
     not of that type. An int takes a JSON integer, a float any finite JSON
     number (never NaN or Infinity, which Python's json module reads), a
@@ -70,7 +77,7 @@ def convert(tp, value, path: list[str]):
             variadic = args[-1:] == (Ellipsis,)
             if isinstance(value, list) and (variadic or len(value) == len(args)):
                 items = args[:1] * len(value) if variadic else args
-                return tuple(convert(t, v, path + [str(k)]) for k, (t, v) in enumerate(zip(items, value)))
+                return tuple(convert(t, v, (path, k)) for k, (t, v) in enumerate(zip(items, value)))
             expected = "a list" if variadic else f"a list of {len(args)} entries"
         elif origin is typing.Literal:
             if any(type(value) is type(a) and value == a for a in args):
@@ -91,7 +98,7 @@ def _fields(cls) -> tuple[dict, list[str]]:
     return hints, [f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is dataclasses.MISSING]
 
 
-def build(cls, obj, path: list[str]):
+def build(cls, obj, path):
     """The dataclass cls from a JSON object whose keys name its fields,
     each value converted by :func:`convert` with its field's type. An
     unknown key, a bad value or a missing field with no default raises
@@ -103,11 +110,11 @@ def build(cls, obj, path: list[str]):
     kwargs = {}
     for key, value in obj.items():
         if key not in hints:
-            raise ConfigError(f"{_pointer(path + [key])}: unknown key")
-        kwargs[key] = convert(hints[key], value, path + [key])
+            raise ConfigError(f"{_pointer((path, key))}: unknown key")
+        kwargs[key] = convert(hints[key], value, (path, key))
     for key in required:
         if key not in kwargs:
-            raise ConfigError(f"{_pointer(path + [key])}: missing")
+            raise ConfigError(f"{_pointer((path, key))}: missing")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -5,7 +5,7 @@ import pytest
 
 from wasnloc.dataset import DatasetConfig, generate_dataset
 from wasnloc.features import Grid, extract_frame
-from wasnloc.scenes import MicArray, RoomSpec, Scene, SourceSpec
+from wasnloc.scenes import RoomSpec, Scene
 from wasnloc.signals import auralize
 
 FS = 16000
@@ -50,8 +50,8 @@ def planar_scene(source_xy=(3.2, 2.6), z=1.5, m=5):
     ][:m]
     return Scene(
         room=RoomSpec(5.0, 4.0, 3.0, 0.4),
-        mics=MicArray(np.array(mics)),
-        source=SourceSpec(np.array([source_xy[0], source_xy[1], z])),
+        mics=np.array(mics),
+        source=np.array([source_xy[0], source_xy[1], z]),
         seed=0,
     )
 

@@ -11,7 +11,7 @@ from wasnloc.classical import (
     tdoa_localize,
 )
 from wasnloc.features import Grid, gcc_phat, theoretical_tdoa_grid
-from wasnloc.scenes import MicArray, RoomSpec, Scene, SourceSpec
+from wasnloc.scenes import RoomSpec, Scene
 
 
 class TestEnumeratePairs:
@@ -66,19 +66,19 @@ class TestTdoaLocalize:
         scene = planar_scene()
         frame = anechoic_frame(scene)
         result = tdoa_localize(frame, scene, room_grid(scene))
-        err = np.linalg.norm(result.estimate - scene.source.position[:2])
+        err = np.linalg.norm(result.estimate - scene.source[:2])
         assert err <= np.hypot(5.0 / 25, 4.0 / 25)
 
     def test_two_mics_hyperbola_band(self):
         # with one pair the minimum locus is the measured-TDOA hyperbola
         scene = planar_scene()
-        scene = dataclasses.replace(scene, mics=MicArray(scene.mics.positions[:2]))
+        scene = dataclasses.replace(scene, mics=scene.mics[:2])
         frame = anechoic_frame(scene)
         result = tdoa_localize(frame, scene, room_grid(scene))
         grid = Grid(5.0, 4.0)
         pair = np.array([[0, 1]])
         measured = (int(np.argmax(gcc_phat(frame.channels, pair)[0])) - 512) / FS
-        tdoa = theoretical_tdoa_grid(scene.mics.positions, pair, grid, 1.5)[0]
+        tdoa = theoretical_tdoa_grid(scene.mics, pair, grid, 1.5)[0]
         est_flat = int(np.argmin(result.heatmap))
         # estimate sits among the cells closest to the measured hyperbola
         best = np.min(np.abs(tdoa - measured))
@@ -94,7 +94,7 @@ class TestTdoaLocalize:
         frame = anechoic_frame(scene)
         base = tdoa_localize(frame, scene, room_grid(scene))
         perm = [3, 0, 4, 1, 2]
-        scene_p = dataclasses.replace(scene, mics=MicArray(scene.mics.positions[perm]))
+        scene_p = dataclasses.replace(scene, mics=scene.mics[perm])
         frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
         swapped = tdoa_localize(frame_p, scene_p, room_grid(scene_p))
         np.testing.assert_array_equal(base.estimate, swapped.estimate)
@@ -113,7 +113,7 @@ class TestSlfLocalize:
         scene = planar_scene()
         frame = anechoic_frame(scene)
         result = slf_localize(frame, scene, room_grid(scene))
-        err = np.linalg.norm(result.estimate - scene.source.position[:2])
+        err = np.linalg.norm(result.estimate - scene.source[:2])
         assert err <= np.hypot(5.0 / 25, 4.0 / 25)
 
     def test_single_pair_bisector_symmetry(self):
@@ -122,8 +122,8 @@ class TestSlfLocalize:
         z = 1.5
         scene = Scene(
             room=RoomSpec(4.0, 4.0, 3.0, 0.4),
-            mics=MicArray(np.array([[1.0, 2.0, z], [3.0, 2.0, z]])),
-            source=SourceSpec(np.array([2.0, 1.0, z])),
+            mics=np.array([[1.0, 2.0, z], [3.0, 2.0, z]]),
+            source=np.array([2.0, 1.0, z]),
             seed=0,
         )
         frame = anechoic_frame(scene)
@@ -138,7 +138,7 @@ class TestSlfLocalize:
         frame = anechoic_frame(scene)
         base = slf_localize(frame, scene, room_grid(scene))
         perm = [2, 4, 0, 3, 1]
-        scene_p = dataclasses.replace(scene, mics=MicArray(scene.mics.positions[perm]))
+        scene_p = dataclasses.replace(scene, mics=scene.mics[perm])
         frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
         swapped = slf_localize(frame_p, scene_p, room_grid(scene_p))
         np.testing.assert_array_equal(base.estimate, swapped.estimate)
@@ -154,8 +154,8 @@ class TestSlfLocalize:
             )
             scene = Scene(
                 room=RoomSpec(5.0, 4.0, 3.0, 0.4),
-                mics=MicArray(mics),
-                source=SourceSpec(np.array([2.5, 2.0, z])),
+                mics=mics,
+                source=np.array([2.5, 2.0, z]),
                 seed=0,
             )
             frame = anechoic_frame(scene)

@@ -1,12 +1,12 @@
+import ast
 import dataclasses
 import json
 import math
 import typing
 from pathlib import Path
 
-import numpy as np
 import pytest
-from conftest import TINY_GRID_N, tiny_dataset_config
+from conftest import TINY_GRID_N
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -283,6 +283,26 @@ class TestWalkerProperties:
         decoders = sorted(p.name for p in src.glob("*.py") if "json.loads" in p.read_text())
         assert decoders == ["typedjson.py"]
 
+    def test_no_unused_imports(self):
+        """Every name a module in src/ or tests/ imports is used in it; the
+        package's __init__.py imports only to re-export."""
+        src = Path(wasnloc.__file__).parent
+        unused = []
+        for path in sorted(src.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    names = [alias.asname or alias.name for alias in node.names]
+                else:
+                    continue
+                unused += [f"{path.name}:{node.lineno}: {name}" for name in names if name not in used]
+        assert unused == []
+
 
 @pytest.fixture(scope="module")
 def cli_workspace(tmp_path_factory):
@@ -435,6 +455,32 @@ class TestCliCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["grid_n"] == TINY_GRID_N
+
+    @pytest.mark.parametrize(
+        "method, copies, message",
+        [
+            ("gnn-gcc", 1, "feature kind 'slf' does not match method 'gnn-gcc'"),
+            ("gnn-slf", 2, "one checkpoint, got 2"),
+        ],
+        ids=["wrong_kind", "two_checkpoints"],
+    )
+    def test_localize_refuses_wrong_or_extra_checkpoint(self, cli_workspace, capsys, method, copies, message):
+        _, data_dir, ckpt = cli_workspace
+        example = str(data_dir / "test" / "00001")
+        flags = ["--checkpoint", str(ckpt)] * copies
+        code, out, err = run_cli(capsys, "localize", "--method", method, "--in", example, *flags)
+        assert (code, out) == (1, "")
+        assert message in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("given", ["count", "dir"])
+    def test_eval_heatmap_options_go_together(self, cli_workspace, capsys, given):
+        root, data_dir, _ = cli_workspace
+        heatmap_dir = root / f"heatmaps_{given}"
+        flags = ["--heatmaps", "2"] if given == "count" else ["--heatmap-dir", str(heatmap_dir)]
+        code, out, err = run_cli(capsys, "eval", "--method", "slf", "--data", str(data_dir), *flags)
+        assert (code, out) == (1, "")
+        assert "heatmaps need a count >= 1 and a directory" in json.loads(err)["message"]
+        assert not heatmap_dir.exists()
 
     def test_render_heatmap(self, cli_workspace, capsys):
         root, _, _ = cli_workspace

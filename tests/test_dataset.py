@@ -1,7 +1,6 @@
 import json
 import math
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,7 +84,7 @@ class TestGenerateDataset:
         scene = scene_from_json((root / entry["dir"] / "scene.json").read_text())
         assert scene.m == entry["m"]
         assert [scene.room.width, scene.room.length, scene.room.height] == entry["room"]
-        assert scene.source.position[:2].tolist() == entry["source_xy"]
+        assert scene.source[:2].tolist() == entry["source_xy"]
         assert scene.seed == entry["seed"]
 
 
@@ -223,6 +222,30 @@ class TestManifest:
             split_entries(tmp_path, manifest, "test")
         with pytest.raises(ValueError, match=pattern):
             evaluate("tdoa", tmp_path, "test", grid_n=TINY_GRID_N)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("m", lambda e: e["m"] + 1),
+            ("room", lambda e: [2 * e["room"][0], 2 * e["room"][1], e["room"][2]]),
+            ("source_xy", lambda e: [0.5, 0.5]),
+        ],
+        ids=["m", "room", "source_xy"],
+    )
+    def test_entry_contradicting_scene_json_refused(self, tiny_dataset, tmp_path, field, edit):
+        root, _ = tiny_dataset
+        shutil.copytree(root / "test", tmp_path / "test")
+        def contradict(manifest):
+            entry = manifest["splits"]["test"]["examples"][2]
+            entry[field] = edit(entry)
+
+        self._write(tiny_dataset, tmp_path, contradict)
+        entry = split_entries(tmp_path, load_manifest(tmp_path), "test")[2]
+        pattern = rf"manifest\.json: example '{entry['dir']}' has {field} .*, but its scene\.json has "
+        with pytest.raises(ValueError, match=pattern):
+            load_example(tmp_path, entry)
+        with pytest.raises(ValueError, match=pattern):
+            evaluate("slf", tmp_path, "test", grid_n=TINY_GRID_N)
 
     def test_unknown_split_named(self, tiny_dataset):
         root, manifest = tiny_dataset
@@ -414,8 +437,8 @@ class TestGenerateExample:
         # anechoic, noiseless channels are exactly the source shifted by
         # the rounded propagation delay and scaled by spherical spreading
         sig = provide_source_signal_with_id(config.source, config.duration_s, config.fs, [entry["seed"], 1])[0]
-        for k, mic in enumerate(scene.mics.positions):
-            dist = np.linalg.norm(scene.source.position - mic)
+        for k, mic in enumerate(scene.mics):
+            dist = np.linalg.norm(scene.source - mic)
             delay = int(np.rint(config.fs * dist / SPEED_OF_SOUND))
             expected = np.zeros(received.n_samples)
             expected[delay : delay + sig.size] = sig / (4.0 * math.pi * dist)

@@ -21,7 +21,7 @@ from wasnloc import features as features_module
 from wasnloc.features import DEFAULT_FFT_SIZE, Grid, gcc_phat, slf_project, theoretical_tdoa_grid
 from wasnloc.relnet import raw_pair_features
 from wasnloc.rir import SPEED_OF_SOUND
-from wasnloc.scenes import MicArray, SceneDistribution, sample_scene
+from wasnloc.scenes import SceneDistribution, sample_scene
 from wasnloc.signals import MultichannelSignal
 
 FS = 16000
@@ -87,7 +87,7 @@ examples = st.tuples(st.integers(2, 8), st.integers(0, 2**32 - 1))
 @given(example=examples, grid_n=st.sampled_from([4, 25]))
 def test_batched_stages_equal_per_pair_reference(example, grid_n):
     frame, scene = random_example(*example)
-    mics = scene.mics.positions
+    mics = scene.mics
     z_plane = float(np.mean(mics[:, 2]))
     grid = Grid(scene.room.width, scene.room.length, grid_n)
 
@@ -118,7 +118,7 @@ def test_batched_stages_equal_per_pair_reference(example, grid_n):
 def test_relabeling_mics_only_reorders_rows(example, order_seed):
     frame, scene = random_example(*example)
     perm = np.random.default_rng(order_seed).permutation(scene.m)
-    scene_p = dataclasses.replace(scene, mics=MicArray(scene.mics.positions[perm]))
+    scene_p = dataclasses.replace(scene, mics=scene.mics[perm])
     frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
 
     def by_pair_position(features):

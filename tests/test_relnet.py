@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import FS, anechoic_frame, planar_scene
+from conftest import anechoic_frame, planar_scene
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +25,7 @@ from wasnloc.relnet import (
     standardize_features,
     target_map,
 )
-from wasnloc.scenes import MicArray, SceneDistribution, sample_scene
+from wasnloc.scenes import SceneDistribution, sample_scene
 
 
 def small_config(kind="slf", grid_n=5):
@@ -173,7 +173,7 @@ class TestRelNetForward:
         base = gnn_localize(model, frame, scene).heatmap
         perm = [4, 2, 0, 3, 1]
         scene_p = dataclasses.replace(
-            scene, mics=type(scene.mics)(scene.mics.positions[perm])
+            scene, mics=scene.mics[perm]
         )
         frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
         swapped = gnn_localize(model, frame_p, scene_p).heatmap
@@ -259,7 +259,7 @@ class TestClassicalEquivalence:
         _, slf, _ = raw_pair_features(frame, scene, grid_n)
         expected = standardize_features(slf, "slf").mean(axis=0)
         perm = np.random.default_rng(order_seed).permutation(m)
-        scene_p = dataclasses.replace(scene, mics=MicArray(scene.mics.positions[perm]))
+        scene_p = dataclasses.replace(scene, mics=scene.mics[perm])
         frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
         heatmap = gnn_localize(identity_model(grid_n), frame_p, scene_p).heatmap
         np.testing.assert_allclose(heatmap, expected, rtol=0, atol=1e-6)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,16 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wasnloc.scenes import (
-    MicArray,
     PlacementError,
     RoomSpec,
     Scene,
     SceneDistribution,
-    SourceSpec,
     sample_scene,
     scene_from_json,
     scene_to_json,
-    with_signal_id,
 )
 from wasnloc.relnet import raw_pair_features
 from wasnloc.signals import MultichannelSignal
@@ -26,8 +24,8 @@ from wasnloc.typedjson import ConfigError
 def make_scene(mics, room=(4.0, 5.0, 3.0), source=(2.0, 2.5, 1.5), t60=0.4, seed=0):
     return Scene(
         room=RoomSpec(*room, t60),
-        mics=MicArray(np.asarray(mics, dtype=float)),
-        source=SourceSpec(np.asarray(source, dtype=float)),
+        mics=np.asarray(mics, dtype=float),
+        source=np.asarray(source, dtype=float),
         seed=seed,
     )
 
@@ -35,7 +33,7 @@ def make_scene(mics, room=(4.0, 5.0, 3.0), source=(2.0, 2.5, 1.5), t60=0.4, seed
 def validate_scene(scene, min_separation):
     """Raise ValueError unless all joint scene invariants hold."""
     dims = scene.room.dims
-    devices = np.vstack([scene.mics.positions, scene.source.position[None, :]])
+    devices = np.vstack([scene.mics, scene.source[None, :]])
     if np.any(devices <= 0.0) or np.any(devices >= dims[None, :]):
         raise ValueError("device outside the room interior")
     if np.any(devices < min_separation - 1e-12) or np.any(
@@ -64,6 +62,23 @@ class TestRoomSpec:
         assert room.surface_area == pytest.approx(94.0)
 
 
+class TestScene:
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 2), (4, 4), (2, 3, 1), (0,)])
+    def test_mics_of_wrong_shape_refused(self, shape):
+        with pytest.raises(ValueError, match=r"^Scene\.mics must have shape \(M, 3\), M >= 1"):
+            make_scene(np.ones(shape))
+
+    def test_source_of_wrong_size_refused(self):
+        with pytest.raises(ValueError):
+            make_scene([[1.0, 1.0, 1.0]], source=(2.0, 2.5))
+
+    def test_holds_float_arrays(self):
+        scene = Scene(RoomSpec(4.0, 5.0, 3.0, 0.4), [[1, 1, 1], [3, 4, 2]], [[2, 2, 1]], seed=0)
+        assert scene.mics.dtype == scene.source.dtype == np.float64
+        assert (scene.mics.shape, scene.source.shape, scene.m) == ((2, 3), (3,), 2)
+        assert scene.signal_id == "synthetic"
+
+
 class TestSampleScene:
     def test_constraints_hold(self):
         config = SceneDistribution(mic_counts=(5, 7))
@@ -76,14 +91,14 @@ class TestSampleScene:
         a = sample_scene(config, 123)
         b = sample_scene(config, 123)
         assert a.room == b.room
-        assert np.array_equal(a.mics.positions, b.mics.positions)
-        assert np.array_equal(a.source.position, b.source.position)
+        assert np.array_equal(a.mics, b.mics)
+        assert np.array_equal(a.source, b.source)
 
     def test_different_seeds_differ(self):
         config = SceneDistribution()
         a = sample_scene(config, 1)
         b = sample_scene(config, 2)
-        assert not np.array_equal(a.mics.positions, b.mics.positions)
+        assert not np.array_equal(a.mics, b.mics)
 
     def test_invariants_over_many_seeds(self):
         # spec-level property: every sampled scene satisfies the joint
@@ -92,7 +107,7 @@ class TestSampleScene:
         for seed in range(10_000):
             scene = sample_scene(config, seed)
             dims = scene.room.dims
-            devices = np.vstack([scene.mics.positions, scene.source.position])
+            devices = np.vstack([scene.mics, scene.source])
             sep = config.min_separation
             assert np.all(devices >= sep) and np.all(devices <= dims - sep)
             diffs = devices[:, None, :] - devices[None, :, :]
@@ -161,9 +176,9 @@ class TestSceneJson:
         scene = sample_scene(SceneDistribution(), 77)
         back = scene_from_json(scene_to_json(scene))
         assert back.room == scene.room
-        assert np.array_equal(back.mics.positions, scene.mics.positions)
-        assert np.array_equal(back.source.position, scene.source.position)
-        assert back.source.signal_id == scene.source.signal_id
+        assert np.array_equal(back.mics, scene.mics)
+        assert np.array_equal(back.source, scene.source)
+        assert back.signal_id == scene.signal_id
         assert back.seed == scene.seed
 
     def test_serialization_is_deterministic(self):
@@ -201,12 +216,12 @@ class TestSceneJson:
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), signal_id=st.text(max_size=8))
     def test_round_trip_is_exact_for_any_m(self, m, seed, signal_id):
-        scene = with_signal_id(sample_scene(SceneDistribution(mic_counts=(m,)), seed), signal_id)
+        scene = dataclasses.replace(sample_scene(SceneDistribution(mic_counts=(m,)), seed), signal_id=signal_id)
         back = scene_from_json(scene_to_json(scene))
         assert back.room == scene.room and back.seed == scene.seed and back.m == m
-        assert np.array_equal(back.mics.positions, scene.mics.positions)
-        assert np.array_equal(back.source.position, scene.source.position)
-        assert back.source.signal_id == signal_id
+        assert np.array_equal(back.mics, scene.mics)
+        assert np.array_equal(back.source, scene.source)
+        assert back.signal_id == signal_id
 
     @settings(max_examples=80, deadline=None)
     @given(m=st.integers(2, 8), data=st.data(), bad=st.sampled_from(["1.0", True, math.nan, [1.0, 2.0]]))

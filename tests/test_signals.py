@@ -12,7 +12,7 @@ from scipy.signal import fftconvolve
 
 from wasnloc.dataset import DatasetConfig
 from wasnloc.rir import SPEED_OF_SOUND, simulate_rir
-from wasnloc.scenes import MicArray, RoomSpec, Scene, SourceSpec
+from wasnloc.scenes import RoomSpec, Scene
 from wasnloc.signals import (
     CorpusError,
     MultichannelSignal,
@@ -31,8 +31,8 @@ FS = 16000
 def two_mic_scene(src=(2.0, 2.5, 1.5), mics=((1.0, 1.0, 1.4), (3.9, 3.1, 1.6))):
     return Scene(
         room=RoomSpec(5.0, 4.0, 3.0, 0.4),
-        mics=MicArray(np.asarray(mics, dtype=float)),
-        source=SourceSpec(np.asarray(src, dtype=float)),
+        mics=np.asarray(mics, dtype=float),
+        source=np.asarray(src, dtype=float),
         seed=0,
     )
 
@@ -43,17 +43,17 @@ class TestAuralize:
         impulse = np.zeros(64)
         impulse[0] = 1.0
         out = auralize(scene, impulse, FS)
-        rirs = simulate_rir(scene.room, scene.source.position, scene.mics.positions, FS)
+        rirs = simulate_rir(scene.room, scene.source, scene.mics, FS)
         for k, rir in enumerate(rirs):
-            np.testing.assert_allclose(out.channels[k][: rir.taps.size], rir.taps, atol=1e-12)
+            np.testing.assert_allclose(out.channels[k][: rir.size], rir, atol=1e-12)
 
     def test_direct_path_is_shift_and_scale(self):
         scene = two_mic_scene()
         rng = np.random.default_rng(1)
         sig = rng.standard_normal(2000)
         out = auralize(scene, sig, FS, max_order=0)
-        for k, mic in enumerate(scene.mics.positions):
-            dist = np.linalg.norm(scene.source.position - mic)
+        for k, mic in enumerate(scene.mics):
+            dist = np.linalg.norm(scene.source - mic)
             delay = int(np.rint(FS * dist / SPEED_OF_SOUND))
             expected = np.zeros(out.n_samples)
             expected[delay : delay + sig.size] = sig / (4.0 * math.pi * dist)
@@ -65,7 +65,7 @@ class TestAuralize:
         rng = np.random.default_rng(2)
         sig = rng.standard_normal(4000)
         out = auralize(scene, sig, FS, max_order=0)
-        d = [np.linalg.norm(scene.source.position - m) for m in scene.mics.positions]
+        d = [np.linalg.norm(scene.source - m) for m in scene.mics]
         expected_lag = int(np.rint(FS * d[0] / SPEED_OF_SOUND)) - int(
             np.rint(FS * d[1] / SPEED_OF_SOUND)
         )
@@ -105,12 +105,12 @@ class TestAuralize:
         points = np.asarray(fractions) * room.dims
         source, mics = points[0], points[1 : m + 1]
         assume(np.min(np.linalg.norm(mics - source, axis=1)) > 0.01)
-        scene = Scene(room=room, mics=MicArray(mics), source=SourceSpec(source), seed=0)
+        scene = Scene(room=room, mics=mics, source=source, seed=0)
         sig = np.random.default_rng(seed).standard_normal(n_sig)
         out = auralize(scene, sig, FS, max_order=max_order)
         assert out.channels.shape[0] == m
         for k, rir in enumerate(simulate_rir(room, source, mics, FS, max_order=max_order)):
-            np.testing.assert_array_equal(out.channels[k], fftconvolve(sig, rir.taps))
+            np.testing.assert_array_equal(out.channels[k], fftconvolve(sig, rir))
 
 
 class TestAddNoise:
