@@ -45,7 +45,6 @@ from .scenes import (
     sample_scene,
 )
 from .signals import (
-    MultichannelSignal,
     SourceSignalConfig,
     add_noise,
     auralize,

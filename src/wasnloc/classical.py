@@ -30,8 +30,8 @@ from .features import (
     slf_project,
     theoretical_tdoa_grid,
 )
+from .rir import DEFAULT_FS
 from .scenes import Scene
-from .signals import MultichannelSignal
 
 
 @dataclass(eq=False)
@@ -49,8 +49,9 @@ def enumerate_pairs(m: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(m), 2))
 
 
-def pair_correlations(frame: MultichannelSignal, scene: Scene) -> tuple[np.ndarray, np.ndarray, float]:
-    """The pair step every localizer shares: (pairs, corr, z_plane).
+def pair_correlations(frame: np.ndarray, scene: Scene) -> tuple[np.ndarray, np.ndarray, float]:
+    """The pair step every localizer shares on an (M, n) frame: (pairs,
+    corr, z_plane).
 
     ``pairs`` is the (P, 2) array of :func:`enumerate_pairs`, each pair
     ordered by mic position (lexicographic x, y, z) rather than by channel
@@ -58,13 +59,13 @@ def pair_correlations(frame: MultichannelSignal, scene: Scene) -> tuple[np.ndarr
     holds their (P, DEFAULT_FFT_SIZE) :func:`gcc_phat` correlations and
     z_plane is the mean mic height, the plane the search grid lies in.
     """
-    if frame.m != scene.m:
-        raise ValueError(f"frame has {frame.m} channels but scene has {scene.m} mics")
+    if len(frame) != scene.m:
+        raise ValueError(f"frame has {len(frame)} channels but scene has {scene.m} mics")
     pairs = np.array(enumerate_pairs(scene.m))
     rank = np.argsort(np.lexsort(scene.mics.T[::-1]))  # position order; ties keep index order
     swap = rank[pairs[:, 1]] < rank[pairs[:, 0]]
     pairs[swap] = pairs[swap, ::-1]
-    return pairs, gcc_phat(frame.channels, pairs), mean_mic_height(scene.mics)
+    return pairs, gcc_phat(frame, pairs), mean_mic_height(scene.mics)
 
 
 def pick_peak(heatmap: np.ndarray, grid: Grid, mode: str = "max") -> np.ndarray:
@@ -86,7 +87,7 @@ def pick_peak(heatmap: np.ndarray, grid: Grid, mode: str = "max") -> np.ndarray:
     return grid.cell_center(idx)
 
 
-def tdoa_localize(frame: MultichannelSignal, scene: Scene, grid: Grid) -> LocalizationResult:
+def tdoa_localize(frame: np.ndarray, scene: Scene, grid: Grid) -> LocalizationResult:
     """Least-squares TDOA localization on the grid (minimum picks the source).
 
     Per pair, the measured TDOA is the GCC-PHAT peak lag, searched over the
@@ -95,17 +96,17 @@ def tdoa_localize(frame: MultichannelSignal, scene: Scene, grid: Grid) -> Locali
     its theoretical TDOA.
     """
     pairs, corr, z_plane = pair_correlations(frame, scene)
-    measured = (np.argmax(central_lags(corr), axis=1) - DEFAULT_N_CENTRAL // 2) / frame.fs
+    measured = (np.argmax(central_lags(corr), axis=1) - DEFAULT_N_CENTRAL // 2) / DEFAULT_FS
     theo = theoretical_tdoa_grid(scene.mics, pairs, grid, z_plane)
     total = np.sum((theo - measured[:, None]) ** 2, axis=0)
     return LocalizationResult(pick_peak(total, grid, "min"), total)
 
 
-def slf_localize(frame: MultichannelSignal, scene: Scene, grid: Grid) -> LocalizationResult:
+def slf_localize(frame: np.ndarray, scene: Scene, grid: Grid) -> LocalizationResult:
     """Spatial-likelihood localization on the grid (maximum picks the source).
 
     Sums the :func:`slf_project` maps of all pairs.
     """
     pairs, corr, z_plane = pair_correlations(frame, scene)
-    total = np.sum(slf_project(corr, frame.fs, scene.mics, pairs, grid, z_plane), axis=0)
+    total = np.sum(slf_project(corr, scene.mics, pairs, grid, z_plane), axis=0)
     return LocalizationResult(pick_peak(total, grid, "max"), total)

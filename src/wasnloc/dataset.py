@@ -1,9 +1,10 @@
 """Synthetic dataset generation and on-disk layout.
 
 Each example lives in its own directory: one float32 WAV per channel
-(ch_00.wav ...), the scene as scene.json and features.bin, a cache of the
-raw per-pair GCC/SLF features so training never touches audio again (a
-stale or unreadable cache is recomputed from the WAVs). A JSON manifest at
+(ch_00.wav ...) at the package's one rate, ``rir.DEFAULT_FS``, the scene
+as scene.json and features.bin, a cache of the raw per-pair GCC/SLF
+features so training never touches audio again (a stale, unreadable or
+non-finite cache is recomputed from the WAVs). A JSON manifest at
 the dataset root lists every example with its microphone count, room,
 true source position and seed.
 
@@ -52,7 +53,6 @@ from .scenes import (
     scene_to_json,
 )
 from .signals import (
-    MultichannelSignal,
     SourceSignalConfig,
     add_noise,
     auralize,
@@ -98,7 +98,6 @@ class DatasetConfig:
     val_mic_counts: tuple[int, ...] = (5, 7)
     test_mic_counts: tuple[int, ...] = (4, 5, 6, 7)
     master_seed: int = 0
-    fs: int = DEFAULT_FS
     snr_db: float = 30.0
     duration_s: float = 1.0
     max_order: int | None = None
@@ -112,11 +111,8 @@ class DatasetConfig:
             value = getattr(self, name)
             if value is not None and value < low:  # max_order None: no cap
                 raise ValueError(f"DatasetConfig.{name} must be >= {low}, got {value}")
-        for name in ("fs", "duration_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"DatasetConfig.{name} must be > 0, got {getattr(self, name)}")
-        if not math.isfinite(self.duration_s):
-            raise ValueError(f"DatasetConfig.duration_s must be finite, got {self.duration_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"DatasetConfig.duration_s must be > 0 and finite, got {self.duration_s}")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"DatasetConfig.snr_db must be a number or inf, got {self.snr_db}")
         if math.isfinite(self.snr_db):
@@ -128,6 +124,12 @@ class DatasetConfig:
                 raise ValueError(
                     f"DatasetConfig.snr_db must give a power ratio within the float range, got {self.snr_db}"
                 )
+
+    @property
+    def fs(self) -> int:
+        """The fixed DEFAULT_FS. Read only by the benchmark's dataset checker,
+        like n_central; goes when that checker stops reading it."""
+        return DEFAULT_FS
 
     @property
     def n_central(self) -> int:
@@ -163,12 +165,10 @@ def generate_example(config: DatasetConfig, split: str, index: int, out_root) ->
         logger.warning("skipping %s/%05d: %s", split, index, exc)
         return None
 
-    signal, signal_id = provide_source_signal_with_id(
-        config.source, config.duration_s, config.fs, [seed, 1]
-    )
+    signal, signal_id = provide_source_signal_with_id(config.source, config.duration_s, [seed, 1])
     scene = replace(scene, signal_id=signal_id)
     try:
-        received = auralize(scene, signal, config.fs, max_order=config.max_order)
+        received = auralize(scene, signal, max_order=config.max_order)
     except InfeasibleRoomError as exc:
         logger.warning("skipping %s/%05d: %s", split, index, exc)
         return None
@@ -176,8 +176,8 @@ def generate_example(config: DatasetConfig, split: str, index: int, out_root) ->
 
     example_dir = Path(out_root) / split / f"{index:05d}"
     example_dir.mkdir(parents=True, exist_ok=True)
-    for k in range(received.m):
-        write_wav(example_dir / f"ch_{k:02d}.wav", received.channels[k], config.fs)
+    for k, channel in enumerate(received):
+        write_wav(example_dir / f"ch_{k:02d}.wav", channel)
     (example_dir / "scene.json").write_text(scene_to_json(scene))
     gcc, slf, meta = raw_pair_features(extract_frame(received), scene, config.grid_n)
     write_feature_cache(example_dir / FEATURES_NAME, config.grid_n, gcc, slf, meta)
@@ -253,6 +253,13 @@ class _Entry:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError(f"m must be >= 2, got {self.m}")
+        if min(self.room) <= 0:
+            raise ValueError(f"room {list(self.room)} must be > 0 in every dimension")
+        if self.t60 <= 0:
+            raise ValueError(f"t60 must be > 0, got {self.t60}")
+        (x, y), (width, length, _) = self.source_xy, self.room
+        if not (0 <= x <= width and 0 <= y <= length):
+            raise ValueError(f"source_xy {list(self.source_xy)} outside the room footprint {[width, length]}")
 
 
 @dataclass(frozen=True)
@@ -320,7 +327,8 @@ def read_feature_cache(
     FeatureCacheError names the file, and the member where there is one, if
     the file is not a readable npz, has another version, was built with
     other FEATURE_PARAMS values than grid_n and the fixed ones, or lacks a
-    member read or holds one of other than M(M-1)/2 rows of its width.
+    member read or holds one of other than M(M-1)/2 rows of its width or a
+    value that is NaN or infinite.
     """
     pairs = m * (m - 1) // 2
     widths = {"gcc": DEFAULT_N_CENTRAL, "slf": grid_n**2, "meta": PAIR_METADATA_SIZE}
@@ -347,6 +355,10 @@ def read_feature_cache(
                         f"{path}: member {member!r} has shape {arrays[member].shape}, "
                         f"expected {(pairs, widths[member])}"
                     )
+                if not np.isfinite(arrays[member]).all():
+                    row, col = np.argwhere(~np.isfinite(arrays[member]))[0]
+                    value = arrays[member][row, col]
+                    raise FeatureCacheError(f"{path}: member {member!r} holds {value} at ({row}, {col})")
             return arrays.get("gcc"), arrays.get("slf"), arrays["meta"]
     except FeatureCacheError:
         raise
@@ -355,11 +367,12 @@ def read_feature_cache(
         raise FeatureCacheError(f"{path}: unreadable {where}: {exc}") from exc
 
 
-def load_example_dir(example_dir) -> tuple[MultichannelSignal, Scene]:
-    """Read one example's channels and scene back from its directory.
+def load_example_dir(example_dir) -> tuple[np.ndarray, Scene]:
+    """Read one example's (M, n) channels and scene back from its directory.
 
     The directory must hold exactly ch_00.wav .. ch_{M-1}.wav for the M of
-    scene.json; a missing or extra channel raises ValueError naming it.
+    scene.json, each of n samples at DEFAULT_FS; a missing or extra
+    channel, or one of another rate or length, raises ValueError naming it.
     """
     example_dir = Path(example_dir)
     scene_path = example_dir / "scene.json"
@@ -373,22 +386,18 @@ def load_example_dir(example_dir) -> tuple[MultichannelSignal, Scene]:
         state = "is missing" if odd[0] in expected else "is not a channel"
         raise ValueError(f"{example_dir}: {odd[0]} {state}; scene.json has M = {scene.m}")
     channels = []
-    fs = None
     for k in range(scene.m):
         wav = example_dir / f"ch_{k:02d}.wav"
         samples, rate = read_wav_mono(wav)
-        if not channels:
-            fs = rate
-        elif (rate, samples.size) != (fs, channels[0].size):
-            raise ValueError(
-                f"{wav}: {samples.size} samples at {rate} Hz, but ch_00.wav has "
-                f"{channels[0].size} samples at {fs} Hz"
-            )
+        if rate != DEFAULT_FS:
+            raise ValueError(f"{wav}: sampled at {rate} Hz, expected {DEFAULT_FS} Hz")
+        if channels and samples.size != channels[0].size:
+            raise ValueError(f"{wav}: {samples.size} samples, but ch_00.wav has {channels[0].size}")
         channels.append(samples)
-    return MultichannelSignal(np.vstack(channels), fs), scene
+    return np.vstack(channels), scene
 
 
-def load_example(data_dir, entry: dict) -> tuple[MultichannelSignal, Scene]:
+def load_example(data_dir, entry: dict) -> tuple[np.ndarray, Scene]:
     """The example of a manifest entry. The entry's m, room, t60 and
     source_xy must equal its scene.json's exactly, since both are written
     from the same floats; ValueError naming the manifest and the example

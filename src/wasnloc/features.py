@@ -1,7 +1,9 @@
 """Pairwise signal features: frames, GCC-PHAT and grid projections.
 
-Every localizer analyses one frame of DEFAULT_FRAME_MS, the most energetic
-of the signal's non-overlapping windows (:func:`extract_frame`).
+Signals and frames are (M, n) float arrays at the package's one rate,
+``rir.DEFAULT_FS``. Every localizer analyses one frame of DEFAULT_FRAME_MS,
+the most energetic of the signal's non-overlapping windows
+(:func:`extract_frame`).
 
 The search grid is a flattened n x n discretization of the room footprint;
 cell (u, v) is centered at ((u + 0.5) width / n, (v + 0.5) length / n) and
@@ -13,7 +15,7 @@ split into 50%-overlapped DFT windows of DEFAULT_FFT_SIZE samples, each
 window's cross-spectrum is whitened to unit magnitude, the whitened spectra
 are averaged, and a single inverse transform yields the correlation,
 circularly shifted so lag 0 sits at the center. The peak lag approximates
-fs * (tau_i - tau_j). GNN-GCC and the TDOA peak search read the
+DEFAULT_FS * (tau_i - tau_j). GNN-GCC and the TDOA peak search read the
 DEFAULT_N_CENTRAL lags around 0 (:func:`central_lags`). Like the frame
 length, both sizes belong to the method and are fixed.
 
@@ -32,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rir import SPEED_OF_SOUND
-from .signals import MultichannelSignal
+from .rir import DEFAULT_FS, SPEED_OF_SOUND
 
 PHAT_FLOOR = 1e-12
 DEFAULT_FFT_SIZE = 1024
@@ -76,26 +77,24 @@ class Grid:
         return np.array([(u + 0.5) * self.width / self.n, (v + 0.5) * self.length / self.n])
 
 
-def extract_frame(signals: MultichannelSignal) -> MultichannelSignal:
-    """Pick the DEFAULT_FRAME_MS window with maximal mean energy over channels.
+def extract_frame(channels: np.ndarray) -> np.ndarray:
+    """The (M, frame_len) DEFAULT_FRAME_MS window of the (M, n) channels
+    with maximal mean energy over channels.
 
     Candidate windows of L samples start at 0, L, 2L, ...; a trailing
     remainder shorter than one frame is ignored. Ties go to the earliest
     window.
     """
-    frame_len = int(round(signals.fs * DEFAULT_FRAME_MS / 1000.0))
-    n_windows = signals.n_samples // frame_len
+    channels = np.asarray(channels, dtype=float)
+    m, n = channels.shape
+    frame_len = int(round(DEFAULT_FS * DEFAULT_FRAME_MS / 1000.0))
+    n_windows = n // frame_len
     if n_windows < 1:
-        raise ValueError(
-            f"signal of {signals.n_samples} samples is shorter than one "
-            f"{frame_len}-sample frame"
-        )
-    usable = signals.channels[:, : n_windows * frame_len]
-    windows = usable.reshape(signals.m, n_windows, frame_len)
+        raise ValueError(f"signal of {n} samples is shorter than one {frame_len}-sample frame")
+    windows = channels[:, : n_windows * frame_len].reshape(m, n_windows, frame_len)
     energy = np.sum(windows**2, axis=(0, 2))
-    best = int(np.argmax(energy))
-    start = best * frame_len
-    return MultichannelSignal(signals.channels[:, start : start + frame_len].copy(), signals.fs)
+    start = int(np.argmax(energy)) * frame_len
+    return channels[:, start : start + frame_len].copy()
 
 
 def gcc_phat(channels: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -160,7 +159,6 @@ def theoretical_tdoa_grid(
 
 def slf_project(
     corr: np.ndarray,
-    fs: int,
     mics: np.ndarray,
     pairs: np.ndarray,
     grid: Grid,
@@ -187,7 +185,7 @@ def slf_project(
         + (v[None, None, :] - mics[:, 1, None, None]) ** 2
         + ((z_plane - mics[:, 2]) ** 2)[:, None, None]
     )
-    lags = (dist[pairs[:, 0]] - dist[pairs[:, 1]]) * (fs / SPEED_OF_SOUND)
+    lags = (dist[pairs[:, 0]] - dist[pairs[:, 1]]) * (DEFAULT_FS / SPEED_OF_SOUND)
     lo = np.minimum(lags[:, :-1], lags[:, 1:])
     hi = np.maximum(lags[:, :-1], lags[:, 1:])
     lo = np.minimum(lo[:, :, :-1], lo[:, :, 1:]).reshape(len(pairs), -1)

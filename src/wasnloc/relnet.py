@@ -47,7 +47,6 @@ from .features import (
 )
 from .mlp import Mlp, layer_shapes
 from .scenes import Scene, pair_metadata_vector
-from .signals import MultichannelSignal
 from .typedjson import ConfigError, build, loads
 
 PAIR_METADATA_SIZE = 9
@@ -153,7 +152,7 @@ def standardize_features(raw: np.ndarray, kind: str) -> np.ndarray:
 
 
 def raw_pair_features(
-    frame: MultichannelSignal, scene: Scene, grid_n: int
+    frame: np.ndarray, scene: Scene, grid_n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unstandardized per-pair features for one example.
 
@@ -165,7 +164,7 @@ def raw_pair_features(
     """
     pairs, corr, z_plane = pair_correlations(frame, scene)
     grid = Grid(scene.room.width, scene.room.length, grid_n)
-    slf = slf_project(corr, frame.fs, scene.mics, pairs, grid, z_plane)
+    slf = slf_project(corr, scene.mics, pairs, grid, z_plane)
     meta = pair_metadata_vector(scene.mics[pairs[:, 0]], scene.mics[pairs[:, 1]], scene.room.dims)
     return central_lags(corr), slf, meta
 
@@ -207,7 +206,7 @@ def relnet_forward_features(model: RelNetModel, features: np.ndarray) -> np.ndar
     return forward_batch(model, [features])[0][0]
 
 
-def gnn_localize(model: RelNetModel, frame: MultichannelSignal, scene: Scene) -> LocalizationResult:
+def gnn_localize(model: RelNetModel, frame: np.ndarray, scene: Scene) -> LocalizationResult:
     """Localize one example (any M >= 2) with a trained relation network; the
     grid maximum of its heatmap wins."""
     features = assemble_input(*raw_pair_features(frame, scene, model.config.grid_n), model.config)

@@ -11,8 +11,10 @@ them add coherently, inflating late energy by the per-tap image count and
 stretching the measured decay ~1.5x. Alternating parity restores the
 incoherent energy budget so the simulated decay tracks the requested T60.
 
-No fractional-delay interpolation is applied: localization here works at
-grid resolution far above the ~2 cm path error of one sample at 16 kHz.
+Responses are sampled at DEFAULT_FS, the package's one rate: the GCC-PHAT
+front end's DFT size, lag crop and frame length are sized for it. No
+fractional-delay interpolation is applied: localization here works at
+grid resolution far above the ~2 cm path error of one sample at that rate.
 
 ``simulate_rir`` takes all microphones of a scene at once and returns an
 (M, n_taps) array whose row k is mic k's response. The image positions,
@@ -95,12 +97,11 @@ def simulate_rir(
     room: RoomSpec,
     source: np.ndarray,
     mics: np.ndarray,
-    fs: int = DEFAULT_FS,
     *,
     max_order: int | None = None,
 ) -> np.ndarray:
     """Image-source RIRs between one source and each of the (M, 3) mics, as
-    an (M, n_taps) array of taps at rate fs whose row k belongs to mic k.
+    an (M, n_taps) array of taps at DEFAULT_FS whose row k belongs to mic k.
 
     Each response is truncated at RIR_LENGTH_T60_FACTOR * T60 and the image
     set is enumerated (per dimension) out to the matching path length.
@@ -118,8 +119,6 @@ def simulate_rir(
     for k, mic in enumerate(mics):
         if np.any(mic <= 0) or np.any(mic >= dims):
             raise ValueError(f"mic {k} must lie strictly inside the room")
-    if fs <= 0:
-        raise ValueError("fs must be positive")
     direct = [float(np.linalg.norm(source - mic)) for mic in mics]
     for k, d in enumerate(direct):
         if d < 1e-9:
@@ -127,13 +126,13 @@ def simulate_rir(
 
     alpha = eyring_absorption(room)
     beta = -math.sqrt(1.0 - alpha)  # sign alternates with parity, see module docstring
-    n_taps = int(math.ceil(RIR_LENGTH_T60_FACTOR * room.t60 * fs))
-    path_limit = SPEED_OF_SOUND * n_taps / fs
+    n_taps = int(math.ceil(RIR_LENGTH_T60_FACTOR * room.t60 * DEFAULT_FS))
+    path_limit = SPEED_OF_SOUND * n_taps / DEFAULT_FS
     taps = np.zeros((len(mics), n_taps))
 
     if max_order == 0:
         for row, d in zip(taps, direct):
-            idx = int(np.rint(fs * d / SPEED_OF_SOUND))
+            idx = int(np.rint(DEFAULT_FS * d / SPEED_OF_SOUND))
             if idx < n_taps:
                 row[idx] = 1.0 / (4.0 * math.pi * d)
         return taps
@@ -177,7 +176,7 @@ def simulate_rir(
                 if dist.size == 0:
                     continue
                 np.sqrt(dist, out=dist)
-                idx = dist * fs
+                idx = dist * DEFAULT_FS
                 idx /= SPEED_OF_SOUND
                 np.rint(idx, out=idx)
                 dist *= 4.0 * math.pi
@@ -199,21 +198,21 @@ def _edc_db_from_onset(taps: np.ndarray) -> np.ndarray:
         return 10.0 * np.log10(np.maximum(edc[onset:], 1e-300))
 
 
-def _fit_decay_time(db: np.ndarray, fs: int, fit_db: tuple[float, float]) -> float:
+def _fit_decay_time(db: np.ndarray, fit_db: tuple[float, float]) -> float:
     hi, lo = max(fit_db), min(fit_db)
     mask = (db <= hi) & (db >= lo)
     if mask.sum() < 2:
         raise ValueError(f"decay curve never spans the {fit_db} dB fit range")
-    t = np.flatnonzero(mask) / fs
+    t = np.flatnonzero(mask) / DEFAULT_FS
     slope, _ = np.polyfit(t, db[mask], 1)
     if slope >= 0:
         raise ValueError("non-decaying Schroeder curve")
     return -60.0 / slope
 
 
-def schroeder_decay_time(taps: np.ndarray, fs: int, fit_db: tuple[float, float] = (0.0, -10.0)) -> float:
+def schroeder_decay_time(taps: np.ndarray, fit_db: tuple[float, float] = (0.0, -10.0)) -> float:
     """Time to fall 60 dB, from backward integration of the squared response
-    taps sampled at rate fs.
+    taps sampled at DEFAULT_FS.
 
     A line is fitted to the Schroeder curve between the two fit levels (dB,
     measured from the direct-sound arrival) and extrapolated to -60 dB.
@@ -221,12 +220,12 @@ def schroeder_decay_time(taps: np.ndarray, fs: int, fit_db: tuple[float, float] 
     windows are unreliable on responses truncated at 1.25 T60, where the
     missing tail steepens the end of the curve.
     """
-    return _fit_decay_time(_edc_db_from_onset(taps), fs, fit_db)
+    return _fit_decay_time(_edc_db_from_onset(taps), fit_db)
 
 
-def average_decay_time(rirs, fs: int, fit_db: tuple[float, float] = (0.0, -10.0)) -> float:
+def average_decay_time(rirs, fit_db: tuple[float, float] = (0.0, -10.0)) -> float:
     """Room decay time from several measurement positions, one response per
-    row of rirs (such as simulate_rir's array), sampled at rate fs.
+    row of rirs (such as simulate_rir's array), sampled at DEFAULT_FS.
 
     Onset-aligned, energy-normalized Schroeder curves are averaged across
     the given responses before the slope fit, the usual way a single room
@@ -239,4 +238,4 @@ def average_decay_time(rirs, fs: int, fit_db: tuple[float, float] = (0.0, -10.0)
     length = min(c.size for c in curves)
     mean_energy = np.mean([10.0 ** (c[:length] / 10.0) for c in curves], axis=0)
     db = 10.0 * np.log10(np.maximum(mean_energy, 1e-300))
-    return _fit_decay_time(db, fs, fit_db)
+    return _fit_decay_time(db, fit_db)

@@ -7,6 +7,9 @@ Source waveforms come either from a directory of mono WAV files or from a
 built-in speech-like generator (pink noise with a slow syllabic amplitude
 modulation) so the full pipeline runs without any external corpus.
 
+Signals are plain (M, n) float arrays, row k for mic k, sampled at the
+package's one rate ``rir.DEFAULT_FS``; WAVs are written at that rate.
+
 A scene is convolved in one frequency-domain pass: one source spectrum
 multiplies the spectra of all M RIRs, the rows of one ``simulate_rir``
 array, in one batched transform, so each channel equals
@@ -46,36 +49,9 @@ class CorpusError(RuntimeError):
     """The configured WAV corpus is unusable (missing, empty, bad format)."""
 
 
-@dataclass(eq=False)
-class MultichannelSignal:
-    """M equal-length sample sequences at rate fs, shape (M, n)."""
-
-    channels: np.ndarray
-    fs: int
-
-    def __post_init__(self):
-        ch = np.atleast_2d(np.asarray(self.channels, dtype=float))
-        if ch.ndim != 2:
-            raise ValueError("channels must be a 2-D (M, n) array")
-        self.channels = ch
-
-    @property
-    def m(self) -> int:
-        return self.channels.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.channels.shape[1]
-
-
-def auralize(
-    scene: Scene,
-    source_signal: np.ndarray,
-    fs: int = DEFAULT_FS,
-    *,
-    max_order: int | None = None,
-) -> MultichannelSignal:
-    """Convolve the source signal with every microphone's RIR.
+def auralize(scene: Scene, source_signal: np.ndarray, *, max_order: int | None = None) -> np.ndarray:
+    """Convolve the source signal with every microphone's RIR: the (M, n)
+    received channels.
 
     All channels share the source's time origin, so inter-channel delays
     are carried entirely by the RIR tap positions. ``max_order=0`` gives
@@ -90,33 +66,34 @@ def auralize(
     sig = np.asarray(source_signal, dtype=float).ravel()
     if sig.size == 0:
         raise ValueError("source signal is empty")
-    taps = simulate_rir(scene.room, scene.source, scene.mics, fs, max_order=max_order)
+    taps = simulate_rir(scene.room, scene.source, scene.mics, max_order=max_order)
     if min(sig.size, taps.shape[1]) == 1:
-        return MultichannelSignal(sig * taps, fs)
+        return sig * taps
     n = sig.size + taps.shape[1] - 1
     nfft = fft.next_fast_len(n, True)
     spectra = fft.rfft(sig, nfft) * fft.rfft(taps, nfft, axis=-1)
-    return MultichannelSignal(fft.irfft(spectra, nfft, axis=-1)[:, :n].copy(), fs)
+    return fft.irfft(spectra, nfft, axis=-1)[:, :n].copy()
 
 
-def add_noise(signals: MultichannelSignal, snr_db: float, rng_seed) -> MultichannelSignal:
-    """Add independent white Gaussian noise per channel at the given SNR.
+def add_noise(channels: np.ndarray, snr_db: float, rng_seed) -> np.ndarray:
+    """The (M, n) channels with independent white Gaussian noise added per
+    channel at the given SNR.
 
     ``snr_db=math.inf`` is the no-noise sentinel and returns an unchanged
     copy. Noise draws are seeded and consumed channel by channel in order.
     """
+    channels = np.asarray(channels, dtype=float)
     if math.isinf(snr_db) and snr_db > 0:
-        return MultichannelSignal(signals.channels.copy(), signals.fs)
+        return channels.copy()
     rng = np.random.default_rng(rng_seed)
-    out = np.empty_like(signals.channels)
-    for k in range(signals.m):
-        x = signals.channels[k]
+    out = np.empty_like(channels)
+    for k, x in enumerate(channels):
         power = float(np.mean(x**2))
         if power <= 0.0:
             raise SilentChannelError(f"channel {k} has zero power")
         sigma = math.sqrt(power / 10.0 ** (snr_db / 10.0))
         out[k] = x + sigma * rng.standard_normal(x.size)
-    return MultichannelSignal(out, signals.fs)
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,26 +111,23 @@ class SourceSignalConfig:
 
 
 def provide_source_signal_with_id(
-    config: SourceSignalConfig,
-    duration: float,
-    fs: int = DEFAULT_FS,
-    rng_seed=0,
+    config: SourceSignalConfig, duration: float, rng_seed=0
 ) -> tuple[np.ndarray, str]:
-    """One source waveform of exactly round(duration * fs) samples, and its
-    name: the corpus file, or "synthetic:" and the seed.
+    """One source waveform of exactly round(duration * DEFAULT_FS) samples,
+    and its name: the corpus file, or "synthetic:" and the seed.
 
     Synthetic signals have zero mean and unit RMS. Corpus files pass
     through unmodified apart from format normalization (int16 -> [-1, 1]
-    float), resampling to fs when rates differ, tiling when shorter than
-    the requested duration, and truncation to it.
+    float), resampling to DEFAULT_FS when rates differ, tiling when shorter
+    than the requested duration, and truncation to it.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    n = int(round(duration * fs))
+    n = int(round(duration * DEFAULT_FS))
     rng = np.random.default_rng(rng_seed)
 
     if config.corpus_dir is None:
-        return _synthetic_speech_like(n, fs, rng), f"synthetic:{_seed_repr(rng_seed)}"
+        return _synthetic_speech_like(n, rng), f"synthetic:{_seed_repr(rng_seed)}"
 
     paths = sorted(Path(config.corpus_dir).glob("*.wav"))
     if not paths:
@@ -162,25 +136,25 @@ def provide_source_signal_with_id(
     sig, file_fs = read_wav_mono(path)
     if sig.size == 0:
         raise CorpusError(f"{path} is empty")
-    if file_fs != fs:
+    if file_fs != DEFAULT_FS:
         from scipy.signal import resample_poly  # kept off the import path, see the module docstring
 
-        sig = resample_poly(sig, fs, file_fs)
+        sig = resample_poly(sig, DEFAULT_FS, file_fs)
     if sig.size < n:
         sig = np.tile(sig, int(np.ceil(n / sig.size)))
     return sig[:n].astype(float), path.name
 
 
-def _synthetic_speech_like(n: int, fs: int, rng: np.random.Generator) -> np.ndarray:
+def _synthetic_speech_like(n: int, rng: np.random.Generator) -> np.ndarray:
     white = rng.standard_normal(n)
     spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    freqs = np.fft.rfftfreq(n, 1.0 / DEFAULT_FS)
     spectrum[0] = 0.0
     spectrum[1:] /= np.sqrt(freqs[1:])
     spectrum /= 1.0 + (freqs / SPECTRAL_ROLLOFF_HZ) ** 2
     pink = np.fft.irfft(spectrum, n)
 
-    t = np.arange(n) / fs
+    t = np.arange(n) / DEFAULT_FS
     phase = rng.uniform(0.0, 2.0 * np.pi)
     envelope = (1.0 - MODULATION_DEPTH) + MODULATION_DEPTH * 0.5 * (
         1.0 + np.sin(2.0 * np.pi * SYLLABLE_RATE_HZ * t + phase)
@@ -199,8 +173,9 @@ def _seed_repr(rng_seed) -> str:
 def read_wav_mono(path) -> tuple[np.ndarray, int]:
     """Load a mono WAV as float64 in [-1, 1]. PCM16 and float32 only.
 
-    A file that is not a WAV, is cut inside its header, or whose data chunk
-    is shorter than its header says raises CorpusError naming the file.
+    A file that is not a WAV, is cut inside its header, whose data chunk is
+    shorter than its header says, or that holds a NaN or infinite sample
+    raises CorpusError naming the file.
     """
     try:
         with warnings.catch_warnings():
@@ -213,11 +188,14 @@ def read_wav_mono(path) -> tuple[np.ndarray, int]:
         raise CorpusError(f"{path}: expected mono, got shape {data.shape}")
     if data.dtype == np.int16:
         return data.astype(float) / 32768.0, int(fs)
-    if data.dtype == np.float32 or data.dtype == np.float64:
-        return data.astype(float), int(fs)
-    raise CorpusError(f"{path}: unsupported sample format {data.dtype}")
+    if data.dtype != np.float32 and data.dtype != np.float64:
+        raise CorpusError(f"{path}: unsupported sample format {data.dtype}")
+    if not np.isfinite(data).all():
+        bad = int(np.flatnonzero(~np.isfinite(data))[0])
+        raise CorpusError(f"{path}: sample {bad} is {data[bad]}, expected a finite number")
+    return data.astype(float), int(fs)
 
 
-def write_wav(path, samples: np.ndarray, fs: int) -> None:
-    """Write one channel as a 32-bit float WAV."""
-    wavfile.write(path, fs, np.asarray(samples, dtype=np.float32))
+def write_wav(path, samples: np.ndarray) -> None:
+    """Write one channel as a 32-bit float WAV at DEFAULT_FS."""
+    wavfile.write(path, DEFAULT_FS, np.asarray(samples, dtype=np.float32))

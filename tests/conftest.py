@@ -5,10 +5,9 @@ import pytest
 
 from wasnloc.dataset import DatasetConfig, generate_dataset
 from wasnloc.features import Grid, extract_frame
+from wasnloc.rir import DEFAULT_FS as FS
 from wasnloc.scenes import RoomSpec, Scene
 from wasnloc.signals import auralize
-
-FS = 16000
 
 TINY_GRID_N = 6
 
@@ -56,11 +55,11 @@ def planar_scene(source_xy=(3.2, 2.6), z=1.5, m=5):
     )
 
 
-def bandlimited_noise(n, rng, f_lo=100.0, f_pass=1000.0, f_stop=2000.0, fs=FS):
+def bandlimited_noise(n, rng, f_lo=100.0, f_pass=1000.0, f_stop=2000.0):
     """Noise with hard band edges; keeps the PHAT correlation peak a few
     samples wide instead of a single-sample spike."""
     spec = np.fft.rfft(rng.standard_normal(n))
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    freqs = np.fft.rfftfreq(n, 1.0 / FS)
     mag = np.ones_like(freqs)
     mag[freqs < f_lo] = 0.0
     roll = (freqs >= f_pass) & (freqs < f_stop)
@@ -70,10 +69,10 @@ def bandlimited_noise(n, rng, f_lo=100.0, f_pass=1000.0, f_stop=2000.0, fs=FS):
     return sig / np.sqrt(np.mean(sig**2))
 
 
-def anechoic_frame(scene, seed=0, duration=1.0, fs=FS):
+def anechoic_frame(scene, seed=0, duration=1.0):
     rng = np.random.default_rng(seed)
-    sig = bandlimited_noise(int(duration * fs), rng, fs=fs)
-    received = auralize(scene, sig, fs, max_order=0)
+    sig = bandlimited_noise(int(duration * FS), rng)
+    received = auralize(scene, sig, max_order=0)
     return extract_frame(received)
 
 

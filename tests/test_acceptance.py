@@ -83,12 +83,12 @@ def test_criterion_2_rir_physics():
     ratios = []
     for k in range(200):
         scene = sample_scene(config, 20_000 + k)
-        rirs = simulate_rir(scene.room, scene.source, scene.mics, FS)
+        rirs = simulate_rir(scene.room, scene.source, scene.mics)
         for mic, rir in zip(scene.mics, rirs):
             dist = float(np.linalg.norm(scene.source - mic))
             if int(np.flatnonzero(rir)[0]) != int(np.rint(FS * dist / SPEED_OF_SOUND)):
                 tap_failures += 1
-        ratios.append(average_decay_time(rirs, FS) / scene.room.t60)
+        ratios.append(average_decay_time(rirs) / scene.room.t60)
     ratios = np.asarray(ratios)
     decay_ok = bool(np.all((ratios >= 0.8) & (ratios <= 1.2)))
     ok = tap_failures == 0 and decay_ok
@@ -126,7 +126,7 @@ def test_criterion_3_anechoic_oracle():
         scene = dataclasses.replace(scene, source=position)
         rng = np.random.default_rng([10_000 + k, 1])
         signal = bandlimited_noise(FS, rng)
-        received = auralize(scene, signal, FS, max_order=0)
+        received = auralize(scene, signal, max_order=0)
         frame = extract_frame(received)
         result = slf_localize(frame, scene, grid)
         err = np.linalg.norm(result.estimate - scene.source[:2])
@@ -242,7 +242,7 @@ def test_criterion_5_variable_mic_contract(variable_m_workspace):
 
         perm = rng.permutation(scene.m)
         scene_p = dataclasses.replace(scene, mics=scene.mics[perm])
-        frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
+        frame_p = frame[perm]
         heatmap_p = gnn_localize(model, frame_p, scene_p).heatmap
         assert int(np.argmax(heatmap)) == int(np.argmax(heatmap_p))
     trained_on = set(manifest["config"]["train_mic_counts"])

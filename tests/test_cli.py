@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import math
+import tempfile
 import typing
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import wasnloc
 from wasnloc.cli import ConfigError, dataset_config_from_obj, main, train_configs_from_obj
-from wasnloc.dataset import DatasetConfig, _config_to_json
+from wasnloc.dataset import DatasetConfig, _config_to_json, generate_dataset, load_manifest
 from wasnloc.relnet import RelNetConfig
 from wasnloc.training import TrainConfig
 from wasnloc.typedjson import build
@@ -45,12 +46,17 @@ class TestConfigParsing:
             dataset_config_from_obj({"scene": {"t60_range": [0.6, 0.3]}})
 
     @pytest.mark.parametrize(
-        "obj", [{"grid_n": -3}, {"grid_n": 0}, {"fs": 0}, {"duration_s": -1}, {"train": -2}, {"workers": 0}]
+        "obj", [{"grid_n": -3}, {"grid_n": 0}, {"max_order": -1}, {"duration_s": -1}, {"train": -2}, {"workers": 0}]
     )
     def test_out_of_range_dataset_value_reported_at_root(self, obj):
         (field,) = obj
         with pytest.raises(ConfigError, match=f"^/: DatasetConfig.{field} must be "):
             dataset_config_from_obj(obj)
+
+    def test_sample_rate_is_unknown_key(self):
+        # every method works at the fixed DEFAULT_FS, so a dataset names no rate
+        with pytest.raises(ConfigError, match="^/fs: unknown key"):
+            dataset_config_from_obj({"fs": 16000})
 
     def test_empty_val_split_is_legal(self):
         assert dataset_config_from_obj({"train": 1, "val": 0, "test": 2}) == DatasetConfig(train=1, val=0, test=2)
@@ -115,6 +121,25 @@ class TestConfigParsing:
     def test_manifest_config_parses_back(self, config):
         echoed = json.loads(json.dumps(_config_to_json(config)))
         assert dataset_config_from_obj(echoed) == config
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        snr_db=st.floats(-100.0, 100.0) | st.just(math.inf),
+        mic_counts=st.lists(st.lists(st.integers(2, 8), min_size=1, max_size=4).map(tuple), min_size=3, max_size=3),
+        grid_n=st.integers(2, 40),
+        max_order=st.none() | st.integers(0, 20),
+        workers=st.integers(1, 4),
+    )
+    def test_written_manifest_config_reads_back(self, snr_db, mic_counts, grid_n, max_order, workers):
+        train_m, val_m, test_m = mic_counts
+        config = DatasetConfig(
+            train=0, val=0, test=0, train_mic_counts=train_m, val_mic_counts=val_m, test_mic_counts=test_m,
+            snr_db=snr_db, grid_n=grid_n, max_order=max_order, workers=workers,
+        )
+        with tempfile.TemporaryDirectory() as out:
+            generate_dataset(config, out)
+            manifest = load_manifest(out)
+        assert dataset_config_from_obj(manifest["config"]) == dataclasses.replace(config, workers=1)
 
     def test_train_config_round_trip(self):
         net, trn = train_configs_from_obj(
@@ -277,6 +302,19 @@ class TestWalkerProperties:
 
         with pytest.raises(TypeError, match="^/rows: "):
             build(Table, {"rows": {}}, [])
+
+    def test_sample_rate_has_one_owner(self):
+        """No function in src/ takes a rate, and only rir.py spells the
+        16 kHz rate out: every other module reads rir.DEFAULT_FS."""
+        src = Path(wasnloc.__file__).parent
+        offenders = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.arg) and node.arg == "fs":
+                    offenders.append(f"{path.name}:{node.lineno}: parameter fs")
+                elif isinstance(node, ast.Constant) and node.value == 16000 and path.name != "rir.py":
+                    offenders.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+        assert offenders == []
 
     def test_typedjson_is_the_only_json_decoder(self):
         src = Path(wasnloc.__file__).parent

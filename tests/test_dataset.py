@@ -4,6 +4,7 @@ import shutil
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 from conftest import TINY_GRID_N, tiny_dataset_config
 
 from wasnloc.dataset import (
@@ -93,9 +94,8 @@ class TestLoadExample:
         root, manifest = tiny_dataset
         entry = manifest["splits"]["train"]["examples"][0]
         received, scene = load_example(root, entry)
-        assert received.m == entry["m"]
-        assert received.fs == 16000
-        assert np.all(np.isfinite(received.channels))
+        assert received.shape[0] == entry["m"]
+        assert np.all(np.isfinite(received))
 
     def test_measured_snr_close_to_config(self, tmp_path):
         # compare noisy generation against an inf-SNR twin of the same seed
@@ -108,9 +108,9 @@ class TestLoadExample:
         generate_dataset(clean_cfg, tmp_path / "clean")
         noisy, _ = load_example(tmp_path / "noisy", {"dir": "train/00000", "m": 0} | json.loads((tmp_path / "noisy" / "manifest.json").read_text())["splits"]["train"]["examples"][0])
         clean, _ = load_example(tmp_path / "clean", json.loads((tmp_path / "clean" / "manifest.json").read_text())["splits"]["train"]["examples"][0])
-        for k in range(noisy.m):
-            p_sig = np.mean(clean.channels[k] ** 2)
-            p_noise = np.mean((noisy.channels[k] - clean.channels[k]) ** 2)
+        for k in range(len(noisy)):
+            p_sig = np.mean(clean[k] ** 2)
+            p_noise = np.mean((noisy[k] - clean[k]) ** 2)
             snr = 10 * np.log10(p_sig / p_noise)
             assert snr == pytest.approx(30.0, abs=0.6)  # float32 WAV quantization on top
 
@@ -125,6 +125,18 @@ class TestLoadExample:
         with pytest.raises(ValueError, match=r"scene\.json: /seed: missing"):
             load_example(tmp_path, entry)
 
+    def test_non_finite_channel_names_wav(self, tiny_dataset, tmp_path):
+        # once a bare "heatmap contains NaN" from the localizer
+        root, manifest = tiny_dataset
+        entry = manifest["splits"]["train"]["examples"][0]
+        copy = tmp_path / entry["dir"]
+        shutil.copytree(root / entry["dir"], copy)
+        samples, _ = read_wav_mono(copy / "ch_00.wav")
+        samples[:100] = np.nan
+        write_wav(copy / "ch_00.wav", samples)
+        with pytest.raises(CorpusError, match=r"ch_00\.wav: sample 0 is nan, expected a finite number"):
+            load_example(tmp_path, entry)
+
     @pytest.mark.parametrize("bad", ["length", "rate"])
     def test_mismatched_channel_names_wav(self, tiny_dataset, tmp_path, bad):
         root, manifest = tiny_dataset
@@ -133,10 +145,12 @@ class TestLoadExample:
         shutil.copytree(root / entry["dir"], copy)
         samples, fs = read_wav_mono(copy / "ch_01.wav")
         if bad == "length":
-            write_wav(copy / "ch_01.wav", samples[:-1], fs)
+            write_wav(copy / "ch_01.wav", samples[:-1])
+            message = r"ch_01\.wav: .*ch_00\.wav"
         else:
-            write_wav(copy / "ch_01.wav", samples, fs // 2)
-        with pytest.raises(ValueError, match=r"ch_01\.wav: .*ch_00\.wav"):
+            wavfile.write(copy / "ch_01.wav", fs // 2, samples.astype(np.float32))
+            message = r"ch_01\.wav: sampled at 8000 Hz, expected 16000 Hz"
+        with pytest.raises(ValueError, match=message):
             load_example(tmp_path, entry)
 
     @pytest.mark.parametrize("bad", ["missing", "extra"])
@@ -210,8 +224,11 @@ class TestManifest:
             ("room", ["4", "4", "3"], "/room/0: expected a number"),
             ("source_xy", [1], "/source_xy: expected a list of 2 entries"),
             ("m", 1, ": m must be >= 2"),
+            ("room", [4.0, 0.0, 3.0], r": room \[4\.0, 0\.0, 3\.0\] must be > 0 in every dimension"),
+            ("t60", -0.3, r": t60 must be > 0, got -0\.3"),
+            ("source_xy", [99, 1], r": source_xy \[99\.0, 1\.0\] outside the room footprint"),
         ],
-        ids=["room_empty", "room_strings", "source_xy_short", "one_mic"],
+        ids=["room_empty", "room_strings", "source_xy_short", "one_mic", "room_flat", "t60_negative", "source_outside"],
     )
     def test_bad_entry_named(self, tiny_dataset, tmp_path, field, value, message):
         self._write(tiny_dataset, tmp_path, lambda m: m["splits"]["test"]["examples"][2].update({field: value}))
@@ -381,6 +398,18 @@ class TestFeatureCache:
         with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: member '{member}' has shape"):
             read()
 
+    @pytest.mark.parametrize("member", ["gcc", "slf", "meta"])
+    def test_non_finite_value_recomputed(self, tiny_dataset, tmp_path, member):
+        # a NaN row was once served to the network
+        def poison(members):
+            members[member] = members[member].copy()
+            members[member][1, 2] = np.nan
+
+        damage = lambda path: self._rewrite_members(path, poison)  # noqa: E731
+        read = self._damaged_cache(tiny_dataset, tmp_path, damage, self.MEMBER_KINDS[member])
+        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: member '{member}' holds nan at \(1, 2\)"):
+            read()
+
     @pytest.mark.parametrize("kind, other", [("slf", "gcc"), ("gcc", "slf")])
     def test_other_kind_not_decoded(self, tiny_dataset, tmp_path, kind, other):
         # a model reads only its own feature member: damage to the other
@@ -427,7 +456,7 @@ class TestGenerateExample:
             DatasetConfig(max_order=-1, snr_db=math.inf)
 
     def test_anechoic_mode(self, tmp_path):
-        from wasnloc.rir import SPEED_OF_SOUND
+        from wasnloc.rir import DEFAULT_FS, SPEED_OF_SOUND
         from wasnloc.signals import provide_source_signal_with_id
 
         base = tiny_dataset_config(master_seed=17)
@@ -436,10 +465,10 @@ class TestGenerateExample:
         received, scene = load_example(tmp_path, entry)
         # anechoic, noiseless channels are exactly the source shifted by
         # the rounded propagation delay and scaled by spherical spreading
-        sig = provide_source_signal_with_id(config.source, config.duration_s, config.fs, [entry["seed"], 1])[0]
+        sig = provide_source_signal_with_id(config.source, config.duration_s, [entry["seed"], 1])[0]
         for k, mic in enumerate(scene.mics):
             dist = np.linalg.norm(scene.source - mic)
-            delay = int(np.rint(config.fs * dist / SPEED_OF_SOUND))
-            expected = np.zeros(received.n_samples)
+            delay = int(np.rint(DEFAULT_FS * dist / SPEED_OF_SOUND))
+            expected = np.zeros(received.shape[1])
             expected[delay : delay + sig.size] = sig / (4.0 * math.pi * dist)
-            np.testing.assert_allclose(received.channels[k], expected, atol=1e-7)
+            np.testing.assert_allclose(received[k], expected, atol=1e-7)

@@ -20,11 +20,9 @@ from wasnloc.classical import pair_correlations, slf_localize, tdoa_localize
 from wasnloc import features as features_module
 from wasnloc.features import DEFAULT_FFT_SIZE, Grid, gcc_phat, slf_project, theoretical_tdoa_grid
 from wasnloc.relnet import raw_pair_features
+from wasnloc.rir import DEFAULT_FS as FS
 from wasnloc.rir import SPEED_OF_SOUND
 from wasnloc.scenes import SceneDistribution, sample_scene
-from wasnloc.signals import MultichannelSignal
-
-FS = 16000
 
 
 def reference_gcc_phat(x_i, x_j, fft_size):
@@ -77,7 +75,7 @@ def reference_pair_metadata(p_i, p_j, room_dims):
 def random_example(m, seed):
     scene = sample_scene(SceneDistribution(mic_counts=(m,)), seed)
     channels = np.random.default_rng(seed).standard_normal((m, FS // 2))
-    return MultichannelSignal(channels, FS), scene
+    return channels, scene
 
 
 examples = st.tuples(st.integers(2, 8), st.integers(0, 2**32 - 1))
@@ -99,11 +97,11 @@ def test_batched_stages_equal_per_pair_reference(example, grid_n):
     assert plane == z_plane
     gcc, slf, meta = raw_pair_features(frame, scene, grid_n)
     tdoa = theoretical_tdoa_grid(mics, pairs, grid, z_plane)
-    assert np.array_equal(slf, slf_project(corr, FS, mics, pairs, grid, z_plane))
+    assert np.array_equal(slf, slf_project(corr, mics, pairs, grid, z_plane))
 
     c0 = DEFAULT_FFT_SIZE // 2 - 100
     for row, (i, j) in enumerate(oriented):
-        full = reference_gcc_phat(frame.channels[i], frame.channels[j], DEFAULT_FFT_SIZE)
+        full = reference_gcc_phat(frame[i], frame[j], DEFAULT_FFT_SIZE)
         assert np.array_equal(corr[row], full)
         assert np.array_equal(gcc[row], full[c0 : c0 + 200])
         assert np.array_equal(tdoa[row], reference_tdoa_grid(mics[i], mics[j], grid, z_plane))
@@ -119,7 +117,7 @@ def test_relabeling_mics_only_reorders_rows(example, order_seed):
     frame, scene = random_example(*example)
     perm = np.random.default_rng(order_seed).permutation(scene.m)
     scene_p = dataclasses.replace(scene, mics=scene.mics[perm])
-    frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
+    frame_p = frame[perm]
 
     def by_pair_position(features):
         gcc, slf, meta = features

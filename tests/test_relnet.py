@@ -175,7 +175,7 @@ class TestRelNetForward:
         scene_p = dataclasses.replace(
             scene, mics=scene.mics[perm]
         )
-        frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
+        frame_p = frame[perm]
         swapped = gnn_localize(model, frame_p, scene_p).heatmap
         assert int(np.argmax(base)) == int(np.argmax(swapped))
         np.testing.assert_allclose(swapped, base, rtol=1e-4, atol=1e-6)
@@ -260,7 +260,7 @@ class TestClassicalEquivalence:
         expected = standardize_features(slf, "slf").mean(axis=0)
         perm = np.random.default_rng(order_seed).permutation(m)
         scene_p = dataclasses.replace(scene, mics=scene.mics[perm])
-        frame_p = dataclasses.replace(frame, channels=frame.channels[perm])
+        frame_p = frame[perm]
         heatmap = gnn_localize(identity_model(grid_n), frame_p, scene_p).heatmap
         np.testing.assert_allclose(heatmap, expected, rtol=0, atol=1e-6)
 

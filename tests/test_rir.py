@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wasnloc import rir as rir_module
+from wasnloc.rir import DEFAULT_FS as FS
 from wasnloc.rir import (
     DegenerateGeometryError,
     RIR_LENGTH_T60_FACTOR,
@@ -16,8 +17,6 @@ from wasnloc.rir import (
     simulate_rir,
 )
 from wasnloc.scenes import RoomSpec, SceneDistribution, sample_scene
-
-FS = 16000
 
 
 class TestEyring:
@@ -47,7 +46,7 @@ class TestSimulateRir:
         room = RoomSpec(6.0, 5.0, 3.0, 0.5)
         src = np.array([1.0, 2.5, 1.5])
         mic = np.array([4.43, 2.5, 1.5])
-        (rir,) = simulate_rir(room, src, [mic], FS, max_order=0)
+        (rir,) = simulate_rir(room, src, [mic], max_order=0)
         nz = np.flatnonzero(rir)
         assert nz.tolist() == [160]
         assert rir[160] == pytest.approx(1.0 / (4.0 * math.pi * 3.43))
@@ -56,14 +55,14 @@ class TestSimulateRir:
         config = SceneDistribution(mic_counts=(4, 7))
         for seed in range(40):
             scene = sample_scene(config, seed)
-            rirs = simulate_rir(scene.room, scene.source, scene.mics, FS)
+            rirs = simulate_rir(scene.room, scene.source, scene.mics)
             for mic, rir in zip(scene.mics, rirs):
                 dist = np.linalg.norm(scene.source - mic)
                 assert np.flatnonzero(rir)[0] == int(np.rint(FS * dist / SPEED_OF_SOUND))
 
     def test_length_covers_t60(self):
         room = RoomSpec(4.0, 4.0, 3.0, 0.48)
-        (rir,) = simulate_rir(room, [1, 1, 1], [[3, 2, 2]], FS)
+        (rir,) = simulate_rir(room, [1, 1, 1], [[3, 2, 2]])
         assert rir.size >= FS * room.t60
 
     def test_mirror_symmetry_equal_first_order_delays(self):
@@ -73,7 +72,7 @@ class TestSimulateRir:
         room = RoomSpec(4.0, 4.0, 4.0, 0.4)
         src = np.array([1.5, 2.0, 2.0])
         mic = np.array([2.5, 2.0, 2.0])
-        (rir,) = simulate_rir(room, src, [mic], FS, max_order=1)
+        (rir,) = simulate_rir(room, src, [mic], max_order=1)
         # image over x=0 wall: (-1.5, 2, 2) -> dist 4; image over x=4 wall:
         # (6.5, 2, 2) -> dist 4: both land on the same tap
         tap = int(np.rint(FS * 4.0 / SPEED_OF_SOUND))
@@ -81,16 +80,15 @@ class TestSimulateRir:
 
     def test_matches_brute_force_enumeration(self):
         # independent triple-loop oracle over (n, p) per axis
-        fs = 8000
         room = RoomSpec(3.0, 2.5, 2.0, 0.3)
         src = np.array([1.1, 0.8, 0.7])
         mic = np.array([2.2, 1.9, 1.3])
-        (rir,) = simulate_rir(room, src, [mic], fs)
+        (rir,) = simulate_rir(room, src, [mic])
 
         alpha = eyring_absorption(room)
         beta = -math.sqrt(1.0 - alpha)
         n_taps = rir.size
-        path = SPEED_OF_SOUND * n_taps / fs
+        path = SPEED_OF_SOUND * n_taps / FS
         dims = [room.width, room.length, room.height]
         orders = [math.ceil(path / (2 * d)) for d in dims]
         expected = np.zeros(n_taps)
@@ -113,14 +111,14 @@ class TestSimulateRir:
                                     + abs(ny - py) + abs(ny)
                                     + abs(nz - pz) + abs(nz)
                                 )
-                                idx = int(np.rint(fs * d / SPEED_OF_SOUND))
+                                idx = int(np.rint(FS * d / SPEED_OF_SOUND))
                                 if idx < n_taps:
                                     expected[idx] += beta**refl / (4.0 * math.pi * d)
         np.testing.assert_allclose(rir, expected, atol=1e-12)
 
     def test_tail_energy_decreasing(self):
         room = RoomSpec(5.0, 4.0, 3.0, 0.5)
-        (rir,) = simulate_rir(room, [1.2, 1.1, 1.4], [[3.8, 2.9, 1.7]], FS)
+        (rir,) = simulate_rir(room, [1.2, 1.1, 1.4], [[3.8, 2.9, 1.7]])
         win = int(0.05 * FS)
         energies = [
             np.sum(rir[s : s + win] ** 2) for s in range(0, rir.size - win, win)
@@ -131,12 +129,12 @@ class TestSimulateRir:
     def test_degenerate_geometry(self):
         room = RoomSpec(4.0, 4.0, 3.0, 0.4)
         with pytest.raises(DegenerateGeometryError):
-            simulate_rir(room, [2, 2, 1.5], [[2, 2, 1.5]], FS)
+            simulate_rir(room, [2, 2, 1.5], [[2, 2, 1.5]])
 
     def test_points_outside_room_rejected(self):
         room = RoomSpec(4.0, 4.0, 3.0, 0.4)
         with pytest.raises(ValueError):
-            simulate_rir(room, [5.0, 2.0, 1.5], [[2, 2, 1.5]], FS)
+            simulate_rir(room, [5.0, 2.0, 1.5], [[2, 2, 1.5]])
 
 
 def _reference_taps(room, source, mic, fs, max_order=None, c=SPEED_OF_SOUND, chunk=2_000_000):
@@ -197,10 +195,10 @@ class TestTiledImageLoop:
         src = np.array(src) * room.dims
         mics = np.array(pool)[picks] * room.dims
         assume(np.min(np.linalg.norm(mics - src, axis=1)) >= 0.01)
-        rirs = simulate_rir(room, src, mics, 8000, max_order=max_order)
+        rirs = simulate_rir(room, src, mics, max_order=max_order)
         assert len(rirs) == len(mics)
         for mic, rir in zip(mics, rirs):
-            assert np.array_equal(rir, _reference_taps(room, src, mic, 8000, max_order))
+            assert np.array_equal(rir, _reference_taps(room, src, mic, FS, max_order))
 
     @pytest.mark.parametrize("tile", [1, 10**9])
     @pytest.mark.parametrize("max_order", [None, 2])
@@ -212,9 +210,9 @@ class TestTiledImageLoop:
         for chunk in (rir_module._CHUNK, 50_000):
             monkeypatch.setattr(rir_module, "_CHUNK", chunk)
             monkeypatch.setattr(rir_module, "_TILE", default_tile)
-            default = simulate_rir(room, src, mics, FS, max_order=max_order)
+            default = simulate_rir(room, src, mics, max_order=max_order)
             monkeypatch.setattr(rir_module, "_TILE", tile)
-            tiled = simulate_rir(room, src, mics, FS, max_order=max_order)
+            tiled = simulate_rir(room, src, mics, max_order=max_order)
             for mic, a, b in zip(mics, default, tiled):
                 assert np.array_equal(b, a)
                 assert np.array_equal(b, _reference_taps(room, src, mic, FS, max_order, chunk=chunk))
@@ -224,13 +222,13 @@ class TestTiledImageLoop:
         room = RoomSpec(4.0, 4.0, 3.0, 0.4)
         mics = [[1.0, 1.0, 1.0], [3.0, 3.0, 2.0], bad, [1.5, 2.5, 1.2]]
         with pytest.raises(ValueError, match="^mic 2 must lie strictly inside the room"):
-            simulate_rir(room, [2.0, 1.0, 1.5], mics, FS)
+            simulate_rir(room, [2.0, 1.0, 1.5], mics)
 
     def test_mic_on_source_named(self):
         room = RoomSpec(4.0, 4.0, 3.0, 0.4)
         mics = [[1.0, 1.0, 1.0], [3.0, 3.0, 2.0], [1.0, 1.0, 1.0], [2.0, 1.0, 1.5]]
         with pytest.raises(DegenerateGeometryError, match="^source coincides with mic 3$"):
-            simulate_rir(room, [2.0, 1.0, 1.5], mics, FS)
+            simulate_rir(room, [2.0, 1.0, 1.5], mics)
 
 
 class TestSchroeder:
@@ -241,14 +239,14 @@ class TestSchroeder:
         t = np.arange(n) / FS
         rng = np.random.default_rng(0)
         taps = np.exp(-3.0 * np.log(10.0) * t / t60) * rng.standard_normal(n)
-        est = schroeder_decay_time(taps, FS)
+        est = schroeder_decay_time(taps)
         assert est == pytest.approx(t60, rel=0.05)
 
     def test_simulated_rir_near_requested_t60(self):
         room = RoomSpec(4.5, 5.5, 3.0, 0.5)
-        (rir,) = simulate_rir(room, [1.5, 2.0, 1.2], [[3.5, 4.0, 1.8]], FS)
-        assert schroeder_decay_time(rir, FS) == pytest.approx(room.t60, rel=0.2)
+        (rir,) = simulate_rir(room, [1.5, 2.0, 1.2], [[3.5, 4.0, 1.8]])
+        assert schroeder_decay_time(rir) == pytest.approx(room.t60, rel=0.2)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            schroeder_decay_time(np.zeros(100), FS)
+            schroeder_decay_time(np.zeros(100))

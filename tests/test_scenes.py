@@ -17,7 +17,6 @@ from wasnloc.scenes import (
     scene_to_json,
 )
 from wasnloc.relnet import raw_pair_features
-from wasnloc.signals import MultichannelSignal
 from wasnloc.typedjson import ConfigError
 
 
@@ -152,7 +151,7 @@ class TestSampleScene:
 
 def meta_rows(scene):
     """The pair metadata rows the relation network sees for a scene."""
-    frame = MultichannelSignal(np.random.default_rng(0).standard_normal((scene.m, 8000)), 16000)
+    frame = np.random.default_rng(0).standard_normal((scene.m, 8000))
     return raw_pair_features(frame, scene, 5)[2]
 
 
