@@ -13,8 +13,7 @@ from wasnloc.features import (
     slf_project,
     theoretical_tdoa_grid,
 )
-from wasnloc.rir import DEFAULT_FS as FS
-from wasnloc.rir import SPEED_OF_SOUND
+from wasnloc.rir import DEFAULT_FS as FS, SPEED_OF_SOUND
 
 PAIR = np.array([[0, 1]])
 

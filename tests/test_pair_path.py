@@ -20,8 +20,7 @@ from wasnloc.classical import pair_correlations, slf_localize, tdoa_localize
 from wasnloc import features as features_module
 from wasnloc.features import DEFAULT_FFT_SIZE, Grid, gcc_phat, slf_project, theoretical_tdoa_grid
 from wasnloc.relnet import raw_pair_features
-from wasnloc.rir import DEFAULT_FS as FS
-from wasnloc.rir import SPEED_OF_SOUND
+from wasnloc.rir import DEFAULT_FS as FS, SPEED_OF_SOUND
 from wasnloc.scenes import SceneDistribution, sample_scene
 
 

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wasnloc import rir as rir_module
-from wasnloc.rir import DEFAULT_FS as FS
 from wasnloc.rir import (
+    DEFAULT_FS as FS,
     DegenerateGeometryError,
     RIR_LENGTH_T60_FACTOR,
     SPEED_OF_SOUND,

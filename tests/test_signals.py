@@ -11,8 +11,7 @@ from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
 from wasnloc.dataset import DatasetConfig
-from wasnloc.rir import DEFAULT_FS as FS
-from wasnloc.rir import SPEED_OF_SOUND, simulate_rir
+from wasnloc.rir import DEFAULT_FS as FS, SPEED_OF_SOUND, simulate_rir
 from wasnloc.scenes import RoomSpec, Scene
 from wasnloc.signals import (
     CorpusError,
