@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from .features import (
     DEFAULT_FFT_SIZE,
@@ -111,6 +112,11 @@ class DatasetConfig:
             value = getattr(self, name)
             if value is not None and value < low:  # max_order None: no cap
                 raise ValueError(f"DatasetConfig.{name} must be >= {low}, got {value}")
+        for name in ("train_mic_counts", "val_mic_counts", "test_mic_counts"):
+            if not (counts := getattr(self, name)) or min(counts) < 2:
+                raise ValueError(f"DatasetConfig.{name} must be non-empty, all counts >= 2, got {counts}")
+        if self.scene.mic_counts != (default := SceneDistribution.mic_counts):  # the *_mic_counts set them
+            raise ValueError(f"DatasetConfig.scene must be left at mic_counts {default}, got {self.scene.mic_counts}")
         if not 0 < self.duration_s < math.inf:
             raise ValueError(f"DatasetConfig.duration_s must be > 0 and finite, got {self.duration_s}")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
@@ -327,15 +333,15 @@ def read_feature_cache(
     FeatureCacheError names the file, and the member where there is one, if
     the file is not a readable npz, has another version, was built with
     other FEATURE_PARAMS values than grid_n and the fixed ones, or lacks a
-    member read or holds one of other than M(M-1)/2 rows of its width or a
-    value that is NaN or infinite.
+    member read or holds one that is not float32, has other than M(M-1)/2
+    rows of its width or a value that is NaN or infinite.
     """
     pairs = m * (m - 1) // 2
     widths = {"gcc": DEFAULT_N_CENTRAL, "slf": grid_n**2, "meta": PAIR_METADATA_SIZE}
     wanted = _feature_key(grid_n)
     member = None  # the member being read, for the error message
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with NpzFile(path) as data:  # BadZipFile unless an npz archive
             member = "version"
             stored = data["version"].ravel().tolist() if "version" in data.files else [None]
             if stored[0] != FEATURES_VERSION:
@@ -350,6 +356,8 @@ def read_feature_cache(
                 if member not in data.files:
                     raise FeatureCacheError(f"{path}: no member {member!r}")
                 arrays[member] = data[member]
+                if arrays[member].dtype != np.float32:
+                    raise FeatureCacheError(f"{path}: member {member!r} holds {arrays[member].dtype}, expected float32")
                 if arrays[member].shape != (pairs, widths[member]):
                     raise FeatureCacheError(
                         f"{path}: member {member!r} has shape {arrays[member].shape}, "

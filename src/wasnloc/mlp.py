@@ -64,7 +64,9 @@ def _views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
 
 class Mlp:
     """A dense stack whose layers [(W0, b0), (W1, b1), ...] are views into
-    the 1-D buffer ``flat``; the buffer is used as given, not copied."""
+    the 1-D buffer ``flat``, used as given, not copied (load_checkpoint
+    passes its loaded arrays); ValueError unless its length is the
+    stack's parameter count."""
 
     def __init__(self, input_size: int, sizes: tuple[int, ...], flat: np.ndarray):
         self.input_size = int(input_size)
@@ -79,12 +81,6 @@ class Mlp:
         self._grad_layers: list[tuple[np.ndarray, np.ndarray]] = []
 
     @classmethod
-    def empty(cls, input_size: int, sizes: tuple[int, ...], dtype=np.float32) -> "Mlp":
-        """A stack on a fresh, uninitialised parameter buffer."""
-        size = _param_count(layer_shapes(input_size, sizes))
-        return cls(input_size, sizes, np.empty(size, dtype=dtype))
-
-    @classmethod
     def init_random(
         cls,
         input_size: int,
@@ -93,7 +89,7 @@ class Mlp:
         dtype=np.float32,
     ) -> "Mlp":
         """Seeded init: W uniform in +-sqrt(6 / fan_in), biases zero."""
-        net = cls.empty(input_size, sizes, dtype)
+        net = cls(input_size, sizes, np.empty(_param_count(layer_shapes(input_size, sizes)), dtype=dtype))
         for w, b in net.layers:
             bound = np.sqrt(6.0 / w.shape[0])
             w[...] = rng.uniform(-bound, bound, size=w.shape)

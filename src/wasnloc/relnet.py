@@ -22,19 +22,20 @@ The training target for a source at p_s assigns each grid cell
 exp(-distance(cell center, p_s)), so the map peaks at 1 on the source cell
 and decays exponentially with distance in meters.
 
-A checkpoint holds the RelNetConfig and the two flat parameter buffers; the
-header is read by the same walker as the CLI's config files
-(:mod:`typedjson`), and the layer shapes follow from the config.
+A checkpoint is an npz archive of a JSON header holding the RelNetConfig
+and of the two flat parameter buffers, whose shapes follow from the config;
+the header is read by the CLI's config walker (:mod:`typedjson`).
 """
 
 from __future__ import annotations
 
 import json
-import zlib
+import zipfile
 from dataclasses import asdict, dataclass, fields
 from typing import Literal, get_args
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from .classical import LocalizationResult, pair_correlations, pick_peak
 from .features import (
@@ -53,16 +54,16 @@ PAIR_METADATA_SIZE = 9
 # Version 2: pairs are mean-pooled and SLF rows min-max scaled per pair;
 # a version-1 model was trained on summed, per-example-scaled input.
 # Version 3: the header holds the RelNetConfig instead of an array table.
-CHECKPOINT_VERSION = 3
-CHECKPOINT_MAGIC = b"WLNC"
+# Version 4: an npz archive of the header and the F and G buffers.
+CHECKPOINT_VERSION = 4
 
 FeatureKind = Literal["gcc", "slf"]
 FEATURE_KINDS = get_args(FeatureKind)
 
 
 class CheckpointError(RuntimeError):
-    """Checkpoint file is unreadable: bad magic, version, size or checksum, or
-    a header field that is missing, mistyped or inconsistent."""
+    """Checkpoint file is unreadable: not an npz archive, a member missing,
+    corrupt, mistyped or mis-sized, or a header field that is not right."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class RelNetModel:
         return cls(config, f, g)
 
     def parameters(self) -> list[np.ndarray]:
-        """The flat parameter buffers [F, G], in checkpoint blob order."""
+        """The flat parameter buffers [F, G], the checkpoint's f and g members."""
         return [self.f.flat, self.g.flat]
 
     def copy(self) -> "RelNetModel":
@@ -237,20 +238,14 @@ def mae_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def save_checkpoint(model: RelNetModel, path) -> None:
-    """Write a model as a JSON header plus a little-endian float32 blob.
-
-    Layout: magic, uint32 header length, UTF-8 JSON header (version, the
-    fixed feature sizes, the RelNetConfig under its field names, CRC32 of
-    the blob), then the flat parameter buffers of F and G back to back.
-    """
-    blob = b"".join(np.ascontiguousarray(p, dtype="<f4").tobytes() for p in model.parameters())
-    header = _Header(CHECKPOINT_VERSION, DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, model.config, zlib.crc32(blob))
-    payload = json.dumps(asdict(header)).encode("utf-8")
+    """Write a model as an npz archive: ``header``, the UTF-8 JSON of the
+    version, the fixed feature sizes and the RelNetConfig, as uint8; ``f``
+    and ``g``, the two stacks' flat buffers, as little-endian float32."""
+    header = _Header(CHECKPOINT_VERSION, DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, model.config)
+    payload = np.frombuffer(json.dumps(asdict(header)).encode("utf-8"), dtype=np.uint8)
+    f, g = (np.asarray(p, dtype="<f4") for p in model.parameters())
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(np.uint32(len(payload)).tobytes())
-        fh.write(payload)
-        fh.write(blob)
+        np.savez(fh, header=payload, f=f, g=g)
 
 
 @dataclass(frozen=True)
@@ -261,7 +256,6 @@ class _Header:
     fft_size: int
     n_central: int
     config: RelNetConfig
-    blob_crc32: int
 
 
 def _read_header(payload: bytes) -> _Header:
@@ -288,32 +282,33 @@ def _read_header(payload: bytes) -> _Header:
 def load_checkpoint(path) -> RelNetModel:
     """Read a model written by save_checkpoint.
 
-    The header is read by the config walker (:func:`_read_header`); the blob
-    must hold exactly the parameters of the header's config and match its
-    CRC32. Anything malformed, stale or inconsistent raises CheckpointError
-    naming the file and the field's JSON pointer.
+    The header is read by the config walker (:func:`_read_header`); the f
+    and g members, float32 and as long as its config gives, become the
+    stacks' buffers as loaded. A file that is not an npz archive, a member
+    that is missing or fails zip's CRC-32, and anything malformed, stale or
+    inconsistent raise CheckpointError naming the file and the member or
+    the field's JSON pointer.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8 or data[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    header_len = int(np.frombuffer(data[4:8], dtype="<u4")[0])
-    if len(data) < 8 + header_len:
-        raise CheckpointError(f"{path}: truncated header")
+    member = None  # the member being read, for the error message
     try:
-        header = _read_header(data[8 : 8 + header_len])
+        with NpzFile(path) as data:  # BadZipFile unless an npz archive
+            arrays = {}
+            for member, dtype in (("header", "u1"), ("f", "<f4"), ("g", "<f4")):
+                if member not in data:
+                    raise CheckpointError(f"{path}: no member {member!r}")
+                arrays[member] = array = data[member]
+                if array.dtype != dtype:
+                    raise CheckpointError(f"{path}: member {member!r} holds {array.dtype}, expected {np.dtype(dtype)}")
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        where = f"member {member!r}" if member else "file"
+        raise CheckpointError(f"{path}: unreadable {where}: {exc}") from exc
+    try:
+        config = _read_header(arrays["header"].tobytes()).config
     except ConfigError as exc:
         raise CheckpointError(f"{path}: header {exc}") from exc
-    config = header.config
-    f = Mlp.empty(config.input_size, config.f_layer_sizes)
-    g = Mlp.empty(f.output_size, config.g_layer_sizes)
-    blob = data[8 + header_len :]
-    n_bytes = 4 * (f.flat.size + g.flat.size)
-    if len(blob) != n_bytes:
-        raise CheckpointError(f"{path}: blob is {len(blob)} bytes, header field 'config' gives {n_bytes}")
-    if zlib.crc32(blob) != header.blob_crc32:
-        raise CheckpointError(f"{path}: checksum failure against header field 'blob_crc32'")
-    flat = np.frombuffer(blob, dtype="<f4")
-    f.flat[...] = flat[: f.flat.size]
-    g.flat[...] = flat[f.flat.size :]
+    try:
+        f = Mlp(config.input_size, config.f_layer_sizes, arrays["f"])
+        g = Mlp(f.output_size, config.g_layer_sizes, arrays["g"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: members 'f' and 'g' do not fit header field 'config': {exc}") from exc
     return RelNetModel(config, f, g)

@@ -33,6 +33,7 @@ from .scenes import RoomSpec
 
 SPEED_OF_SOUND = 343.0
 DEFAULT_FS = 16_000
+DECAY_FIT_DB = (0.0, -10.0)  # decay-time fit window, dB below the direct sound
 
 # RIRs are cut at this multiple of T60; the image set is enumerated out to
 # the matching path length.
@@ -198,11 +199,11 @@ def _edc_db_from_onset(taps: np.ndarray) -> np.ndarray:
         return 10.0 * np.log10(np.maximum(edc[onset:], 1e-300))
 
 
-def _fit_decay_time(db: np.ndarray, fit_db: tuple[float, float]) -> float:
-    hi, lo = max(fit_db), min(fit_db)
+def _fit_decay_time(db: np.ndarray) -> float:
+    hi, lo = DECAY_FIT_DB
     mask = (db <= hi) & (db >= lo)
     if mask.sum() < 2:
-        raise ValueError(f"decay curve never spans the {fit_db} dB fit range")
+        raise ValueError(f"decay curve never spans the {DECAY_FIT_DB} dB fit range")
     t = np.flatnonzero(mask) / DEFAULT_FS
     slope, _ = np.polyfit(t, db[mask], 1)
     if slope >= 0:
@@ -210,20 +211,19 @@ def _fit_decay_time(db: np.ndarray, fit_db: tuple[float, float]) -> float:
     return -60.0 / slope
 
 
-def schroeder_decay_time(taps: np.ndarray, fit_db: tuple[float, float] = (0.0, -10.0)) -> float:
+def schroeder_decay_time(taps: np.ndarray) -> float:
     """Time to fall 60 dB, from backward integration of the squared response
     taps sampled at DEFAULT_FS.
 
-    A line is fitted to the Schroeder curve between the two fit levels (dB,
-    measured from the direct-sound arrival) and extrapolated to -60 dB.
-    The default 0..-10 dB window is the early-decay-time convention; deeper
+    A line is fitted to the Schroeder curve over DECAY_FIT_DB, measured
+    from the direct-sound arrival, and extrapolated to -60 dB. Deeper
     windows are unreliable on responses truncated at 1.25 T60, where the
     missing tail steepens the end of the curve.
     """
-    return _fit_decay_time(_edc_db_from_onset(taps), fit_db)
+    return _fit_decay_time(_edc_db_from_onset(taps))
 
 
-def average_decay_time(rirs, fit_db: tuple[float, float] = (0.0, -10.0)) -> float:
+def average_decay_time(rirs) -> float:
     """Room decay time from several measurement positions, one response per
     row of rirs (such as simulate_rir's array), sampled at DEFAULT_FS.
 
@@ -238,4 +238,4 @@ def average_decay_time(rirs, fit_db: tuple[float, float] = (0.0, -10.0)) -> floa
     length = min(c.size for c in curves)
     mean_energy = np.mean([10.0 ** (c[:length] / 10.0) for c in curves], axis=0)
     db = 10.0 * np.log10(np.maximum(mean_energy, 1e-300))
-    return _fit_decay_time(db, fit_db)
+    return _fit_decay_time(db)

@@ -12,6 +12,16 @@ from wasnloc.signals import auralize
 TINY_GRID_N = 6
 
 
+def rewrite_npz(path, edit):
+    """Apply edit to the dict of an npz archive's members and write the
+    archive back in place."""
+    with np.load(path) as data:
+        members = dict(data)
+    edit(members)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
 def tiny_dataset_config(master_seed=11, workers=1):
     return DatasetConfig(
         train=6,

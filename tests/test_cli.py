@@ -46,7 +46,19 @@ class TestConfigParsing:
             dataset_config_from_obj({"scene": {"t60_range": [0.6, 0.3]}})
 
     @pytest.mark.parametrize(
-        "obj", [{"grid_n": -3}, {"grid_n": 0}, {"max_order": -1}, {"duration_s": -1}, {"train": -2}, {"workers": 0}]
+        "obj",
+        [
+            {"grid_n": -3},
+            {"grid_n": 0},
+            {"max_order": -1},
+            {"duration_s": -1},
+            {"train": -2},
+            {"workers": 0},
+            {"train_mic_counts": []},
+            {"val_mic_counts": [5, 1]},
+            {"test_mic_counts": [0]},
+            {"scene": {"mic_counts": [3]}},
+        ],
     )
     def test_out_of_range_dataset_value_reported_at_root(self, obj):
         (field,) = obj

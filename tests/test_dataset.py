@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 from scipy.io import wavfile
-from conftest import TINY_GRID_N, tiny_dataset_config
+from conftest import TINY_GRID_N, rewrite_npz, tiny_dataset_config
 
 from wasnloc.dataset import (
     FEATURE_PARAMS,
@@ -330,7 +330,7 @@ class TestFeatureCache:
         def forge(members):  # both settings are fixed, so a foreign one is forged
             members["version"][1 + FEATURE_PARAMS.index(field)] = value
 
-        self._rewrite_members(path, forge)
+        rewrite_npz(path, forge)
         default = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
         with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: built with {field} "):
             read_feature_cache(path, default.grid_n, entry["m"], BOTH_KINDS)
@@ -355,14 +355,6 @@ class TestFeatureCache:
         np.testing.assert_array_equal(example_features(tmp_path, entry, config), expected)
         return lambda: read_feature_cache(path, config.grid_n, entry["m"], (kind,))
 
-    @staticmethod
-    def _rewrite_members(path, edit):
-        with np.load(path) as data:
-            members = dict(data)
-        edit(members)
-        with open(path, "wb") as fh:
-            np.savez(fh, **members)
-
     def test_truncated_cache_recomputed(self, tiny_dataset, tmp_path):
         def cut(path):
             raw = path.read_bytes()
@@ -377,13 +369,35 @@ class TestFeatureCache:
         with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: unreadable file"):
             read()
 
+    def test_bare_npy_cache_recomputed(self, tiny_dataset, tmp_path):
+        def replace_with_npy(path):
+            with np.load(path) as data:
+                slf = data["slf"]
+            with open(path, "wb") as fh:
+                np.save(fh, slf)
+
+        read = self._damaged_cache(tiny_dataset, tmp_path, replace_with_npy)
+        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: unreadable file: File is not a zip file"):
+            read()
+
+    @pytest.mark.parametrize("dtype", ["int16", "complex64"])
+    def test_non_float32_member_recomputed(self, tiny_dataset, tmp_path, dtype):
+        # same shape, other type: once served quantized or with a ComplexWarning
+        def retype(members):
+            members["slf"] = members["slf"].astype(dtype)
+
+        damage = lambda path: rewrite_npz(path, retype)  # noqa: E731
+        read = self._damaged_cache(tiny_dataset, tmp_path, damage)
+        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: member 'slf' holds {dtype}, expected float32"):
+            read()
+
     # the model reading each member: gcc only a GCC model, meta any model
     MEMBER_KINDS = {"gcc": "gcc", "slf": "slf", "meta": "slf"}
 
     @pytest.mark.parametrize("member", ["gcc", "slf", "meta"])
     def test_missing_member_recomputed(self, tiny_dataset, tmp_path, member):
         edit = lambda members: members.pop(member)  # noqa: E731
-        damage = lambda path: self._rewrite_members(path, edit)  # noqa: E731
+        damage = lambda path: rewrite_npz(path, edit)  # noqa: E731
         read = self._damaged_cache(tiny_dataset, tmp_path, damage, self.MEMBER_KINDS[member])
         with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: no member '{member}'"):
             read()
@@ -393,7 +407,7 @@ class TestFeatureCache:
         def drop_row(members):
             members[member] = members[member][:-1]
 
-        damage = lambda path: self._rewrite_members(path, drop_row)  # noqa: E731
+        damage = lambda path: rewrite_npz(path, drop_row)  # noqa: E731
         read = self._damaged_cache(tiny_dataset, tmp_path, damage, self.MEMBER_KINDS[member])
         with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: member '{member}' has shape"):
             read()
@@ -405,7 +419,7 @@ class TestFeatureCache:
             members[member] = members[member].copy()
             members[member][1, 2] = np.nan
 
-        damage = lambda path: self._rewrite_members(path, poison)  # noqa: E731
+        damage = lambda path: rewrite_npz(path, poison)  # noqa: E731
         read = self._damaged_cache(tiny_dataset, tmp_path, damage, self.MEMBER_KINDS[member])
         with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: member '{member}' holds nan at \(1, 2\)"):
             read()
@@ -424,7 +438,7 @@ class TestFeatureCache:
         def drop_row(members):
             members[other] = members[other][:-1]
 
-        self._rewrite_members(path, drop_row)
+        rewrite_npz(path, drop_row)
         cached = read_feature_cache(path, config.grid_n, entry["m"], (kind,))
         assert cached[BOTH_KINDS.index(other)] is None
         np.testing.assert_array_equal(example_features(tmp_path, entry, config), expected)

@@ -1,10 +1,11 @@
 import dataclasses
 import functools
 import json
+import zlib
 
 import numpy as np
 import pytest
-from conftest import anechoic_frame, planar_scene
+from conftest import anechoic_frame, planar_scene, rewrite_npz
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -293,17 +294,15 @@ class TestGnnLocalize:
 
 
 def write_header(path, payload: bytes):
-    """Replace a saved checkpoint's header with the given payload bytes."""
-    raw = path.read_bytes()
-    header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    path.write_bytes(raw[:4] + np.uint32(len(payload)).tobytes() + payload + raw[8 + header_len :])
+    """Replace a saved checkpoint's header member with the given payload bytes."""
+    rewrite_npz(path, lambda members: members.update(header=np.frombuffer(payload, dtype=np.uint8)))
 
 
 def read_header(path) -> tuple[dict, bytes]:
-    """A saved checkpoint's JSON header and the blob after it."""
-    raw = path.read_bytes()
-    header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    return json.loads(raw[8 : 8 + header_len]), raw[8 + header_len :]
+    """A saved checkpoint's JSON header and its f and g members' bytes back
+    to back."""
+    with np.load(path) as data:
+        return json.loads(data["header"].tobytes()), data["f"].tobytes() + data["g"].tobytes()
 
 
 def rewrite_header(path, edit):
@@ -350,9 +349,47 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         raw = bytearray(path.read_bytes())
-        raw[-3] ^= 0xFF
+        start = raw.find(model.f.flat.tobytes())  # the f member's stored data
+        raw[start + 5] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="checksum"):
+        with pytest.raises(CheckpointError, match=r"model.ckpt: unreadable member 'f': Bad CRC-32"):
+            load_checkpoint(path)
+
+    def test_two_saves_byte_identical(self, tmp_path):
+        model = RelNetModel.init_random(small_config(), rng_seed=18)
+        save_checkpoint(model, tmp_path / "a.ckpt")
+        save_checkpoint(model, tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("member", ["header", "f", "g"])
+    def test_missing_member_named(self, tmp_path, member):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=19), path)
+        rewrite_npz(path, lambda members: members.pop(member))
+        with pytest.raises(CheckpointError, match=f"model.ckpt: no member '{member}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layout", ["bare_npy", "version_3"])
+    def test_non_npz_file_refused(self, tmp_path, layout):
+        model = RelNetModel.init_random(small_config(), rng_seed=20)
+        path = tmp_path / "model.ckpt"
+        if layout == "bare_npy":
+            with open(path, "wb") as fh:
+                np.save(fh, model.f.flat)
+        else:  # version 3: magic, uint32 header length, JSON header, float32 blob
+            save_checkpoint(model, path)
+            header, blob = read_header(path)
+            payload = json.dumps({**header, "version": 3, "blob_crc32": zlib.crc32(blob)}).encode()
+            path.write_bytes(b"WLNC" + np.uint32(len(payload)).tobytes() + payload + blob)
+        with pytest.raises(CheckpointError, match="model.ckpt: unreadable file: File is not a zip file"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("member, dtype", [("header", "uint8"), ("f", "float32"), ("g", "float32")])
+    def test_float64_member_refused(self, tmp_path, member, dtype):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=22), path)
+        rewrite_npz(path, lambda members: members.update({member: members[member].astype(np.float64)}))
+        with pytest.raises(CheckpointError, match=f"model.ckpt: member '{member}' holds float64, expected {dtype}"):
             load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
@@ -417,10 +454,10 @@ class TestCheckpoint:
             "g_sizes": list(cfg.g_layer_sizes),
             "arrays": [],
             "blob_floats": model.f.flat.size + model.g.flat.size,
-            "blob_crc32": read_header(path)[0]["blob_crc32"],
+            "blob_crc32": zlib.crc32(read_header(path)[1]),
         }
         write_header(path, json.dumps(v2).encode())
-        with pytest.raises(CheckpointError, match="version 2, expected 3"):
+        with pytest.raises(CheckpointError, match="version 2, expected 4"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field", ["feature_kind", "grid_n", "f_layer_sizes", "g_layer_sizes"])
@@ -443,8 +480,8 @@ class TestCheckpoint:
     def test_huge_integer_literal_refused(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=16), path)
-        header = read_header(path)[0]
-        text = json.dumps({**header, "blob_crc32": 0}).replace('"blob_crc32": 0', '"blob_crc32": 1' + "0" * 5000)
+        text = json.dumps(read_header(path)[0]).replace('"n_central": 200', '"n_central": 1' + "0" * 5000)
+        assert "0" * 5000 in text
         write_header(path, text.encode())
         with pytest.raises(CheckpointError, match="header /: not valid JSON"):
             load_checkpoint(path)
@@ -464,7 +501,6 @@ HEADER_TARGETS = (
     ("fft_size",),
     ("n_central",),
     ("config",),
-    ("blob_crc32",),
     *(("config", name) for name in CONFIG_FIELDS),
 )
 
