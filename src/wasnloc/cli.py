@@ -139,6 +139,8 @@ def cmd_localize(args) -> int:
     received, scene = load_example_dir(args.example)
     frame = extract_frame(received)
     if args.method in ("tdoa", "slf"):
+        if args.checkpoint:
+            raise ConfigError(f"/checkpoint: method {args.method!r} takes no checkpoint")
         grid = Grid(scene.room.width, scene.room.length, args.grid_n)
         localize = tdoa_localize if args.method == "tdoa" else slf_localize
         result = localize(frame, scene, grid)

@@ -4,7 +4,8 @@ Each example lives in its own directory: one float32 WAV per channel
 (ch_00.wav ...) at the package's one rate, ``rir.DEFAULT_FS``, the scene
 as scene.json and features.bin, a cache of the raw per-pair GCC/SLF
 features so training never touches audio again (a stale, unreadable or
-non-finite cache is recomputed from the WAVs). A JSON manifest at
+non-finite cache is recomputed from the WAVs), an archive like a
+checkpoint (:mod:`typedjson`). A JSON manifest at
 the dataset root lists every example with its microphone count, room,
 true source position and seed.
 
@@ -21,13 +22,12 @@ import json
 import logging
 import math
 import sys
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
-from numpy.lib.npyio import NpzFile
 
 from .features import (
     DEFAULT_FFT_SIZE,
@@ -39,6 +39,7 @@ from .features import (
 )
 from .relnet import (
     PAIR_METADATA_SIZE,
+    ArchiveHeader,
     RelNetConfig,
     assemble_input,
     raw_pair_features,
@@ -62,7 +63,7 @@ from .signals import (
     write_wav,
 )
 from .training import FeatureExample
-from .typedjson import ConfigError, build, loads
+from .typedjson import ConfigError, build, loads, read_archive, write_archive
 
 logger = logging.getLogger(__name__)
 
@@ -73,19 +74,14 @@ _SPLIT_SEED_OFFSETS = {"train": 0, "val": 1_000_000, "test": 2_000_000}
 
 FEATURES_NAME = "features.bin"
 # Version 2: SLF rows average the correlation over each cell's lag interval.
-# Version 3: the "version" member also holds the FEATURE_PARAMS values.
-FEATURES_VERSION = 3
-# The settings that shape the cached arrays, stored after the version so
-# that a cache built with other settings is never served. Only grid_n is
-# set per dataset; the DFT size, the central crop and the frame length are
-# fixed (DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, DEFAULT_FRAME_MS) but still
-# recorded, so the file format and existing caches stay valid.
-FEATURE_PARAMS = ("fft_size", "n_central", "grid_n", "frame_ms")
+# Version 3: the "version" member also holds the build settings.
+# Version 4: a JSON header (_FeaturesHeader) replaces the "version" member.
+FEATURES_VERSION = 4
 
 
 class FeatureCacheError(ValueError):
-    """features.bin is stale (another format version or other build
-    settings), unreadable, or holds arrays of the wrong shape."""
+    """features.bin is stale (another version, build settings or scene),
+    unreadable, or holds arrays of the wrong shape."""
 
 
 @dataclass(frozen=True)
@@ -186,7 +182,7 @@ def generate_example(config: DatasetConfig, split: str, index: int, out_root) ->
         write_wav(example_dir / f"ch_{k:02d}.wav", channel)
     (example_dir / "scene.json").write_text(scene_to_json(scene))
     gcc, slf, meta = raw_pair_features(extract_frame(received), scene, config.grid_n)
-    write_feature_cache(example_dir / FEATURES_NAME, config.grid_n, gcc, slf, meta)
+    write_feature_cache(example_dir / FEATURES_NAME, scene, config.grid_n, gcc, slf, meta)
 
     return {"dir": f"{split}/{index:05d}", **_scene_fields(scene), "seed": seed}
 
@@ -306,73 +302,52 @@ def split_entries(data_dir, manifest: dict, split: str) -> list[dict]:
     return manifest["splits"][split]["examples"]
 
 
-def _feature_key(grid_n: int) -> list[float]:
-    """FEATURES_VERSION followed by the FEATURE_PARAMS values."""
-    return [FEATURES_VERSION, DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, grid_n, DEFAULT_FRAME_MS]
+@dataclass(frozen=True)
+class _FeaturesHeader(ArchiveHeader):
+    """A features.bin header: the (fixed) frame length and the grid the rows
+    were built with, and the scene fields of the example's manifest entry."""
+
+    frame_ms: Literal[DEFAULT_FRAME_MS]
+    grid_n: int
+    m: int
+    room: tuple[float, float, float]
+    t60: float
+    source_xy: tuple[float, float]
 
 
-def write_feature_cache(path, grid_n: int, gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray) -> None:
-    """Write the raw pair features built on a grid_n grid."""
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            version=np.array(_feature_key(grid_n), dtype=np.float64),
-            gcc=gcc.astype(np.float32),
-            slf=slf.astype(np.float32),
-            meta=meta.astype(np.float32),
-        )
+def write_feature_cache(path, scene: Scene, grid_n: int, gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray) -> None:
+    """Write the raw pair features of a scene built on a grid_n grid."""
+    header = _FeaturesHeader(
+        FEATURES_VERSION, DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, DEFAULT_FRAME_MS, grid_n, **_scene_fields(scene)
+    )
+    write_archive(path, header, gcc=gcc, slf=slf, meta=meta)
 
 
 def read_feature_cache(
-    path, grid_n: int, m: int, kinds: tuple[str, ...]
+    path, grid_n: int, entry: dict, kinds: tuple[str, ...]
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
-    """(gcc, slf, meta) of an example with m mics from its features.bin.
+    """(gcc, slf, meta) of the example of a manifest entry from its features.bin.
 
     Of the feature members "gcc" and "slf" only those named in kinds are
     decoded (a model reads one); the other is None and goes unchecked.
-    FeatureCacheError names the file, and the member where there is one, if
-    the file is not a readable npz, has another version, was built with
-    other FEATURE_PARAMS values than grid_n and the fixed ones, or lacks a
-    member read or holds one that is not float32, has other than M(M-1)/2
-    rows of its width or a value that is NaN or infinite.
+    FeatureCacheError names the file, and the member or the header field
+    where there is one, if :func:`typedjson.read_archive` refuses the file,
+    its header has another version, grid_n or scene field than the
+    entry's, or a member read has other than M(M-1)/2 rows of its width or
+    holds a value that is NaN or infinite.
     """
-    pairs = m * (m - 1) // 2
+    scene = {name: entry[name] for name in ("m", "room", "t60", "source_xy")}
+    expected = {"version": FEATURES_VERSION, "grid_n": grid_n, **scene}
+    _, arrays = read_archive(path, _FeaturesHeader, (*kinds, "meta"), FeatureCacheError, **expected)
+    pairs = entry["m"] * (entry["m"] - 1) // 2
     widths = {"gcc": DEFAULT_N_CENTRAL, "slf": grid_n**2, "meta": PAIR_METADATA_SIZE}
-    wanted = _feature_key(grid_n)
-    member = None  # the member being read, for the error message
-    try:
-        with NpzFile(path) as data:  # BadZipFile unless an npz archive
-            member = "version"
-            stored = data["version"].ravel().tolist() if "version" in data.files else [None]
-            if stored[0] != FEATURES_VERSION:
-                raise FeatureCacheError(f"{path}: version {stored[0]!r}, expected {FEATURES_VERSION}")
-            if len(stored) != len(wanted):
-                raise FeatureCacheError(f"{path}: version field holds {len(stored)} values, expected {len(wanted)}")
-            for name, have, want in zip(FEATURE_PARAMS, stored[1:], wanted[1:]):
-                if have != want:
-                    raise FeatureCacheError(f"{path}: built with {name} {have:g}, expected {want:g}")
-            arrays = {}
-            for member in (*kinds, "meta"):
-                if member not in data.files:
-                    raise FeatureCacheError(f"{path}: no member {member!r}")
-                arrays[member] = data[member]
-                if arrays[member].dtype != np.float32:
-                    raise FeatureCacheError(f"{path}: member {member!r} holds {arrays[member].dtype}, expected float32")
-                if arrays[member].shape != (pairs, widths[member]):
-                    raise FeatureCacheError(
-                        f"{path}: member {member!r} has shape {arrays[member].shape}, "
-                        f"expected {(pairs, widths[member])}"
-                    )
-                if not np.isfinite(arrays[member]).all():
-                    row, col = np.argwhere(~np.isfinite(arrays[member]))[0]
-                    value = arrays[member][row, col]
-                    raise FeatureCacheError(f"{path}: member {member!r} holds {value} at ({row}, {col})")
-            return arrays.get("gcc"), arrays.get("slf"), arrays["meta"]
-    except FeatureCacheError:
-        raise
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        where = f"member {member!r}" if member else "file"
-        raise FeatureCacheError(f"{path}: unreadable {where}: {exc}") from exc
+    for member, array in arrays.items():
+        if array.shape != (want := (pairs, widths[member])):
+            raise FeatureCacheError(f"{path}: member {member!r} has shape {array.shape}, expected {want}")
+        if not np.isfinite(array).all():
+            row, col = np.argwhere(~np.isfinite(array))[0]
+            raise FeatureCacheError(f"{path}: member {member!r} holds {array[row, col]} at ({row}, {col})")
+    return arrays.get("gcc"), arrays.get("slf"), arrays["meta"]
 
 
 def load_example_dir(example_dir) -> tuple[np.ndarray, Scene]:
@@ -426,12 +401,14 @@ def example_features(data_dir, entry: dict, config: RelNetConfig) -> np.ndarray:
     Prefers the on-disk cache, of which it decodes only the configured
     feature kind and the metadata; falls back to recomputing from the WAVs
     when the cache is missing, unreadable, has another format version, was
-    built with other parameters or has a damaged member of those read.
+    built with other parameters or another scene than the entry's, or has a
+    damaged member of those read; :func:`load_example` then refuses an
+    entry that contradicts the example.
     """
     cache_path = Path(data_dir) / entry["dir"] / FEATURES_NAME
     if cache_path.exists():
         try:
-            cached = read_feature_cache(cache_path, config.grid_n, entry["m"], (config.feature_kind,))
+            cached = read_feature_cache(cache_path, config.grid_n, entry, (config.feature_kind,))
             return assemble_input(*cached, config)
         except FeatureCacheError as exc:
             logger.info("recomputing features: %s", exc)

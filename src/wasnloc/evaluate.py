@@ -110,18 +110,20 @@ def evaluate(
 ) -> EvalReport:
     """Run one localizer over a dataset split, grouping errors by mic count.
 
-    ``checkpoints`` is required for the gnn-* methods and read by
-    :func:`load_models`; with several, per-M means are averaged across
-    checkpoints and their spread fills the std column. Heatmaps of the
-    first ``heatmap_count`` examples go to ``heatmap_dir``: one without the
-    other is refused. Examples are taken ``_BATCH`` at a time: each
-    example's pair features are read once and every network runs on the
-    batch in one :func:`relnet.forward_batch`.
+    ``checkpoints`` is required for the gnn-* methods, read by
+    :func:`load_models`, and refused for the classical ones; with several,
+    per-M means are averaged across checkpoints and their spread fills the
+    std column. Heatmaps of the first ``heatmap_count`` examples go to
+    ``heatmap_dir``: one without the other is refused. Examples are taken
+    ``_BATCH`` at a time: each example's pair features are read once and
+    every network runs on the batch in one :func:`relnet.forward_batch`.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if (heatmap_count > 0) != (heatmap_dir is not None):
         raise ValueError(f"heatmaps need a count >= 1 and a directory, got {heatmap_count} and {heatmap_dir!r}")
+    if checkpoints and not method.startswith("gnn-"):
+        raise ValueError(f"method {method!r} takes no checkpoint, got {len(checkpoints)}")
     entries = split_entries(data_dir, load_manifest(data_dir), split)
     if not entries:
         raise ValueError(f"split {split!r} is empty")

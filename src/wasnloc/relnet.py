@@ -22,20 +22,17 @@ The training target for a source at p_s assigns each grid cell
 exp(-distance(cell center, p_s)), so the map peaks at 1 on the source cell
 and decays exponentially with distance in meters.
 
-A checkpoint is an npz archive of a JSON header holding the RelNetConfig
-and of the two flat parameter buffers, whose shapes follow from the config;
-the header is read by the CLI's config walker (:mod:`typedjson`).
+A checkpoint is an archive in the format of :mod:`typedjson`, the one
+features.bin uses: a JSON header holding the RelNetConfig, and the two flat
+parameter buffers, whose shapes follow from the config.
 """
 
 from __future__ import annotations
 
-import json
-import zipfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Literal, get_args
 
 import numpy as np
-from numpy.lib.npyio import NpzFile
 
 from .classical import LocalizationResult, pair_correlations, pick_peak
 from .features import (
@@ -48,7 +45,7 @@ from .features import (
 )
 from .mlp import Mlp, layer_shapes
 from .scenes import Scene, pair_metadata_vector
-from .typedjson import ConfigError, build, loads
+from .typedjson import read_archive, write_archive
 
 PAIR_METADATA_SIZE = 9
 # Version 2: pairs are mean-pooled and SLF rows min-max scaled per pair;
@@ -237,75 +234,39 @@ def mae_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad.astype(pred.dtype, copy=False)
 
 
-def save_checkpoint(model: RelNetModel, path) -> None:
-    """Write a model as an npz archive: ``header``, the UTF-8 JSON of the
-    version, the fixed feature sizes and the RelNetConfig, as uint8; ``f``
-    and ``g``, the two stacks' flat buffers, as little-endian float32."""
-    header = _Header(CHECKPOINT_VERSION, DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, model.config)
-    payload = np.frombuffer(json.dumps(asdict(header)).encode("utf-8"), dtype=np.uint8)
-    f, g = (np.asarray(p, dtype="<f4") for p in model.parameters())
-    with open(path, "wb") as fh:
-        np.savez(fh, header=payload, f=f, g=g)
+@dataclass(frozen=True)
+class ArchiveHeader:
+    """The first fields of a checkpoint's or features.bin's header: its
+    format version and the fixed feature sizes, which take no other value."""
+
+    version: int
+    fft_size: Literal[DEFAULT_FFT_SIZE]
+    n_central: Literal[DEFAULT_N_CENTRAL]
 
 
 @dataclass(frozen=True)
-class _Header:
-    """A checkpoint's JSON header, field for field."""
+class _Header(ArchiveHeader):
+    """A checkpoint's header."""
 
-    version: int
-    fft_size: int
-    n_central: int
     config: RelNetConfig
 
 
-def _read_header(payload: bytes) -> _Header:
-    """The header read by the config walker; ConfigError at the pointer of
-    the first field that is missing, unknown, ill-typed or not its fixed
-    value (version, fft_size, n_central). The version is checked first, so
-    a file of another version is refused as such. Every RelNetConfig field
-    must be present: a default could differ from the one the model was
-    saved with."""
-    header = loads(payload)
-    if isinstance(header, dict) and header.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"/version: version {header.get('version')!r}, expected {CHECKPOINT_VERSION}")
-    config = header.get("config") if isinstance(header, dict) else None
-    missing = [f.name for f in fields(RelNetConfig) if isinstance(config, dict) and f.name not in config]
-    if missing:
-        raise ConfigError(f"/config/{missing[0]}: missing")
-    values = build(_Header, header, [])
-    for key, want in (("fft_size", DEFAULT_FFT_SIZE), ("n_central", DEFAULT_N_CENTRAL)):
-        if getattr(values, key) != want:
-            raise ConfigError(f"/{key}: {key} {getattr(values, key)}, expected {want}")
-    return values
+def save_checkpoint(model: RelNetModel, path) -> None:
+    """Write a model as an archive (:func:`typedjson.write_archive`) of its
+    header, the version, the fixed feature sizes and the RelNetConfig, and
+    of ``f`` and ``g``, the two stacks' flat buffers."""
+    header = _Header(CHECKPOINT_VERSION, DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, model.config)
+    f, g = model.parameters()
+    write_archive(path, header, f=f, g=g)
 
 
 def load_checkpoint(path) -> RelNetModel:
-    """Read a model written by save_checkpoint.
-
-    The header is read by the config walker (:func:`_read_header`); the f
-    and g members, float32 and as long as its config gives, become the
-    stacks' buffers as loaded. A file that is not an npz archive, a member
-    that is missing or fails zip's CRC-32, and anything malformed, stale or
-    inconsistent raise CheckpointError naming the file and the member or
-    the field's JSON pointer.
-    """
-    member = None  # the member being read, for the error message
-    try:
-        with NpzFile(path) as data:  # BadZipFile unless an npz archive
-            arrays = {}
-            for member, dtype in (("header", "u1"), ("f", "<f4"), ("g", "<f4")):
-                if member not in data:
-                    raise CheckpointError(f"{path}: no member {member!r}")
-                arrays[member] = array = data[member]
-                if array.dtype != dtype:
-                    raise CheckpointError(f"{path}: member {member!r} holds {array.dtype}, expected {np.dtype(dtype)}")
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        where = f"member {member!r}" if member else "file"
-        raise CheckpointError(f"{path}: unreadable {where}: {exc}") from exc
-    try:
-        config = _read_header(arrays["header"].tobytes()).config
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: header {exc}") from exc
+    """Read a model written by save_checkpoint; its f and g members, as long
+    as the header's config gives, become the stacks' buffers as loaded.
+    Anything unreadable, stale or inconsistent raises CheckpointError
+    naming the file and the member or the header field's JSON pointer."""
+    header, arrays = read_archive(path, _Header, ("f", "g"), CheckpointError, version=CHECKPOINT_VERSION)
+    config = header.config
     try:
         f = Mlp(config.input_size, config.f_layer_sizes, arrays["f"])
         g = Mlp(f.output_size, config.g_layer_sizes, arrays["g"])

@@ -2,9 +2,11 @@
 
 :func:`loads` is the package's one JSON decoder, and one walker, driven by
 ``typing.get_type_hints``, reads every JSON artifact into dataclasses: the
-CLI's config files, a checkpoint's header, each example's scene.json and
-the entries of a dataset's manifest. Errors are :class:`ConfigError` whose
-message starts with the JSON pointer of the offending value.
+CLI's config files, each example's scene.json, the entries of a dataset's
+manifest and the header of each binary artifact (features.bin and
+checkpoints, both written by :func:`write_archive` and read by
+:func:`read_archive`). Errors are :class:`ConfigError` whose message starts
+with the JSON pointer of the offending value.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ import json
 import math
 import types
 import typing
+import zipfile
+
+import numpy as np
+from numpy.lib.npyio import NpzFile
 
 
 class ConfigError(ValueError):
@@ -50,15 +56,15 @@ _SCALARS = {
 }
 
 
-def convert(tp, value, path):
+def convert(tp, value, path, defaults=True):
     """The JSON value converted to the type tp; ConfigError at path if it is
     not of that type. An int takes a JSON integer, a float any finite JSON
     number (never NaN or Infinity, which Python's json module reads), a
     bool true or false, a str a string (a bool is never a number); a
     tuple a list of the right length, each entry converted at its own
     pointer (path/k), a Literal one of its values, X | None null or an X, a
-    dataclass an object (:func:`build`). Any other type raises TypeError,
-    so a new config field cannot go unchecked."""
+    dataclass an object (:func:`build`, which defaults is passed on to). Any
+    other type raises TypeError, so a new config field cannot go unchecked."""
     if tp in _SCALARS:
         accepted, expected = _SCALARS[tp]
         if isinstance(value, accepted) and (tp is bool or not isinstance(value, bool)):
@@ -70,14 +76,14 @@ def convert(tp, value, path):
                 return converted
             expected = "a finite number"
     elif dataclasses.is_dataclass(tp):
-        return build(tp, value, path)
+        return build(tp, value, path, defaults)
     else:
         origin, args = typing.get_origin(tp), typing.get_args(tp)
         if origin is tuple:
             variadic = args[-1:] == (Ellipsis,)
             if isinstance(value, list) and (variadic or len(value) == len(args)):
                 items = args[:1] * len(value) if variadic else args
-                return tuple(convert(t, v, (path, k)) for k, (t, v) in enumerate(zip(items, value)))
+                return tuple(convert(t, v, (path, k), defaults) for k, (t, v) in enumerate(zip(items, value)))
             expected = "a list" if variadic else f"a list of {len(args)} entries"
         elif origin is typing.Literal:
             if any(type(value) is type(a) and value == a for a in args):
@@ -85,7 +91,7 @@ def convert(tp, value, path):
             expected = f"one of {args}"
         elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
             inner = args[0] if args[1] is type(None) else args[1]
-            return None if value is None else convert(inner, value, path)
+            return None if value is None else convert(inner, value, path, defaults)
         else:
             raise TypeError(f"{_pointer(path)}: no JSON rule for the type {tp!r}")
     raise ConfigError(f"{_pointer(path)}: expected {expected}, got {value!r}")
@@ -98,12 +104,14 @@ def _fields(cls) -> tuple[dict, list[str]]:
     return hints, [f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is dataclasses.MISSING]
 
 
-def build(cls, obj, path):
+def build(cls, obj, path, defaults=True):
     """The dataclass cls from a JSON object whose keys name its fields,
     each value converted by :func:`convert` with its field's type. An
     unknown key, a bad value or a missing field with no default raises
     ConfigError at its own pointer, a value the dataclass rejects at the
-    object's."""
+    object's. With defaults False every field must be present, in nested
+    dataclasses too: an artifact's header takes no value from a default,
+    which may have changed since the file was written."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{_pointer(path)}: must be a JSON object")
     hints, required = _fields(cls)
@@ -111,11 +119,53 @@ def build(cls, obj, path):
     for key, value in obj.items():
         if key not in hints:
             raise ConfigError(f"{_pointer((path, key))}: unknown key")
-        kwargs[key] = convert(hints[key], value, (path, key))
-    for key in required:
+        kwargs[key] = convert(hints[key], value, (path, key), defaults)
+    for key in required if defaults else hints:
         if key not in kwargs:
             raise ConfigError(f"{_pointer((path, key))}: missing")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{_pointer(path)}: {exc}") from exc
+
+
+def write_archive(path, header, **arrays) -> None:
+    """Write an npz archive: member ``header`` holds the UTF-8 JSON of the
+    header dataclass's fields as uint8, and each named array is a member of
+    its own as little-endian float32. Zip members carry numpy's fixed 1980
+    timestamp, so equal inputs give equal bytes."""
+    payload = np.frombuffer(json.dumps(dataclasses.asdict(header)).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, header=payload, **{name: np.asarray(a, dtype="<f4") for name, a in arrays.items()})
+
+
+def read_archive(path, header_cls, members: tuple[str, ...], error: type[Exception], **expected):
+    """(header, arrays) of an archive written by :func:`write_archive`: the
+    header built as a header_cls with every field present, and the named
+    float32 members by name. The header fields in expected must hold those
+    values, compared in order before the header is built, so that a file of
+    another version (put first) is refused as such. Anything else raises
+    error naming path and the member, or the header field's JSON pointer."""
+    arrays, member = {}, None  # member: the one being read, for the error message
+    try:
+        with NpzFile(path) as data:  # BadZipFile unless an npz archive
+            for member in ("header", *members):
+                if member in data:
+                    arrays[member] = data[member]  # BadZipFile on a failed CRC-32
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        where = f"member {member!r}" if member else "file"
+        raise error(f"{path}: unreadable {where}: {exc}") from exc
+    for member in ("header", *members):
+        if member not in arrays:
+            raise error(f"{path}: no member {member!r}")
+        dtype = np.dtype(np.uint8 if member == "header" else "<f4")
+        if arrays[member].dtype != dtype:
+            raise error(f"{path}: member {member!r} holds {arrays[member].dtype}, expected {dtype}")
+    try:
+        obj = loads(arrays.pop("header").tobytes())
+        for key, want in expected.items():
+            if isinstance(obj, dict) and obj.get(key) != want:
+                raise ConfigError(f"/{key}: {key} {obj.get(key)!r}, expected {want!r}")
+        return build(header_cls, obj, [], defaults=False), arrays
+    except ConfigError as exc:
+        raise error(f"{path}: header {exc}") from exc

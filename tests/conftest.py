@@ -1,4 +1,7 @@
-"""Shared helpers: controlled scenes, band-limited signals, tiny datasets."""
+"""Shared helpers: controlled scenes, band-limited signals, tiny datasets,
+archive editing."""
+
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +23,20 @@ def rewrite_npz(path, edit):
     edit(members)
     with open(path, "wb") as fh:
         np.savez(fh, **members)
+
+
+def write_header(path, payload: bytes):
+    """Replace the header member of an archive (a checkpoint or a
+    features.bin) with the given payload bytes."""
+    rewrite_npz(path, lambda members: members.update(header=np.frombuffer(payload, dtype=np.uint8)))
+
+
+def rewrite_header(path, edit):
+    """Apply edit to the JSON header of an archive in place."""
+    with np.load(path) as data:
+        header = json.loads(data["header"].tobytes())
+    edit(header)
+    write_header(path, json.dumps(header).encode())
 
 
 def tiny_dataset_config(master_seed=11, workers=1):

@@ -511,8 +511,9 @@ class TestCliCommands:
         [
             ("gnn-gcc", 1, "feature kind 'slf' does not match method 'gnn-gcc'"),
             ("gnn-slf", 2, "one checkpoint, got 2"),
+            ("slf", 1, "/checkpoint: method 'slf' takes no checkpoint"),
         ],
-        ids=["wrong_kind", "two_checkpoints"],
+        ids=["wrong_kind", "two_checkpoints", "classical"],
     )
     def test_localize_refuses_wrong_or_extra_checkpoint(self, cli_workspace, capsys, method, copies, message):
         _, data_dir, ckpt = cli_workspace

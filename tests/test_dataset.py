@@ -4,11 +4,12 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
-from conftest import TINY_GRID_N, rewrite_npz, tiny_dataset_config
+from conftest import TINY_GRID_N, rewrite_header, rewrite_npz, tiny_dataset_config
 
 from wasnloc.dataset import (
-    FEATURE_PARAMS,
     FEATURES_NAME,
     SPLITS,
     DatasetConfig,
@@ -21,11 +22,12 @@ from wasnloc.dataset import (
     load_split_features,
     read_feature_cache,
     split_entries,
+    write_feature_cache,
 )
 from wasnloc.evaluate import evaluate
 from wasnloc.features import Grid, extract_frame
-from wasnloc.relnet import RelNetConfig, assemble_input, raw_pair_features, target_map
-from wasnloc.scenes import scene_from_json
+from wasnloc.relnet import RelNetConfig, RelNetModel, assemble_input, raw_pair_features, target_map
+from wasnloc.scenes import SceneDistribution, sample_scene, scene_from_json
 from wasnloc.signals import CorpusError, read_wav_mono, write_wav
 
 
@@ -76,8 +78,12 @@ class TestGenerateDataset:
         parallel = DatasetConfig(**{**base.__dict__, "train": 3, "val": 1, "test": 1, "workers": 2})
         generate_dataset(serial, tmp_path / "s")
         generate_dataset(parallel, tmp_path / "p")
-        for rel in sorted(p.relative_to(tmp_path / "s") for p in (tmp_path / "s").rglob("*.json")):
-            assert (tmp_path / "s" / rel).read_bytes() == (tmp_path / "p" / rel).read_bytes()
+        files = {side: sorted(p.relative_to(tmp_path / side) for p in (tmp_path / side).rglob("*") if p.is_file())
+                 for side in ("s", "p")}
+        assert files["s"] == files["p"]
+        assert {rel.suffix for rel in files["s"]} == {".json", ".wav", ".bin"}
+        for rel in files["s"]:
+            assert (tmp_path / "s" / rel).read_bytes() == (tmp_path / "p" / rel).read_bytes(), rel
 
     def test_scene_json_matches_manifest_entry(self, tiny_dataset):
         root, manifest = tiny_dataset
@@ -257,12 +263,20 @@ class TestManifest:
             entry[field] = edit(entry)
 
         self._write(tiny_dataset, tmp_path, contradict)
-        entry = split_entries(tmp_path, load_manifest(tmp_path), "test")[2]
+        manifest = load_manifest(tmp_path)
+        entry = split_entries(tmp_path, manifest, "test")[2]
         pattern = rf"manifest\.json: example '{entry['dir']}' has {field} .*, but its scene\.json has "
         with pytest.raises(ValueError, match=pattern):
             load_example(tmp_path, entry)
         with pytest.raises(ValueError, match=pattern):
             evaluate("slf", tmp_path, "test", grid_n=TINY_GRID_N)
+        # the features.bin header records the scene too, so the networks'
+        # cached path refuses the entry as well
+        config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N, f_layer_sizes=(8, 36), g_layer_sizes=(8, 36))
+        with pytest.raises(ValueError, match=pattern):
+            evaluate("gnn-slf", tmp_path, "test", checkpoints=[RelNetModel.init_random(config)])
+        with pytest.raises(ValueError, match=pattern):
+            load_split_features(tmp_path, manifest, "test", config)
 
     def test_unknown_split_named(self, tiny_dataset):
         root, manifest = tiny_dataset
@@ -280,7 +294,7 @@ class TestFeatureCache:
         root, manifest = tiny_dataset
         entry = manifest["splits"]["val"]["examples"][0]
         config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
-        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry["m"], BOTH_KINDS)
+        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry, BOTH_KINDS)
         received, scene = load_example(root, entry)
         frame = extract_frame(received)
         gcc2, slf2, meta2 = raw_pair_features(frame, scene, config.grid_n)
@@ -295,7 +309,7 @@ class TestFeatureCache:
         feats = example_features(root, entry, config)
         pairs = entry["m"] * (entry["m"] - 1) // 2
         assert feats.shape == (pairs, TINY_GRID_N**2 + 9)
-        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry["m"], BOTH_KINDS)
+        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry, BOTH_KINDS)
         np.testing.assert_array_equal(feats, assemble_input(gcc, slf, meta, config))
 
     def test_grid_mismatch_falls_back_to_recompute(self, tiny_dataset):
@@ -306,19 +320,21 @@ class TestFeatureCache:
         assert feats.shape[1] == 25 + 9
 
     def test_unversioned_cache_not_served(self, tiny_dataset, tmp_path):
-        # a features.bin from before the format version is recomputed
+        # a features.bin from before the format version, or of version 3
+        # (a float64 "version" member of the build settings), is recomputed
         root, manifest = tiny_dataset
         entry = manifest["splits"]["test"]["examples"][0]
         config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
         expected = example_features(root, entry, config)
         copy = tmp_path / entry["dir"]
         shutil.copytree(root / entry["dir"], copy)
-        gcc, slf, meta = read_feature_cache(copy / "features.bin", config.grid_n, entry["m"], BOTH_KINDS)
-        with open(copy / "features.bin", "wb") as fh:
-            np.savez(fh, gcc=gcc, slf=np.zeros_like(slf), meta=meta)
-        with pytest.raises(FeatureCacheError, match="version None"):
-            read_feature_cache(copy / "features.bin", config.grid_n, entry["m"], BOTH_KINDS)
-        np.testing.assert_allclose(example_features(tmp_path, entry, config), expected, atol=1e-6)
+        gcc, slf, meta = read_feature_cache(copy / "features.bin", config.grid_n, entry, BOTH_KINDS)
+        for older in ({}, {"version": np.array([3, 1024, 200, TINY_GRID_N, 500.0])}):
+            with open(copy / "features.bin", "wb") as fh:
+                np.savez(fh, **older, gcc=gcc, slf=np.zeros_like(slf), meta=meta)
+            with pytest.raises(FeatureCacheError, match="features.bin: no member 'header'"):
+                read_feature_cache(copy / "features.bin", config.grid_n, entry, BOTH_KINDS)
+            np.testing.assert_allclose(example_features(tmp_path, entry, config), expected, atol=1e-6)
 
     @pytest.mark.parametrize("built_with", [{"frame_ms": 250.0}, {"fft_size": 512}])
     def test_cache_from_other_parameters_not_served(self, tmp_path, built_with):
@@ -327,13 +343,11 @@ class TestFeatureCache:
         entry = generate_example(tiny_dataset_config(master_seed=19), "train", 0, tmp_path)
         path = tmp_path / entry["dir"] / FEATURES_NAME
 
-        def forge(members):  # both settings are fixed, so a foreign one is forged
-            members["version"][1 + FEATURE_PARAMS.index(field)] = value
-
-        rewrite_npz(path, forge)
+        # both settings are fixed, so a foreign one is forged
+        rewrite_header(path, lambda header: header.update({field: value}))
         default = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
-        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: built with {field} "):
-            read_feature_cache(path, default.grid_n, entry["m"], BOTH_KINDS)
+        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: header /{field}: "):
+            read_feature_cache(path, default.grid_n, entry, BOTH_KINDS)
         received, scene = load_example(tmp_path, entry)
         frame = extract_frame(received)
         expected = assemble_input(*raw_pair_features(frame, scene, default.grid_n), default)
@@ -353,7 +367,7 @@ class TestFeatureCache:
         received, scene = load_example(tmp_path, entry)
         expected = assemble_input(*raw_pair_features(extract_frame(received), scene, config.grid_n), config)
         np.testing.assert_array_equal(example_features(tmp_path, entry, config), expected)
-        return lambda: read_feature_cache(path, config.grid_n, entry["m"], (kind,))
+        return lambda: read_feature_cache(path, config.grid_n, entry, (kind,))
 
     def test_truncated_cache_recomputed(self, tiny_dataset, tmp_path):
         def cut(path):
@@ -433,15 +447,38 @@ class TestFeatureCache:
         shutil.copytree(root / entry["dir"], tmp_path / entry["dir"])
         path = tmp_path / entry["dir"] / FEATURES_NAME
         config = RelNetConfig(feature_kind=kind, grid_n=TINY_GRID_N)
-        expected = assemble_input(*read_feature_cache(path, config.grid_n, entry["m"], BOTH_KINDS), config)
+        expected = assemble_input(*read_feature_cache(path, config.grid_n, entry, BOTH_KINDS), config)
 
         def drop_row(members):
             members[other] = members[other][:-1]
 
         rewrite_npz(path, drop_row)
-        cached = read_feature_cache(path, config.grid_n, entry["m"], (kind,))
+        cached = read_feature_cache(path, config.grid_n, entry, (kind,))
         assert cached[BOTH_KINDS.index(other)] is None
         np.testing.assert_array_equal(example_features(tmp_path, entry, config), expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(2, 8), grid_n=st.integers(2, 6), seed=st.integers(0, 2**16))
+    def test_write_read_round_trip(self, tmp_path_factory, m, grid_n, seed):
+        """For P = 1-28 pairs and any grid, the arrays read back are the
+        float32 arrays written, and the header holds the settings and the
+        scene fields that a manifest entry of the scene has."""
+        scene = sample_scene(SceneDistribution(mic_counts=(m,)), seed)
+        rng = np.random.default_rng(seed)
+        pairs = m * (m - 1) // 2
+        arrays = [rng.standard_normal((pairs, width)).astype(np.float32) for width in (200, grid_n**2, 9)]
+        path = tmp_path_factory.mktemp("cache") / FEATURES_NAME
+        write_feature_cache(path, scene, grid_n, *arrays)
+        room = scene.room
+        entry = {"m": m, "room": [room.width, room.length, room.height], "t60": room.t60,
+                 "source_xy": scene.source[:2].tolist()}
+        for read, written in zip(read_feature_cache(path, grid_n, entry, BOTH_KINDS), arrays):
+            assert read.dtype == np.float32 and np.array_equal(read, written)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["gcc", "header", "meta", "slf"]
+            header = json.loads(data["header"].tobytes())
+        built_with = {"version": 4, "fft_size": 1024, "n_central": 200, "frame_ms": 500.0, "grid_n": grid_n}
+        assert header == {**built_with, **entry}
 
     def test_load_split_features_targets(self, tiny_dataset):
         root, manifest = tiny_dataset

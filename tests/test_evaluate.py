@@ -48,10 +48,13 @@ class TestEvaluate:
         assert all(row.mean_error_m >= 0 for row in report.rows)
         assert all(row.std_error_m is None for row in report.rows)
 
-    def test_classical_needs_no_checkpoint(self, tiny_dataset):
+    def test_classical_needs_no_checkpoint(self, tiny_dataset, tiny_checkpoint):
         root, _ = tiny_dataset
         report = evaluate("tdoa", root, split="test", grid_n=TINY_GRID_N)
         assert report.method == "tdoa"
+        # one passed anyway was once ignored without a word
+        with pytest.raises(ValueError, match="method 'tdoa' takes no checkpoint, got 1"):
+            evaluate("tdoa", root, split="test", grid_n=TINY_GRID_N, checkpoints=[tiny_checkpoint])
 
     def test_classical_deterministic(self, tiny_dataset):
         root, _ = tiny_dataset

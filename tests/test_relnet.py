@@ -1,16 +1,18 @@
 import dataclasses
 import functools
 import json
+import shutil
 import zlib
 
 import numpy as np
 import pytest
-from conftest import anechoic_frame, planar_scene, rewrite_npz
+from conftest import TINY_GRID_N, anechoic_frame, planar_scene, rewrite_header, rewrite_npz, write_header
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wasnloc.cli import train_configs_from_obj
-from wasnloc.features import DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, Grid
+from wasnloc.dataset import FEATURES_NAME, FeatureCacheError, example_features, load_example, read_feature_cache
+from wasnloc.features import DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, Grid, extract_frame
 from wasnloc.relnet import (
     CheckpointError,
     RelNetConfig,
@@ -293,23 +295,11 @@ class TestGnnLocalize:
         assert 0.0 < x < scene.room.width and 0.0 < y < scene.room.length
 
 
-def write_header(path, payload: bytes):
-    """Replace a saved checkpoint's header member with the given payload bytes."""
-    rewrite_npz(path, lambda members: members.update(header=np.frombuffer(payload, dtype=np.uint8)))
-
-
 def read_header(path) -> tuple[dict, bytes]:
     """A saved checkpoint's JSON header and its f and g members' bytes back
     to back."""
     with np.load(path) as data:
         return json.loads(data["header"].tobytes()), data["f"].tobytes() + data["g"].tobytes()
-
-
-def rewrite_header(path, edit):
-    """Apply edit to a saved checkpoint's JSON header in place."""
-    header = read_header(path)[0]
-    edit(header)
-    write_header(path, json.dumps(header).encode())
 
 
 def _reference_blob(model):
@@ -496,12 +486,18 @@ class TestCheckpoint:
 
 
 CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(RelNetConfig))
-HEADER_TARGETS = (
+CHECKPOINT_TARGETS = (
     ("version",),
     ("fft_size",),
     ("n_central",),
     ("config",),
     *(("config", name) for name in CONFIG_FIELDS),
+)
+FEATURES_FIELDS = ("version", "fft_size", "n_central", "frame_ms", "grid_n", "m", "room", "t60", "source_xy")
+# (artifact, key path of a header value)
+HEADER_TARGETS = (
+    *(("checkpoint", target) for target in CHECKPOINT_TARGETS),
+    *(("features", (name,)) for name in FEATURES_FIELDS),
 )
 
 
@@ -542,24 +538,42 @@ class TestCheckpointProperties:
     @settings(max_examples=150, deadline=None)
     @given(
         kind=st.sampled_from(["gcc", "slf"]),
-        target=st.sampled_from(HEADER_TARGETS),
+        artifact_target=st.sampled_from(HEADER_TARGETS),
         mutation=st.sampled_from(["drop", "wrong_type", "change"]),
     )
-    @example(kind="gcc", target=("fft_size",), mutation="change")
-    @example(kind="slf", target=("fft_size",), mutation="change")
-    @example(kind="gcc", target=("n_central",), mutation="change")
-    @example(kind="slf", target=("n_central",), mutation="change")
-    def test_each_damaged_field_or_array_named(self, tmp_path_factory, kind, target, mutation):
-        """One dropped, mistyped or changed header field, config fields and
-        their layer-size arrays included, raises CheckpointError naming it,
-        a changed fixed feature size ('fft_size', 'n_central') included."""
-        model = RelNetModel.init_random(small_config(kind), rng_seed=21)
-        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
-        save_checkpoint(model, path)
+    @example(kind="gcc", artifact_target=("checkpoint", ("fft_size",)), mutation="change")
+    @example(kind="slf", artifact_target=("checkpoint", ("fft_size",)), mutation="change")
+    @example(kind="gcc", artifact_target=("checkpoint", ("n_central",)), mutation="change")
+    @example(kind="slf", artifact_target=("features", ("n_central",)), mutation="change")
+    @example(kind="slf", artifact_target=("features", ("room",)), mutation="change")
+    def test_each_damaged_field_or_array_named(self, tiny_dataset, tmp_path_factory, kind, artifact_target, mutation):
+        """One dropped, mistyped or changed header field of a checkpoint or
+        a features.bin, config fields and their layer-size arrays included,
+        is refused naming it, a changed fixed feature size ('fft_size',
+        'n_central') included. A refused features.bin is recomputed from
+        the example's WAVs."""
+        artifact, target = artifact_target
         needles = []
-        rewrite_header(path, lambda header: needles.append(_damage(header, target, mutation)))
-        with pytest.raises(CheckpointError) as info:
-            load_checkpoint(path)
+        damage = lambda header: needles.append(_damage(header, target, mutation))  # noqa: E731
+        if artifact == "checkpoint":
+            path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+            save_checkpoint(RelNetModel.init_random(small_config(kind), rng_seed=21), path)
+            rewrite_header(path, damage)
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(path)
+        else:
+            root, manifest = tiny_dataset
+            entry = manifest["splits"]["test"]["examples"][1]
+            copy = tmp_path_factory.mktemp("data")
+            shutil.copytree(root / entry["dir"], copy / entry["dir"])
+            path = copy / entry["dir"] / FEATURES_NAME
+            rewrite_header(path, damage)
+            config = RelNetConfig(feature_kind=kind, grid_n=TINY_GRID_N)
+            with pytest.raises(FeatureCacheError) as info:
+                read_feature_cache(path, config.grid_n, entry, (kind,))
+            received, scene = load_example(root, entry)
+            expected = assemble_input(*raw_pair_features(extract_frame(received), scene, config.grid_n), config)
+            np.testing.assert_array_equal(example_features(copy, entry, config), expected)
         assert needles[0] in str(info.value)
 
     @settings(max_examples=40, deadline=None)
