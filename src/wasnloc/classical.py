@@ -68,8 +68,8 @@ def pair_correlations(frame: np.ndarray, scene: Scene) -> tuple[np.ndarray, np.n
     return pairs, gcc_phat(frame, pairs), mean_mic_height(scene.mics)
 
 
-def pick_peak(heatmap: np.ndarray, grid: Grid, mode: str = "max") -> np.ndarray:
-    """Cell-center coordinates of the map extremum.
+def pick_peak(heatmap: np.ndarray, grid: Grid, mode: str) -> np.ndarray:
+    """Cell-center coordinates of the map's maximum (mode "max") or minimum ("min").
 
     Ties break to the lowest flat index (numpy argmax/argmin convention).
     """

@@ -2,8 +2,8 @@
 
 Configuration files are JSON, read into the config dataclasses by the
 walker of :mod:`typedjson`, driven by their field types; unknown or
-ill-typed entries are reported with a JSON-pointer style path. Every subcommand
-prints a JSON result on stdout and returns exit code 0 on success;
+ill-typed entries are reported naming the file and the JSON pointer. Every
+subcommand prints a JSON result on stdout and returns exit code 0 on success;
 failures print a structured error object on stderr and return nonzero.
 """
 
@@ -40,7 +40,7 @@ from .relnet import (
     save_checkpoint,
 )
 from .training import TrainConfig, train, write_history_csv
-from .typedjson import ConfigError, build, loads
+from .typedjson import InputError, build, loads, reading
 
 
 def dataset_config_from_obj(obj: dict) -> DatasetConfig:
@@ -59,14 +59,15 @@ def train_configs_from_obj(obj: dict) -> tuple[RelNetConfig, TrainConfig]:
     """The keys that name RelNetConfig fields build the network, the rest
     the TrainConfig."""
     if not isinstance(obj, dict):
-        raise ConfigError("/: must be a JSON object")
+        raise InputError("/: must be a JSON object")
     net_keys = {f.name for f in dataclasses.fields(RelNetConfig)}
     net = build(RelNetConfig, {k: v for k, v in obj.items() if k in net_keys}, [])
     return net, build(TrainConfig, {k: v for k, v in obj.items() if k not in net_keys}, [])
 
 
 def cmd_simulate(args) -> int:
-    config = dataset_config_from_obj(loads(Path(args.config).read_bytes()) if args.config else {})
+    with reading(args.config):  # without a file, the defaults raise nothing
+        config = dataset_config_from_obj(loads(Path(args.config).read_bytes()) if args.config else {})
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     manifest = generate_dataset(config, args.out)
@@ -76,7 +77,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    net_config, train_config = train_configs_from_obj(loads(Path(args.config).read_bytes()) if args.config else {})
+    with reading(args.config):
+        net_config, train_config = train_configs_from_obj(loads(Path(args.config).read_bytes()) if args.config else {})
     if args.seed is not None:
         train_config = dataclasses.replace(train_config, seed=args.seed)
     manifest = load_manifest(args.data)
@@ -140,13 +142,13 @@ def cmd_localize(args) -> int:
     frame = extract_frame(received)
     if args.method in ("tdoa", "slf"):
         if args.checkpoint:
-            raise ConfigError(f"/checkpoint: method {args.method!r} takes no checkpoint")
+            raise ValueError(f"/checkpoint: method {args.method!r} takes no checkpoint")
         grid = Grid(scene.room.width, scene.room.length, args.grid_n)
         localize = tdoa_localize if args.method == "tdoa" else slf_localize
         result = localize(frame, scene, grid)
     else:
         if args.checkpoint and len(args.checkpoint) > 1:
-            raise ConfigError(f"/checkpoint: localize runs one checkpoint, got {len(args.checkpoint)}")
+            raise ValueError(f"/checkpoint: localize runs one checkpoint, got {len(args.checkpoint)}")
         (model,) = load_models(args.method, args.checkpoint)
         result = gnn_localize(model, frame, scene)
         grid = Grid(scene.room.width, scene.room.length, model.config.grid_n)
@@ -157,7 +159,7 @@ def cmd_localize(args) -> int:
         elif path.suffix == ".pgm":
             heatmap_to_pgm(result.heatmap, grid, path)
         else:
-            raise ConfigError(f"/emit-heatmap: unsupported extension {path.suffix!r}")
+            raise ValueError(f"/emit-heatmap: unsupported extension {path.suffix!r}")
     print(
         json.dumps(
             {

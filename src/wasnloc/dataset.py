@@ -21,6 +21,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -63,7 +64,7 @@ from .signals import (
     write_wav,
 )
 from .training import FeatureExample
-from .typedjson import ConfigError, build, loads, read_archive, write_archive
+from .typedjson import InputError, build, loads, read_archive, reading, write_archive
 
 logger = logging.getLogger(__name__)
 
@@ -77,11 +78,6 @@ FEATURES_NAME = "features.bin"
 # Version 3: the "version" member also holds the build settings.
 # Version 4: a JSON header (_FeaturesHeader) replaces the "version" member.
 FEATURES_VERSION = 4
-
-
-class FeatureCacheError(ValueError):
-    """features.bin is stale (another version, build settings or scene),
-    unreadable, or holds arrays of the wrong shape."""
 
 
 @dataclass(frozen=True)
@@ -271,34 +267,39 @@ class _Split:
 
 
 def load_manifest(data_dir) -> dict:
-    """The dataset's manifest. Invalid JSON, another version or no splits
-    object raises ValueError naming the manifest file and the JSON pointer
-    of the field; each split is checked when split_entries reads it."""
+    """The dataset's manifest. A missing file, invalid JSON, another version
+    (true and 1.0 too) or no splits object raises InputError naming the file
+    and the field's JSON pointer; split_entries checks each split it reads."""
     path = Path(data_dir) / MANIFEST_NAME
-    try:
+    with reading(path):
         manifest = loads(path.read_bytes())
         if not isinstance(manifest, dict):
-            raise ConfigError("/: must be a JSON object")
-        if manifest.get("version") != MANIFEST_VERSION:
-            raise ConfigError(f"/version: unsupported manifest version {manifest.get('version')!r}")
+            raise InputError("/: must be a JSON object")
+        if type(version := manifest.get("version")) is not int or version != MANIFEST_VERSION:
+            raise InputError(f"/version: unsupported manifest version {version!r}")
         if not isinstance(manifest.get("splits"), dict):
-            raise ConfigError("/splits: missing or not an object")
-    except ConfigError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+            raise InputError("/splits: missing or not an object")
     return manifest
 
 
 def split_entries(data_dir, manifest: dict, split: str) -> list[dict]:
     """The manifest entries of one split, checked against _Split and
-    _Entry; ValueError naming the manifest and the JSON pointer of the
-    first bad field, or the split if the manifest has no such split."""
-    path = Path(data_dir) / MANIFEST_NAME
-    if split not in manifest["splits"]:
-        raise ValueError(f"{path}: no split {split!r}, the manifest has {sorted(manifest['splits'])}")
-    try:
-        build(_Split, manifest["splits"][split], ["splits", split])
-    except ConfigError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    _Entry, the count the number of entries, each dir a "<split>/<digits>"
+    named once (generate_example's), so no example is read from outside the
+    split or scored twice. InputError names the manifest and the JSON
+    pointer of the first bad field, or the split if the manifest lacks it."""
+    with reading(Path(data_dir) / MANIFEST_NAME):
+        if split not in manifest["splits"]:
+            raise InputError(f"no split {split!r}, the manifest has {sorted(manifest['splits'])}")
+        doc = build(_Split, manifest["splits"][split], ["splits", split])
+        if doc.count != len(doc.examples):
+            raise InputError(f"/splits/{split}/count: {doc.count}, but the split lists {len(doc.examples)} examples")
+        seen = set()
+        for k, entry in enumerate(doc.examples):
+            if entry.dir in seen or not re.fullmatch(rf"{re.escape(split)}/[0-9]+", entry.dir):
+                where = f"/splits/{split}/examples/{k}/dir"
+                raise InputError(f"{where}: {entry.dir!r} must be a {split}/<digits> listed once")
+            seen.add(entry.dir)
     return manifest["splits"][split]["examples"]
 
 
@@ -330,23 +331,23 @@ def read_feature_cache(
 
     Of the feature members "gcc" and "slf" only those named in kinds are
     decoded (a model reads one); the other is None and goes unchecked.
-    FeatureCacheError names the file, and the member or the header field
-    where there is one, if :func:`typedjson.read_archive` refuses the file,
-    its header has another version, grid_n or scene field than the
-    entry's, or a member read has other than M(M-1)/2 rows of its width or
-    holds a value that is NaN or infinite.
+    InputError names the file, and the member or the header field where
+    there is one, if :func:`typedjson.read_archive` refuses the file (or
+    finds none), its header has another version, grid_n or scene field
+    than the entry's, or a member read has other than M(M-1)/2 rows of its
+    width or holds a value that is NaN or infinite.
     """
     scene = {name: entry[name] for name in ("m", "room", "t60", "source_xy")}
     expected = {"version": FEATURES_VERSION, "grid_n": grid_n, **scene}
-    _, arrays = read_archive(path, _FeaturesHeader, (*kinds, "meta"), FeatureCacheError, **expected)
+    _, arrays = read_archive(path, _FeaturesHeader, (*kinds, "meta"), **expected)
     pairs = entry["m"] * (entry["m"] - 1) // 2
     widths = {"gcc": DEFAULT_N_CENTRAL, "slf": grid_n**2, "meta": PAIR_METADATA_SIZE}
     for member, array in arrays.items():
         if array.shape != (want := (pairs, widths[member])):
-            raise FeatureCacheError(f"{path}: member {member!r} has shape {array.shape}, expected {want}")
+            raise InputError(f"member {member!r} has shape {array.shape}, expected {want}", path)
         if not np.isfinite(array).all():
             row, col = np.argwhere(~np.isfinite(array))[0]
-            raise FeatureCacheError(f"{path}: member {member!r} holds {array[row, col]} at ({row}, {col})")
+            raise InputError(f"member {member!r} holds {array[row, col]} at ({row}, {col})", path)
     return arrays.get("gcc"), arrays.get("slf"), arrays["meta"]
 
 
@@ -354,28 +355,26 @@ def load_example_dir(example_dir) -> tuple[np.ndarray, Scene]:
     """Read one example's (M, n) channels and scene back from its directory.
 
     The directory must hold exactly ch_00.wav .. ch_{M-1}.wav for the M of
-    scene.json, each of n samples at DEFAULT_FS; a missing or extra
-    channel, or one of another rate or length, raises ValueError naming it.
+    scene.json, each of n samples at DEFAULT_FS; a missing or extra file,
+    or a channel of another rate or length, raises InputError naming it.
     """
     example_dir = Path(example_dir)
     scene_path = example_dir / "scene.json"
-    try:
+    with reading(scene_path):
         scene = scene_from_json(scene_path.read_bytes())
-    except ValueError as exc:
-        raise ValueError(f"{scene_path}: {exc}") from exc
     expected = {f"ch_{k:02d}.wav" for k in range(scene.m)}
     odd = sorted(expected ^ {p.name for p in example_dir.glob("ch_*.wav")})
     if odd:
         state = "is missing" if odd[0] in expected else "is not a channel"
-        raise ValueError(f"{example_dir}: {odd[0]} {state}; scene.json has M = {scene.m}")
+        raise InputError(f"{odd[0]} {state}; scene.json has M = {scene.m}", example_dir)
     channels = []
     for k in range(scene.m):
         wav = example_dir / f"ch_{k:02d}.wav"
         samples, rate = read_wav_mono(wav)
         if rate != DEFAULT_FS:
-            raise ValueError(f"{wav}: sampled at {rate} Hz, expected {DEFAULT_FS} Hz")
+            raise InputError(f"sampled at {rate} Hz, expected {DEFAULT_FS} Hz", wav)
         if channels and samples.size != channels[0].size:
-            raise ValueError(f"{wav}: {samples.size} samples, but ch_00.wav has {channels[0].size}")
+            raise InputError(f"{samples.size} samples, but ch_00.wav has {channels[0].size}", wav)
         channels.append(samples)
     return np.vstack(channels), scene
 
@@ -383,14 +382,14 @@ def load_example_dir(example_dir) -> tuple[np.ndarray, Scene]:
 def load_example(data_dir, entry: dict) -> tuple[np.ndarray, Scene]:
     """The example of a manifest entry. The entry's m, room, t60 and
     source_xy must equal its scene.json's exactly, since both are written
-    from the same floats; ValueError naming the manifest and the example
+    from the same floats; InputError naming the manifest and the example
     otherwise."""
     received, scene = load_example_dir(Path(data_dir) / entry["dir"])
     for name, value in _scene_fields(scene).items():
         if entry[name] != value:
-            raise ValueError(
-                f"{Path(data_dir) / MANIFEST_NAME}: example {entry['dir']!r} has {name} {entry[name]!r}, "
-                f"but its scene.json has {value!r}"
+            raise InputError(
+                f"example {entry['dir']!r} has {name} {entry[name]!r}, but its scene.json has {value!r}",
+                Path(data_dir) / MANIFEST_NAME,
             )
     return received, scene
 
@@ -400,18 +399,15 @@ def example_features(data_dir, entry: dict, config: RelNetConfig) -> np.ndarray:
 
     Prefers the on-disk cache, of which it decodes only the configured
     feature kind and the metadata; falls back to recomputing from the WAVs
-    when the cache is missing, unreadable, has another format version, was
-    built with other parameters or another scene than the entry's, or has a
-    damaged member of those read; :func:`load_example` then refuses an
-    entry that contradicts the example.
+    when :func:`read_feature_cache` refuses the cache (missing, unreadable,
+    stale, of another scene than the entry's, or damaged in a member read);
+    :func:`load_example` then refuses an entry that contradicts the example.
     """
     cache_path = Path(data_dir) / entry["dir"] / FEATURES_NAME
-    if cache_path.exists():
-        try:
-            cached = read_feature_cache(cache_path, config.grid_n, entry, (config.feature_kind,))
-            return assemble_input(*cached, config)
-        except FeatureCacheError as exc:
-            logger.info("recomputing features: %s", exc)
+    try:
+        return assemble_input(*read_feature_cache(cache_path, config.grid_n, entry, (config.feature_kind,)), config)
+    except InputError as exc:
+        logger.info("recomputing features: %s", exc)
     received, scene = load_example(data_dir, entry)
     return assemble_input(*raw_pair_features(extract_frame(received), scene, config.grid_n), config)
 

@@ -42,7 +42,6 @@ class EvalRow:
 @dataclass(frozen=True)
 class EvalReport:
     method: str
-    grid_n: int
     rows: tuple[EvalRow, ...]
 
     @property
@@ -110,6 +109,7 @@ def evaluate(
 ) -> EvalReport:
     """Run one localizer over a dataset split, grouping errors by mic count.
 
+    ``grid_n`` is the classical methods' grid; a network uses its own.
     ``checkpoints`` is required for the gnn-* methods, read by
     :func:`load_models`, and refused for the classical ones; with several,
     per-M means are averaged across checkpoints and their spread fills the
@@ -153,7 +153,7 @@ def evaluate(
         per_run_means = sel.mean(axis=1)
         std = float(np.std(per_run_means)) if len(models) > 1 else None
         rows.append(EvalRow(m, int(sel.shape[1]), float(per_run_means.mean()), std))
-    return EvalReport(method=method, grid_n=grid_n, rows=tuple(rows))
+    return EvalReport(method=method, rows=tuple(rows))
 
 
 def write_report_csv(report: EvalReport, path) -> None:

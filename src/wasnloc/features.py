@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rir import DEFAULT_FS, SPEED_OF_SOUND
+from .typedjson import InputError, reading
 
 PHAT_FLOOR = 1e-12
 DEFAULT_FFT_SIZE = 1024
@@ -213,18 +214,18 @@ def heatmap_to_csv(values: np.ndarray, grid: Grid, path) -> None:
 
 
 def heatmap_from_csv(path) -> np.ndarray:
-    """The cells of a heatmap_to_csv file, row by row; ValueError naming the
-    file unless it holds a square grid of finite numbers."""
-    with open(path) as fh:
+    """The cells of a heatmap_to_csv file, row by row; InputError naming the
+    file unless it holds a square grid of at least 2 x 2 finite numbers."""
+    with reading(path), open(path) as fh:
         try:
             mat = np.array([[float(tok) for tok in line.split(",")] for line in fh if line.strip()])
-        except ValueError as exc:  # a token that is not a number, or a ragged row
-            raise ValueError(f"{path}: {exc}") from exc
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{path}: expected a square heatmap, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        row, col = np.argwhere(~np.isfinite(mat))[0]
-        raise ValueError(f"{path}: cell ({row}, {col}) is {mat[row, col]}, expected a finite number")
+        except ValueError as exc:  # a token that is not a number, a ragged row, or bytes not UTF-8
+            raise InputError(str(exc)) from exc
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or len(mat) < 2:
+            raise InputError(f"expected a square heatmap of at least 2 x 2 cells, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            row, col = np.argwhere(~np.isfinite(mat))[0]
+            raise InputError(f"cell ({row}, {col}) is {mat[row, col]}, expected a finite number")
     return mat.ravel()
 
 

@@ -45,7 +45,7 @@ from .features import (
 )
 from .mlp import Mlp, layer_shapes
 from .scenes import Scene, pair_metadata_vector
-from .typedjson import read_archive, write_archive
+from .typedjson import InputError, read_archive, write_archive
 
 PAIR_METADATA_SIZE = 9
 # Version 2: pairs are mean-pooled and SLF rows min-max scaled per pair;
@@ -56,11 +56,6 @@ CHECKPOINT_VERSION = 4
 
 FeatureKind = Literal["gcc", "slf"]
 FEATURE_KINDS = get_args(FeatureKind)
-
-
-class CheckpointError(RuntimeError):
-    """Checkpoint file is unreadable: not an npz archive, a member missing,
-    corrupt, mistyped or mis-sized, or a header field that is not right."""
 
 
 @dataclass(frozen=True)
@@ -263,13 +258,13 @@ def save_checkpoint(model: RelNetModel, path) -> None:
 def load_checkpoint(path) -> RelNetModel:
     """Read a model written by save_checkpoint; its f and g members, as long
     as the header's config gives, become the stacks' buffers as loaded.
-    Anything unreadable, stale or inconsistent raises CheckpointError
+    Anything missing, unreadable, stale or inconsistent raises InputError
     naming the file and the member or the header field's JSON pointer."""
-    header, arrays = read_archive(path, _Header, ("f", "g"), CheckpointError, version=CHECKPOINT_VERSION)
+    header, arrays = read_archive(path, _Header, ("f", "g"), version=CHECKPOINT_VERSION)
     config = header.config
     try:
         f = Mlp(config.input_size, config.f_layer_sizes, arrays["f"])
         g = Mlp(f.output_size, config.g_layer_sizes, arrays["g"])
     except ValueError as exc:
-        raise CheckpointError(f"{path}: members 'f' and 'g' do not fit header field 'config': {exc}") from exc
+        raise InputError(f"members 'f' and 'g' do not fit header field 'config': {exc}", path) from exc
     return RelNetModel(config, f, g)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .typedjson import ConfigError, build, loads
+from .typedjson import InputError, build, loads
 
 DEFAULT_MIN_SEPARATION = 0.5
 # Candidate draws per scene before sample_scene gives up on placement.
@@ -195,13 +195,13 @@ def scene_to_json(scene: Scene) -> str:
 
 
 def scene_from_json(text: str | bytes) -> Scene:
-    """Parse a scene_to_json document; ConfigError at the JSON pointer of
+    """Parse a scene_to_json document; InputError at the JSON pointer of
     the first bad field. Another version is refused before any other field
     is read."""
     obj = loads(text)
     if isinstance(obj, dict) and obj.get("version") != SCENE_JSON_VERSION:
-        raise ConfigError(f"/version: unsupported scene JSON version {obj.get('version')!r}")
+        raise InputError(f"/version: unsupported scene JSON version {obj.get('version')!r}")
     doc = build(_SceneDoc, obj, [])
     if not doc.mics:
-        raise ConfigError("/mics: expected at least one mic")
+        raise InputError("/mics: expected at least one mic")
     return Scene(doc.room, np.array(doc.mics), np.array(doc.source.position), doc.seed, doc.source.signal_id)

@@ -32,6 +32,7 @@ from scipy.io import wavfile
 
 from .rir import DEFAULT_FS, simulate_rir
 from .scenes import Scene
+from .typedjson import InputError, reading
 
 
 # The synthetic source: corner frequency of its second-order roll-off, and
@@ -43,10 +44,6 @@ MODULATION_DEPTH = 0.8
 
 class SilentChannelError(ValueError):
     """A channel has zero power; SNR scaling is undefined."""
-
-
-class CorpusError(RuntimeError):
-    """The configured WAV corpus is unusable (missing, empty, bad format)."""
 
 
 def auralize(scene: Scene, source_signal: np.ndarray, *, max_order: int | None = None) -> np.ndarray:
@@ -131,11 +128,11 @@ def provide_source_signal_with_id(
 
     paths = sorted(Path(config.corpus_dir).glob("*.wav"))
     if not paths:
-        raise CorpusError(f"no .wav files in {config.corpus_dir!r}")
+        raise InputError("no .wav files", config.corpus_dir)
     path = paths[int(rng.integers(len(paths)))]
     sig, file_fs = read_wav_mono(path)
     if sig.size == 0:
-        raise CorpusError(f"{path} is empty")
+        raise InputError("no samples", path)
     if file_fs != DEFAULT_FS:
         from scipy.signal import resample_poly  # kept off the import path, see the module docstring
 
@@ -173,27 +170,28 @@ def _seed_repr(rng_seed) -> str:
 def read_wav_mono(path) -> tuple[np.ndarray, int]:
     """Load a mono WAV as float64 in [-1, 1]. PCM16 and float32 only.
 
-    A file that is not a WAV, is cut inside its header, whose data chunk is
-    shorter than its header says, or that holds a NaN or infinite sample
-    raises CorpusError naming the file.
+    A missing file, one that is not a WAV, is cut inside its header, whose
+    data chunk is shorter than its header says, or that holds a NaN or
+    infinite sample raises InputError naming the file.
     """
-    try:
-        with warnings.catch_warnings():
-            # scipy only warns and returns the short data
-            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
-            fs, data = wavfile.read(path)
-    except (ValueError, struct.error, wavfile.WavFileWarning) as exc:
-        raise CorpusError(f"{path}: not a complete WAV file: {exc}") from exc
-    if data.ndim != 1:
-        raise CorpusError(f"{path}: expected mono, got shape {data.shape}")
-    if data.dtype == np.int16:
-        return data.astype(float) / 32768.0, int(fs)
-    if data.dtype != np.float32 and data.dtype != np.float64:
-        raise CorpusError(f"{path}: unsupported sample format {data.dtype}")
-    if not np.isfinite(data).all():
-        bad = int(np.flatnonzero(~np.isfinite(data))[0])
-        raise CorpusError(f"{path}: sample {bad} is {data[bad]}, expected a finite number")
-    return data.astype(float), int(fs)
+    with reading(path):
+        try:
+            with warnings.catch_warnings():
+                # scipy only warns and returns the short data
+                warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+                fs, data = wavfile.read(path)
+        except (ValueError, struct.error, wavfile.WavFileWarning) as exc:
+            raise InputError(f"not a complete WAV file: {exc}") from exc
+        if data.ndim != 1:
+            raise InputError(f"expected mono, got shape {data.shape}")
+        if data.dtype == np.int16:
+            return data.astype(float) / 32768.0, int(fs)
+        if data.dtype != np.float32 and data.dtype != np.float64:
+            raise InputError(f"unsupported sample format {data.dtype}")
+        if not np.isfinite(data).all():
+            bad = int(np.flatnonzero(~np.isfinite(data))[0])
+            raise InputError(f"sample {bad} is {data[bad]}, expected a finite number")
+        return data.astype(float), int(fs)
 
 
 def write_wav(path, samples: np.ndarray) -> None:

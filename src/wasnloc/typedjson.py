@@ -5,12 +5,13 @@
 CLI's config files, each example's scene.json, the entries of a dataset's
 manifest and the header of each binary artifact (features.bin and
 checkpoints, both written by :func:`write_archive` and read by
-:func:`read_archive`). Errors are :class:`ConfigError` whose message starts
-with the JSON pointer of the offending value.
+:func:`read_archive`). Errors are :class:`InputError`, at the JSON pointer
+of the offending value, which :func:`reading` prefixes with the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -23,8 +24,27 @@ import numpy as np
 from numpy.lib.npyio import NpzFile
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; the message starts with a JSON-pointer path."""
+class InputError(ValueError):
+    """Bad input of any reader: the message starts with path, the file, then
+    the pointer, member or field; path is None until :func:`reading` sets it."""
+
+    def __init__(self, message: str, path=None):
+        super().__init__(message if path is None else f"{path}: {message}")
+        self.path = path
+
+
+@contextlib.contextmanager
+def reading(path):
+    """Raise an InputError or OSError of the block that reads path again as
+    an InputError naming path; one that names its file already passes."""
+    try:
+        yield
+    except InputError as exc:
+        if exc.path is not None:
+            raise
+        raise InputError(str(exc), path) from exc
+    except OSError as exc:
+        raise InputError(exc.strerror or str(exc), path) from exc
 
 
 def _pointer(path) -> str:
@@ -39,12 +59,12 @@ def _pointer(path) -> str:
 
 
 def loads(text: str | bytes):
-    """The JSON value of text (bytes are decoded as UTF-8); ConfigError at
+    """The JSON value of text (bytes are decoded as UTF-8); InputError at
     / if it is not valid JSON."""
     try:
         return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except ValueError as exc:  # also bad UTF-8 and integer literals beyond the digit limit
-        raise ConfigError(f"/: not valid JSON: {exc}") from exc
+        raise InputError(f"/: not valid JSON: {exc}") from exc
 
 
 # The JSON values each scalar field type takes, and how an error names them.
@@ -57,7 +77,7 @@ _SCALARS = {
 
 
 def convert(tp, value, path, defaults=True):
-    """The JSON value converted to the type tp; ConfigError at path if it is
+    """The JSON value converted to the type tp; InputError at path if it is
     not of that type. An int takes a JSON integer, a float any finite JSON
     number (never NaN or Infinity, which Python's json module reads), a
     bool true or false, a str a string (a bool is never a number); a
@@ -94,7 +114,7 @@ def convert(tp, value, path, defaults=True):
             return None if value is None else convert(inner, value, path, defaults)
         else:
             raise TypeError(f"{_pointer(path)}: no JSON rule for the type {tp!r}")
-    raise ConfigError(f"{_pointer(path)}: expected {expected}, got {value!r}")
+    raise InputError(f"{_pointer(path)}: expected {expected}, got {value!r}")
 
 
 @functools.cache
@@ -108,25 +128,25 @@ def build(cls, obj, path, defaults=True):
     """The dataclass cls from a JSON object whose keys name its fields,
     each value converted by :func:`convert` with its field's type. An
     unknown key, a bad value or a missing field with no default raises
-    ConfigError at its own pointer, a value the dataclass rejects at the
+    InputError at its own pointer, a value the dataclass rejects at the
     object's. With defaults False every field must be present, in nested
     dataclasses too: an artifact's header takes no value from a default,
     which may have changed since the file was written."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{_pointer(path)}: must be a JSON object")
+        raise InputError(f"{_pointer(path)}: must be a JSON object")
     hints, required = _fields(cls)
     kwargs = {}
     for key, value in obj.items():
         if key not in hints:
-            raise ConfigError(f"{_pointer((path, key))}: unknown key")
+            raise InputError(f"{_pointer((path, key))}: unknown key")
         kwargs[key] = convert(hints[key], value, (path, key), defaults)
     for key in required if defaults else hints:
         if key not in kwargs:
-            raise ConfigError(f"{_pointer((path, key))}: missing")
+            raise InputError(f"{_pointer((path, key))}: missing")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{_pointer(path)}: {exc}") from exc
+        raise InputError(f"{_pointer(path)}: {exc}") from exc
 
 
 def write_archive(path, header, **arrays) -> None:
@@ -139,33 +159,34 @@ def write_archive(path, header, **arrays) -> None:
         np.savez(fh, header=payload, **{name: np.asarray(a, dtype="<f4") for name, a in arrays.items()})
 
 
-def read_archive(path, header_cls, members: tuple[str, ...], error: type[Exception], **expected):
+def read_archive(path, header_cls, members: tuple[str, ...], **expected):
     """(header, arrays) of an archive written by :func:`write_archive`: the
     header built as a header_cls with every field present, and the named
     float32 members by name. The header fields in expected must hold those
     values, compared in order before the header is built, so that a file of
     another version (put first) is refused as such. Anything else raises
-    error naming path and the member, or the header field's JSON pointer."""
-    arrays, member = {}, None  # member: the one being read, for the error message
-    try:
-        with NpzFile(path) as data:  # BadZipFile unless an npz archive
-            for member in ("header", *members):
-                if member in data:
-                    arrays[member] = data[member]  # BadZipFile on a failed CRC-32
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        where = f"member {member!r}" if member else "file"
-        raise error(f"{path}: unreadable {where}: {exc}") from exc
-    for member in ("header", *members):
-        if member not in arrays:
-            raise error(f"{path}: no member {member!r}")
-        dtype = np.dtype(np.uint8 if member == "header" else "<f4")
-        if arrays[member].dtype != dtype:
-            raise error(f"{path}: member {member!r} holds {arrays[member].dtype}, expected {dtype}")
-    try:
-        obj = loads(arrays.pop("header").tobytes())
-        for key, want in expected.items():
-            if isinstance(obj, dict) and obj.get(key) != want:
-                raise ConfigError(f"/{key}: {key} {obj.get(key)!r}, expected {want!r}")
-        return build(header_cls, obj, [], defaults=False), arrays
-    except ConfigError as exc:
-        raise error(f"{path}: header {exc}") from exc
+    InputError naming path and the member, or the header field's pointer."""
+    with reading(path):
+        arrays, member = {}, None  # member: the one being read, for the error message
+        try:
+            with NpzFile(path) as data:  # BadZipFile unless an npz archive
+                for member in ("header", *members):
+                    if member in data:
+                        arrays[member] = data[member]  # BadZipFile on a failed CRC-32
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # OSError: left to reading
+            where = f"member {member!r}" if member else "file"
+            raise InputError(f"unreadable {where}: {exc}") from exc
+        for member in ("header", *members):
+            if member not in arrays:
+                raise InputError(f"no member {member!r}")
+            dtype = np.dtype(np.uint8 if member == "header" else "<f4")
+            if arrays[member].dtype != dtype:
+                raise InputError(f"member {member!r} holds {arrays[member].dtype}, expected {dtype}")
+        try:
+            obj = loads(arrays.pop("header").tobytes())
+            for key, want in expected.items():
+                if isinstance(obj, dict) and obj.get(key) != want:
+                    raise InputError(f"/{key}: {key} {obj.get(key)!r}, expected {want!r}")
+            return build(header_cls, obj, [], defaults=False), arrays
+        except InputError as exc:
+            raise InputError(f"header {exc}") from exc

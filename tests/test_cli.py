@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import json
 import math
 import tempfile
@@ -12,11 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wasnloc
-from wasnloc.cli import ConfigError, dataset_config_from_obj, main, train_configs_from_obj
-from wasnloc.dataset import DatasetConfig, _config_to_json, generate_dataset, load_manifest
-from wasnloc.relnet import RelNetConfig
+from wasnloc.cli import build_parser, dataset_config_from_obj, main, train_configs_from_obj
+from wasnloc.dataset import (
+    DatasetConfig,
+    _config_to_json,
+    generate_dataset,
+    load_example_dir,
+    load_manifest,
+    read_feature_cache,
+)
+from wasnloc.features import heatmap_from_csv
+from wasnloc.relnet import RelNetConfig, load_checkpoint
+from wasnloc.signals import read_wav_mono
 from wasnloc.training import TrainConfig
-from wasnloc.typedjson import build
+from wasnloc.typedjson import InputError, build
 
 
 def run_cli(capsys, *argv):
@@ -34,15 +44,15 @@ class TestConfigParsing:
         assert config.snr_db == 30.0
 
     def test_unknown_key_reports_pointer(self):
-        with pytest.raises(ConfigError, match="/tarin"):
+        with pytest.raises(InputError, match="/tarin"):
             dataset_config_from_obj({"tarin": 10})
 
     def test_nested_unknown_key_pointer(self):
-        with pytest.raises(ConfigError, match="/scene/t66_range"):
+        with pytest.raises(InputError, match="/scene/t66_range"):
             dataset_config_from_obj({"scene": {"t66_range": [0.3, 0.6]}})
 
     def test_bad_range_reports_scene_pointer(self):
-        with pytest.raises(ConfigError, match="/scene"):
+        with pytest.raises(InputError, match="/scene"):
             dataset_config_from_obj({"scene": {"t60_range": [0.6, 0.3]}})
 
     @pytest.mark.parametrize(
@@ -62,19 +72,19 @@ class TestConfigParsing:
     )
     def test_out_of_range_dataset_value_reported_at_root(self, obj):
         (field,) = obj
-        with pytest.raises(ConfigError, match=f"^/: DatasetConfig.{field} must be "):
+        with pytest.raises(InputError, match=f"^/: DatasetConfig.{field} must be "):
             dataset_config_from_obj(obj)
 
     def test_sample_rate_is_unknown_key(self):
         # every method works at the fixed DEFAULT_FS, so a dataset names no rate
-        with pytest.raises(ConfigError, match="^/fs: unknown key"):
+        with pytest.raises(InputError, match="^/fs: unknown key"):
             dataset_config_from_obj({"fs": 16000})
 
     def test_empty_val_split_is_legal(self):
         assert dataset_config_from_obj({"train": 1, "val": 0, "test": 2}) == DatasetConfig(train=1, val=0, test=2)
 
     def test_out_of_range_network_grid_reported_at_root(self):
-        with pytest.raises(ConfigError, match="^/: RelNetConfig.grid_n must be >= 2, got -3"):
+        with pytest.raises(InputError, match="^/: RelNetConfig.grid_n must be >= 2, got -3"):
             train_configs_from_obj({"grid_n": -3})
 
     def test_inf_snr_sentinel(self):
@@ -83,17 +93,17 @@ class TestConfigParsing:
     # json.loads reads these literals as non-finite floats
     def test_nan_snr_refused(self):
         # once gave all-NaN channels
-        with pytest.raises(ConfigError, match="^/snr_db: expected a finite number, got nan"):
+        with pytest.raises(InputError, match="^/snr_db: expected a finite number, got nan"):
             dataset_config_from_obj(json.loads('{"snr_db": NaN}'))
 
     def test_negative_infinite_snr_refused(self):
         # once a bare ZeroDivisionError in add_noise
-        with pytest.raises(ConfigError, match="^/snr_db: expected a finite number, got -inf"):
+        with pytest.raises(InputError, match="^/snr_db: expected a finite number, got -inf"):
             dataset_config_from_obj(json.loads('{"snr_db": -Infinity}'))
 
     def test_infinite_duration_refused(self):
         # once a bare OverflowError when the sample count was rounded
-        with pytest.raises(ConfigError, match="^/duration_s: expected a finite number, got inf"):
+        with pytest.raises(InputError, match="^/duration_s: expected a finite number, got inf"):
             dataset_config_from_obj(json.loads('{"duration_s": Infinity}'))
 
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
@@ -105,7 +115,7 @@ class TestConfigParsing:
     def test_snr_beyond_float_power_range_reported_at_root(self, snr_db):
         # once a bare OverflowError (4000) or ZeroDivisionError (-4000) in
         # add_noise; -3230 gives a subnormal ratio, and add_noise wrote inf
-        with pytest.raises(ConfigError, match="^/: DatasetConfig.snr_db must give a power ratio within"):
+        with pytest.raises(InputError, match="^/: DatasetConfig.snr_db must give a power ratio within"):
             dataset_config_from_obj({"snr_db": snr_db})
 
     @pytest.mark.parametrize("snr_db", [3000, -3000])
@@ -121,7 +131,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key", ["fft_size", "n_central"])
     @pytest.mark.parametrize("parse", [dataset_config_from_obj, train_configs_from_obj])
     def test_fixed_feature_size_is_unknown_key(self, parse, key):
-        with pytest.raises(ConfigError, match=f"^/{key}: unknown key"):
+        with pytest.raises(InputError, match=f"^/{key}: unknown key"):
             parse({key: 1024})
 
     @pytest.mark.parametrize(
@@ -177,11 +187,11 @@ class TestConfigParsing:
         [({"precompute_features": True}, "/precompute_features"), ({"scene": {"max_attempts": 200}}, "/scene/max_attempts")],
     )
     def test_removed_option_is_unknown_key(self, obj, pointer):
-        with pytest.raises(ConfigError, match=f"^{pointer}: unknown key"):
+        with pytest.raises(InputError, match=f"^{pointer}: unknown key"):
             dataset_config_from_obj(obj)
 
     def test_train_config_bad_kind(self):
-        with pytest.raises(ConfigError, match="/feature_kind"):
+        with pytest.raises(InputError, match="/feature_kind"):
             train_configs_from_obj({"feature_kind": "mel"})
 
     @pytest.mark.parametrize(
@@ -222,7 +232,7 @@ class TestConfigParsing:
         ],
     )
     def test_ill_typed_value_reports_pointer(self, parse, obj, pointer):
-        with pytest.raises(ConfigError, match=f"^{pointer}: "):
+        with pytest.raises(InputError, match=f"^{pointer}: "):
             parse(obj)
 
 
@@ -295,7 +305,7 @@ class TestWalkerProperties:
         value = bad
         for key in reversed(path):
             value = {key: value}
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(InputError) as info:
             parse(value)
         assert str(info.value).startswith("/" + "/".join(path) + _entry_pointer(tp, bad) + ": ")
 
@@ -333,6 +343,26 @@ class TestWalkerProperties:
         decoders = sorted(p.name for p in src.glob("*.py") if "json.loads" in p.read_text())
         assert decoders == ["typedjson.py"]
 
+    def test_input_error_is_the_only_reader_error(self):
+        """Every reader refuses bad input with typedjson.InputError; the
+        package's other exception classes are about computation, not input."""
+        defined = set()
+        for path in Path(wasnloc.__file__).parent.glob("[!_]*.py"):  # __init__.py only re-exports
+            module = importlib.import_module(f"wasnloc.{path.stem}")
+            defined |= {
+                name
+                for name, obj in vars(module).items()
+                if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+            }
+        computation = {
+            "SilentChannelError",
+            "DegenerateGeometryError",
+            "InfeasibleRoomError",
+            "PlacementError",
+            "TrainingDivergedError",
+        }
+        assert defined == {"InputError"} | computation
+
     def test_no_unused_imports(self):
         """Every name a module in src/ or tests/ imports is used in it; the
         package's __init__.py imports only to re-export."""
@@ -352,6 +382,42 @@ class TestWalkerProperties:
                     continue
                 unused += [f"{path.name}:{node.lineno}: {name}" for name in names if name not in used]
         assert unused == []
+
+
+def _simulate(config_path):
+    args = build_parser().parse_args(["simulate", "--config", str(config_path), "--out", str(config_path.parent)])
+    return args.func(args)
+
+
+# Each reader, by the name of the file it is given and a call reading it.
+READERS = {
+    "config": ("sim.json", _simulate),
+    "manifest": ("manifest.json", lambda path: load_manifest(path.parent)),
+    "scene_json": ("scene.json", lambda path: load_example_dir(path.parent)),
+    "channel_wav": ("ch_00.wav", read_wav_mono),
+    "features_bin": (
+        "features.bin",
+        lambda path: read_feature_cache(
+            path, TINY_GRID_N, {"m": 4, "room": [4.0, 4.0, 3.0], "t60": 0.4, "source_xy": [1.0, 1.0]}, ("gcc", "slf")
+        ),
+    ),
+    "checkpoint": ("model.ckpt", load_checkpoint),
+    "heatmap_csv": ("h.csv", heatmap_from_csv),
+}
+
+
+@pytest.mark.parametrize("damage", ["missing", "garbage"])
+@pytest.mark.parametrize("reader", READERS)
+def test_reader_refusal_starts_with_file(tmp_path, reader, damage):
+    """A missing file, and one of bytes in no format (not UTF-8 either), is
+    refused by every reader with InputError, its message led by the path."""
+    name, read = READERS[reader]
+    path = tmp_path / name
+    if damage == "garbage":
+        path.write_bytes(b"\x89\xff garbage \x00\x1a" * 8)
+    with pytest.raises(InputError) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 @pytest.fixture(scope="module")
@@ -557,8 +623,8 @@ class TestCliCommands:
         )
         assert code == 1
         payload = json.loads(err)
-        assert payload["error"] == "ConfigError"
-        assert "/scene" in payload["message"]
+        assert payload["error"] == "InputError"
+        assert payload["message"].startswith(f"{bad}: /scene")
 
     @pytest.mark.parametrize("command", [["simulate"], ["train", "--data", "unused"]], ids=["simulate", "train"])
     def test_non_object_config_with_seed_is_config_error(self, tmp_path, capsys, command):
@@ -566,7 +632,7 @@ class TestCliCommands:
         cfg.write_text("[1, 2]")
         code, _, err = run_cli(capsys, *command, "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "out"))
         assert code == 1
-        assert json.loads(err) == {"error": "ConfigError", "message": "/: must be a JSON object"}
+        assert json.loads(err) == {"error": "InputError", "message": f"{cfg}: /: must be a JSON object"}
 
     def test_snr_beyond_float_power_range_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -574,7 +640,7 @@ class TestCliCommands:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert code == 1
         payload = json.loads(err)
-        assert payload["error"] == "ConfigError" and payload["message"].startswith("/: DatasetConfig.snr_db ")
+        assert payload["error"] == "InputError" and payload["message"].startswith(f"{cfg}: /: DatasetConfig.snr_db ")
 
     def test_huge_integer_literal_is_config_error(self, tmp_path, capsys):
         # beyond the 4300-digit limit json.loads raises a plain ValueError
@@ -583,7 +649,7 @@ class TestCliCommands:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert code == 1
         payload = json.loads(err)
-        assert payload["error"] == "ConfigError" and payload["message"].startswith("/: ")
+        assert payload["error"] == "InputError" and payload["message"].startswith(f"{cfg}: /: ")
 
     def test_seed_override_changes_dataset(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

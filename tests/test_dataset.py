@@ -13,7 +13,6 @@ from wasnloc.dataset import (
     FEATURES_NAME,
     SPLITS,
     DatasetConfig,
-    FeatureCacheError,
     example_features,
     generate_dataset,
     generate_example,
@@ -28,7 +27,8 @@ from wasnloc.evaluate import evaluate
 from wasnloc.features import Grid, extract_frame
 from wasnloc.relnet import RelNetConfig, RelNetModel, assemble_input, raw_pair_features, target_map
 from wasnloc.scenes import SceneDistribution, sample_scene, scene_from_json
-from wasnloc.signals import CorpusError, read_wav_mono, write_wav
+from wasnloc.signals import SourceSignalConfig, read_wav_mono, write_wav
+from wasnloc.typedjson import InputError
 
 
 class TestGenerateDataset:
@@ -85,6 +85,18 @@ class TestGenerateDataset:
         for rel in files["s"]:
             assert (tmp_path / "s" / rel).read_bytes() == (tmp_path / "p" / rel).read_bytes(), rel
 
+    def test_input_error_of_a_worker_names_file(self, tmp_path):
+        # raised in a worker process, the error is pickled to the parent
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.wav").write_bytes(b"not a WAV file" * 4)
+        base = tiny_dataset_config(master_seed=32, workers=2)
+        config = DatasetConfig(**{**base.__dict__, "train": 2, "source": SourceSignalConfig(corpus_dir=str(corpus))})
+        with pytest.raises(InputError, match=r"a\.wav: not a complete WAV file") as info:
+            generate_dataset(config, tmp_path / "out")
+        assert str(info.value).startswith(f"{corpus / 'a.wav'}: ")
+        assert info.value.path == corpus / "a.wav"
+
     def test_scene_json_matches_manifest_entry(self, tiny_dataset):
         root, manifest = tiny_dataset
         entry = manifest["splits"]["test"]["examples"][1]
@@ -128,7 +140,7 @@ class TestLoadExample:
         obj = json.loads((copy / "scene.json").read_text())
         del obj["seed"]
         (copy / "scene.json").write_text(json.dumps(obj))
-        with pytest.raises(ValueError, match=r"scene\.json: /seed: missing"):
+        with pytest.raises(InputError, match=r"scene\.json: /seed: missing"):
             load_example(tmp_path, entry)
 
     def test_non_finite_channel_names_wav(self, tiny_dataset, tmp_path):
@@ -140,7 +152,7 @@ class TestLoadExample:
         samples, _ = read_wav_mono(copy / "ch_00.wav")
         samples[:100] = np.nan
         write_wav(copy / "ch_00.wav", samples)
-        with pytest.raises(CorpusError, match=r"ch_00\.wav: sample 0 is nan, expected a finite number"):
+        with pytest.raises(InputError, match=r"ch_00\.wav: sample 0 is nan, expected a finite number"):
             load_example(tmp_path, entry)
 
     @pytest.mark.parametrize("bad", ["length", "rate"])
@@ -156,7 +168,7 @@ class TestLoadExample:
         else:
             wavfile.write(copy / "ch_01.wav", fs // 2, samples.astype(np.float32))
             message = r"ch_01\.wav: sampled at 8000 Hz, expected 16000 Hz"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(InputError, match=message):
             load_example(tmp_path, entry)
 
     @pytest.mark.parametrize("bad", ["missing", "extra"])
@@ -172,7 +184,7 @@ class TestLoadExample:
         else:
             name = f"ch_{m:02d}.wav"
             shutil.copy(copy / "ch_00.wav", copy / name)
-        with pytest.raises(ValueError, match=rf"{entry['dir']}: {name} .*scene\.json has M = {m}"):
+        with pytest.raises(InputError, match=rf"{entry['dir']}: {name} .*scene\.json has M = {m}"):
             load_example(tmp_path, entry)
 
     def test_truncated_first_channel_named(self, tiny_dataset, tmp_path):
@@ -183,8 +195,12 @@ class TestLoadExample:
         shutil.copytree(root / entry["dir"], copy)
         raw = (copy / "ch_00.wav").read_bytes()
         (copy / "ch_00.wav").write_bytes(raw[:-400])
-        with pytest.raises(CorpusError, match=r"ch_00\.wav: "):
+        with pytest.raises(InputError, match=r"ch_00\.wav: "):
             load_example(tmp_path, entry)
+
+
+def _test_entry(manifest, k):
+    return manifest["splits"]["test"]["examples"][k]
 
 
 class TestManifest:
@@ -196,13 +212,13 @@ class TestManifest:
 
     def test_invalid_json_names_file(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"version": 1,')
-        with pytest.raises(ValueError, match=r"manifest\.json: /: not valid JSON"):
+        with pytest.raises(InputError, match=r"manifest\.json: /: not valid JSON"):
             load_manifest(tmp_path)
 
     def test_huge_integer_literal_names_file(self, tmp_path):
         # beyond the 4300-digit limit json.loads raises a plain ValueError
         (tmp_path / "manifest.json").write_text('{"version": 1' + "0" * 5000 + "}")
-        with pytest.raises(ValueError, match=r"manifest\.json: /: not valid JSON"):
+        with pytest.raises(InputError, match=r"manifest\.json: /: not valid JSON"):
             load_manifest(tmp_path)
 
     @pytest.mark.parametrize(
@@ -213,12 +229,27 @@ class TestManifest:
             (lambda m: m["splits"]["val"].pop("examples"), "/splits/val/examples: missing"),
             (lambda m: m["splits"]["test"]["examples"][1].pop("dir"), "/splits/test/examples/1/dir: missing"),
             (lambda m: m["splits"]["train"]["examples"][0].update(m="4"), "/splits/train/examples/0/m: expected"),
+            # true == 1 and 1.0 == 1 in Python, but neither is the integer version
+            (lambda m: m.update(version=True), "/version: unsupported manifest version True"),
+            (lambda m: m.update(version=1.0), "/version: unsupported manifest version 1.0"),
+            # an entry's dir must be <split>/<digits>, once per split
+            (lambda m: _test_entry(m, 3).update(dir="/data/test/00000"), "/splits/test/examples/3/dir: '/data/"),
+            (lambda m: _test_entry(m, 3).update(dir="../data/test/00001"), "/splits/test/examples/3/dir: '../"),
+            (lambda m: _test_entry(m, 3).update(dir="train/00000"), "/splits/test/examples/3/dir: 'train/"),
+            (
+                lambda m: _test_entry(m, 3).update(_test_entry(m, 0)),
+                "/splits/test/examples/3/dir: 'test/00000' must be a test/<digits> listed once",
+            ),
+            (lambda m: m["splits"]["test"].update(count=999), "/splits/test/count: 999, but the split lists 4"),
         ],
-        ids=["version", "splits", "examples", "entry_dir", "entry_m"],
+        ids=[
+            "version", "splits", "examples", "entry_dir", "entry_m", "version_true", "version_float",
+            "dir_absolute", "dir_parent", "dir_other_split", "dir_twice", "count",
+        ],
     )
     def test_missing_field_named(self, tiny_dataset, tmp_path, edit, field):
         self._write(tiny_dataset, tmp_path, edit)
-        with pytest.raises(ValueError, match=rf"manifest\.json: {field}"):
+        with pytest.raises(InputError, match=rf"manifest\.json: {field}"):
             manifest = load_manifest(tmp_path)
             for split in SPLITS:
                 split_entries(tmp_path, manifest, split)
@@ -241,9 +272,9 @@ class TestManifest:
         manifest = load_manifest(tmp_path)  # entries are checked per split
         assert split_entries(tmp_path, manifest, "train")
         pattern = rf"manifest\.json: /splits/test/examples/2{message}"
-        with pytest.raises(ValueError, match=pattern):
+        with pytest.raises(InputError, match=pattern):
             split_entries(tmp_path, manifest, "test")
-        with pytest.raises(ValueError, match=pattern):
+        with pytest.raises(InputError, match=pattern):
             evaluate("tdoa", tmp_path, "test", grid_n=TINY_GRID_N)
 
     @pytest.mark.parametrize(
@@ -266,23 +297,23 @@ class TestManifest:
         manifest = load_manifest(tmp_path)
         entry = split_entries(tmp_path, manifest, "test")[2]
         pattern = rf"manifest\.json: example '{entry['dir']}' has {field} .*, but its scene\.json has "
-        with pytest.raises(ValueError, match=pattern):
+        with pytest.raises(InputError, match=pattern):
             load_example(tmp_path, entry)
-        with pytest.raises(ValueError, match=pattern):
+        with pytest.raises(InputError, match=pattern):
             evaluate("slf", tmp_path, "test", grid_n=TINY_GRID_N)
         # the features.bin header records the scene too, so the networks'
         # cached path refuses the entry as well
         config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N, f_layer_sizes=(8, 36), g_layer_sizes=(8, 36))
-        with pytest.raises(ValueError, match=pattern):
+        with pytest.raises(InputError, match=pattern):
             evaluate("gnn-slf", tmp_path, "test", checkpoints=[RelNetModel.init_random(config)])
-        with pytest.raises(ValueError, match=pattern):
+        with pytest.raises(InputError, match=pattern):
             load_split_features(tmp_path, manifest, "test", config)
 
     def test_unknown_split_named(self, tiny_dataset):
         root, manifest = tiny_dataset
-        with pytest.raises(ValueError, match=r"manifest\.json: no split 'dev'"):
+        with pytest.raises(InputError, match=r"manifest\.json: no split 'dev'"):
             load_split_features(root, manifest, "dev", RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N))
-        with pytest.raises(ValueError, match=r"manifest\.json: no split 'dev'"):
+        with pytest.raises(InputError, match=r"manifest\.json: no split 'dev'"):
             evaluate("tdoa", root, "dev", grid_n=TINY_GRID_N)
 
 
@@ -332,7 +363,7 @@ class TestFeatureCache:
         for older in ({}, {"version": np.array([3, 1024, 200, TINY_GRID_N, 500.0])}):
             with open(copy / "features.bin", "wb") as fh:
                 np.savez(fh, **older, gcc=gcc, slf=np.zeros_like(slf), meta=meta)
-            with pytest.raises(FeatureCacheError, match="features.bin: no member 'header'"):
+            with pytest.raises(InputError, match="features.bin: no member 'header'"):
                 read_feature_cache(copy / "features.bin", config.grid_n, entry, BOTH_KINDS)
             np.testing.assert_allclose(example_features(tmp_path, entry, config), expected, atol=1e-6)
 
@@ -346,7 +377,7 @@ class TestFeatureCache:
         # both settings are fixed, so a foreign one is forged
         rewrite_header(path, lambda header: header.update({field: value}))
         default = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
-        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: header /{field}: "):
+        with pytest.raises(InputError, match=rf"{FEATURES_NAME}: header /{field}: "):
             read_feature_cache(path, default.grid_n, entry, BOTH_KINDS)
         received, scene = load_example(tmp_path, entry)
         frame = extract_frame(received)
@@ -375,12 +406,17 @@ class TestFeatureCache:
             path.write_bytes(raw[: len(raw) // 2])
 
         read = self._damaged_cache(tiny_dataset, tmp_path, cut)
-        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: unreadable file"):
+        with pytest.raises(InputError, match=rf"{FEATURES_NAME}: unreadable file"):
+            read()
+
+    def test_missing_cache_recomputed(self, tiny_dataset, tmp_path):
+        read = self._damaged_cache(tiny_dataset, tmp_path, lambda path: path.unlink())
+        with pytest.raises(InputError, match=rf"{FEATURES_NAME}: No such file or directory"):
             read()
 
     def test_non_npz_cache_recomputed(self, tiny_dataset, tmp_path):
         read = self._damaged_cache(tiny_dataset, tmp_path, lambda path: path.write_text("not an npz\n" * 20))
-        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: unreadable file"):
+        with pytest.raises(InputError, match=rf"{FEATURES_NAME}: unreadable file"):
             read()
 
     def test_bare_npy_cache_recomputed(self, tiny_dataset, tmp_path):
@@ -391,7 +427,7 @@ class TestFeatureCache:
                 np.save(fh, slf)
 
         read = self._damaged_cache(tiny_dataset, tmp_path, replace_with_npy)
-        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: unreadable file: File is not a zip file"):
+        with pytest.raises(InputError, match=rf"{FEATURES_NAME}: unreadable file: File is not a zip file"):
             read()
 
     @pytest.mark.parametrize("dtype", ["int16", "complex64"])
@@ -402,7 +438,7 @@ class TestFeatureCache:
 
         damage = lambda path: rewrite_npz(path, retype)  # noqa: E731
         read = self._damaged_cache(tiny_dataset, tmp_path, damage)
-        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: member 'slf' holds {dtype}, expected float32"):
+        with pytest.raises(InputError, match=rf"{FEATURES_NAME}: member 'slf' holds {dtype}, expected float32"):
             read()
 
     # the model reading each member: gcc only a GCC model, meta any model
@@ -413,7 +449,7 @@ class TestFeatureCache:
         edit = lambda members: members.pop(member)  # noqa: E731
         damage = lambda path: rewrite_npz(path, edit)  # noqa: E731
         read = self._damaged_cache(tiny_dataset, tmp_path, damage, self.MEMBER_KINDS[member])
-        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: no member '{member}'"):
+        with pytest.raises(InputError, match=rf"{FEATURES_NAME}: no member '{member}'"):
             read()
 
     @pytest.mark.parametrize("member", ["gcc", "slf", "meta"])
@@ -423,7 +459,7 @@ class TestFeatureCache:
 
         damage = lambda path: rewrite_npz(path, drop_row)  # noqa: E731
         read = self._damaged_cache(tiny_dataset, tmp_path, damage, self.MEMBER_KINDS[member])
-        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: member '{member}' has shape"):
+        with pytest.raises(InputError, match=rf"{FEATURES_NAME}: member '{member}' has shape"):
             read()
 
     @pytest.mark.parametrize("member", ["gcc", "slf", "meta"])
@@ -435,7 +471,7 @@ class TestFeatureCache:
 
         damage = lambda path: rewrite_npz(path, poison)  # noqa: E731
         read = self._damaged_cache(tiny_dataset, tmp_path, damage, self.MEMBER_KINDS[member])
-        with pytest.raises(FeatureCacheError, match=rf"{FEATURES_NAME}: member '{member}' holds nan at \(1, 2\)"):
+        with pytest.raises(InputError, match=rf"{FEATURES_NAME}: member '{member}' holds nan at \(1, 2\)"):
             read()
 
     @pytest.mark.parametrize("kind, other", [("slf", "gcc"), ("gcc", "slf")])

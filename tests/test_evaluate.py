@@ -176,7 +176,6 @@ def test_report_csv(tmp_path):
 
     report = EvalReport(
         method="slf",
-        grid_n=25,
         rows=(EvalRow(4, 10, 0.5, None), EvalRow(5, 12, 0.4, 0.02)),
     )
     path = tmp_path / "report.csv"

@@ -14,6 +14,7 @@ from wasnloc.features import (
     theoretical_tdoa_grid,
 )
 from wasnloc.rir import DEFAULT_FS as FS, SPEED_OF_SOUND
+from wasnloc.typedjson import InputError
 
 PAIR = np.array([[0, 1]])
 
@@ -249,13 +250,14 @@ class TestHeatmapExport:
             ("inf,2.0\n3.0,4.0\n", r"cell \(0, 0\) is inf"),
             ("1.0,2.0\n", "square"),
             ("", "square"),
+            ("0.5\n", r"at least 2 x 2 cells, got shape \(1, 1\)"),
         ],
-        ids=["ragged", "not_a_number", "nan", "inf", "not_square", "empty"],
+        ids=["ragged", "not_a_number", "nan", "inf", "not_square", "empty", "one_cell"],
     )
     def test_csv_refusal_names_file(self, tmp_path, text, problem):
         path = tmp_path / "h.csv"
         path.write_text(text)
-        with pytest.raises(ValueError, match=rf"h\.csv: .*{problem}"):
+        with pytest.raises(InputError, match=rf"h\.csv: .*{problem}"):
             heatmap_from_csv(path)
 
     def test_pgm_format(self, tmp_path):

@@ -11,10 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wasnloc.cli import train_configs_from_obj
-from wasnloc.dataset import FEATURES_NAME, FeatureCacheError, example_features, load_example, read_feature_cache
+from wasnloc.dataset import FEATURES_NAME, example_features, load_example, read_feature_cache
 from wasnloc.features import DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, Grid, extract_frame
 from wasnloc.relnet import (
-    CheckpointError,
     RelNetConfig,
     RelNetModel,
     assemble_input,
@@ -29,6 +28,7 @@ from wasnloc.relnet import (
     target_map,
 )
 from wasnloc.scenes import SceneDistribution, sample_scene
+from wasnloc.typedjson import InputError
 
 
 def small_config(kind="slf", grid_n=5):
@@ -342,7 +342,7 @@ class TestCheckpoint:
         start = raw.find(model.f.flat.tobytes())  # the f member's stored data
         raw[start + 5] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match=r"model.ckpt: unreadable member 'f': Bad CRC-32"):
+        with pytest.raises(InputError, match=r"model.ckpt: unreadable member 'f': Bad CRC-32"):
             load_checkpoint(path)
 
     def test_two_saves_byte_identical(self, tmp_path):
@@ -356,7 +356,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=19), path)
         rewrite_npz(path, lambda members: members.pop(member))
-        with pytest.raises(CheckpointError, match=f"model.ckpt: no member '{member}'"):
+        with pytest.raises(InputError, match=f"model.ckpt: no member '{member}'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("layout", ["bare_npy", "version_3"])
@@ -371,7 +371,7 @@ class TestCheckpoint:
             header, blob = read_header(path)
             payload = json.dumps({**header, "version": 3, "blob_crc32": zlib.crc32(blob)}).encode()
             path.write_bytes(b"WLNC" + np.uint32(len(payload)).tobytes() + payload + blob)
-        with pytest.raises(CheckpointError, match="model.ckpt: unreadable file: File is not a zip file"):
+        with pytest.raises(InputError, match="model.ckpt: unreadable file: File is not a zip file"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("member, dtype", [("header", "uint8"), ("f", "float32"), ("g", "float32")])
@@ -379,7 +379,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=22), path)
         rewrite_npz(path, lambda members: members.update({member: members[member].astype(np.float64)}))
-        with pytest.raises(CheckpointError, match=f"model.ckpt: member '{member}' holds float64, expected {dtype}"):
+        with pytest.raises(InputError, match=f"model.ckpt: member '{member}' holds float64, expected {dtype}"):
             load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
@@ -389,7 +389,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 100])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(InputError):
             load_checkpoint(path)
 
     def test_header_blob_inconsistency(self, tmp_path):
@@ -399,13 +399,13 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         rewrite_header(path, lambda header: header["config"]["f_layer_sizes"].__setitem__(0, 17))
-        with pytest.raises(CheckpointError, match="header field 'config'"):
+        with pytest.raises(InputError, match="header field 'config'"):
             load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "garbage.ckpt"
         path.write_bytes(b"not a checkpoint at all")
-        with pytest.raises(CheckpointError):
+        with pytest.raises(InputError):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -414,7 +414,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         rewrite_header(path, lambda header: header.update(version=99))
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(InputError, match="version"):
             load_checkpoint(path)
 
     def test_version_1_checkpoint_rejected(self, tmp_path):
@@ -423,7 +423,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         rewrite_header(path, lambda header: header.update(version=1))
-        with pytest.raises(CheckpointError, match="version 1"):
+        with pytest.raises(InputError, match="version 1"):
             load_checkpoint(path)
 
     def test_version_2_checkpoint_rejected(self, tmp_path):
@@ -447,7 +447,7 @@ class TestCheckpoint:
             "blob_crc32": zlib.crc32(read_header(path)[1]),
         }
         write_header(path, json.dumps(v2).encode())
-        with pytest.raises(CheckpointError, match="version 2, expected 4"):
+        with pytest.raises(InputError, match="version 2, expected 4"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field", ["feature_kind", "grid_n", "f_layer_sizes", "g_layer_sizes"])
@@ -456,7 +456,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=14), path)
         rewrite_header(path, lambda header: header["config"].pop(field))
-        with pytest.raises(CheckpointError, match=f"/config/{field}: missing"):
+        with pytest.raises(InputError, match=f"/config/{field}: missing"):
             load_checkpoint(path)
 
     def test_negative_grid_n_refused(self, tmp_path):
@@ -464,7 +464,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(RelNetModel.init_random(config, rng_seed=15), path)
         rewrite_header(path, lambda header: header["config"].update(grid_n=-3))
-        with pytest.raises(CheckpointError, match="/config: .*grid_n must be >= 2, got -3"):
+        with pytest.raises(InputError, match="/config: .*grid_n must be >= 2, got -3"):
             load_checkpoint(path)
 
     def test_huge_integer_literal_refused(self, tmp_path):
@@ -473,7 +473,7 @@ class TestCheckpoint:
         text = json.dumps(read_header(path)[0]).replace('"n_central": 200', '"n_central": 1' + "0" * 5000)
         assert "0" * 5000 in text
         write_header(path, text.encode())
-        with pytest.raises(CheckpointError, match="header /: not valid JSON"):
+        with pytest.raises(InputError, match="header /: not valid JSON"):
             load_checkpoint(path)
 
     def test_header_config_is_a_train_config(self, tmp_path):
@@ -559,7 +559,7 @@ class TestCheckpointProperties:
             path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
             save_checkpoint(RelNetModel.init_random(small_config(kind), rng_seed=21), path)
             rewrite_header(path, damage)
-            with pytest.raises(CheckpointError) as info:
+            with pytest.raises(InputError) as info:
                 load_checkpoint(path)
         else:
             root, manifest = tiny_dataset
@@ -569,7 +569,7 @@ class TestCheckpointProperties:
             path = copy / entry["dir"] / FEATURES_NAME
             rewrite_header(path, damage)
             config = RelNetConfig(feature_kind=kind, grid_n=TINY_GRID_N)
-            with pytest.raises(FeatureCacheError) as info:
+            with pytest.raises(InputError) as info:
                 read_feature_cache(path, config.grid_n, entry, (kind,))
             received, scene = load_example(root, entry)
             expected = assemble_input(*raw_pair_features(extract_frame(received), scene, config.grid_n), config)

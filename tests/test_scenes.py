@@ -17,7 +17,7 @@ from wasnloc.scenes import (
     scene_to_json,
 )
 from wasnloc.relnet import raw_pair_features
-from wasnloc.typedjson import ConfigError
+from wasnloc.typedjson import InputError
 
 
 def make_scene(mics, room=(4.0, 5.0, 3.0), source=(2.0, 2.5, 1.5), t60=0.4, seed=0):
@@ -188,28 +188,28 @@ class TestSceneJson:
         scene = sample_scene(SceneDistribution(), 5)
         obj = json.loads(scene_to_json(scene))
         obj["version"] = 999
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             scene_from_json(json.dumps(obj))
         # refused as another version before any other field is read
-        with pytest.raises(ConfigError, match="^/version: unsupported scene JSON version 2$"):
+        with pytest.raises(InputError, match="^/version: unsupported scene JSON version 2$"):
             scene_from_json('{"version": 2, "mics": "none"}')
 
     def test_missing_field_named(self):
         obj = json.loads(scene_to_json(sample_scene(SceneDistribution(), 5)))
         del obj["source"]["signal_id"]
-        with pytest.raises(ValueError, match="^/source/signal_id: missing$"):
+        with pytest.raises(InputError, match="^/source/signal_id: missing$"):
             scene_from_json(json.dumps(obj))
 
     def test_mistyped_field_named(self):
         obj = json.loads(scene_to_json(sample_scene(SceneDistribution(), 5)))
         obj["room"]["t60"] = "0.4"
-        with pytest.raises(ValueError, match="^/room/t60: "):
+        with pytest.raises(InputError, match="^/room/t60: "):
             scene_from_json(json.dumps(obj))
 
     def test_malformed_points_named(self):
         obj = json.loads(scene_to_json(sample_scene(SceneDistribution(), 5)))
         obj["mics"][1] = obj["mics"][1][:2]
-        with pytest.raises(ValueError, match="^/mics/1: "):
+        with pytest.raises(InputError, match="^/mics/1: "):
             scene_from_json(json.dumps(obj))
 
     @settings(max_examples=60, deadline=None)
@@ -236,7 +236,7 @@ class TestSceneJson:
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = bad
-        with pytest.raises(ConfigError, match=f"^/{'/'.join(map(str, path))}: expected a"):
+        with pytest.raises(InputError, match=f"^/{'/'.join(map(str, path))}: expected a"):
             scene_from_json(json.dumps(obj))
 
     @pytest.mark.parametrize("length", [0, 2, 4])
@@ -244,7 +244,7 @@ class TestSceneJson:
     def test_point_of_wrong_length_named(self, path, length):
         obj = json.loads(scene_to_json(sample_scene(SceneDistribution(mic_counts=(5,)), 5)))
         obj[path[0]][path[1]] = [1.0] * length
-        with pytest.raises(ConfigError, match=f"^/{path[0]}/{path[1]}: expected a list of 3 entries"):
+        with pytest.raises(InputError, match=f"^/{path[0]}/{path[1]}: expected a list of 3 entries"):
             scene_from_json(json.dumps(obj))
 
     @pytest.mark.parametrize(
@@ -253,11 +253,11 @@ class TestSceneJson:
         ids=["not_object", "invalid_json", "bad_utf8", "empty"],
     )
     def test_malformed_document_named(self, text, pointer):
-        with pytest.raises(ConfigError, match=f"^{pointer}: "):
+        with pytest.raises(InputError, match=f"^{pointer}: "):
             scene_from_json(text)
 
     def test_no_mics_refused(self):
         obj = json.loads(scene_to_json(sample_scene(SceneDistribution(), 5)))
         obj["mics"] = []
-        with pytest.raises(ConfigError, match="^/mics: "):
+        with pytest.raises(InputError, match="^/mics: "):
             scene_from_json(json.dumps(obj))

@@ -14,7 +14,6 @@ from wasnloc.dataset import DatasetConfig
 from wasnloc.rir import DEFAULT_FS as FS, SPEED_OF_SOUND, simulate_rir
 from wasnloc.scenes import RoomSpec, Scene
 from wasnloc.signals import (
-    CorpusError,
     SilentChannelError,
     SourceSignalConfig,
     add_noise,
@@ -23,6 +22,7 @@ from wasnloc.signals import (
     read_wav_mono,
     write_wav,
 )
+from wasnloc.typedjson import InputError
 
 
 def two_mic_scene(src=(2.0, 2.5, 1.5), mics=((1.0, 1.0, 1.4), (3.9, 3.1, 1.6))):
@@ -231,13 +231,13 @@ class TestCorpusSource:
         assert sig.size == 8000
 
     def test_empty_corpus_rejected(self, tmp_path):
-        with pytest.raises(CorpusError):
+        with pytest.raises(InputError):
             provide_source_signal_with_id(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, 0)[0]
 
     def test_stereo_rejected(self, tmp_path):
         wav = np.zeros((1000, 2), dtype=np.float32)
         wavfile.write(tmp_path / "e.wav", FS, wav)
-        with pytest.raises(CorpusError):
+        with pytest.raises(InputError):
             provide_source_signal_with_id(SourceSignalConfig(corpus_dir=str(tmp_path)), 0.5, 0)[0]
 
 
@@ -255,7 +255,7 @@ class TestWavIo:
         sig = np.ones(1000)
         sig[700] = bad
         write_wav(tmp_path / "x.wav", sig)
-        with pytest.raises(CorpusError, match=rf"x\.wav: sample 700 is {bad}, expected a finite number"):
+        with pytest.raises(InputError, match=rf"x\.wav: sample 700 is {bad}, expected a finite number"):
             read_wav_mono(tmp_path / "x.wav")
 
     @pytest.mark.parametrize("damage", ["not_wav", "cut_header", "short_data"])
@@ -269,5 +269,5 @@ class TestWavIo:
             path.write_bytes(raw[:20])
         else:  # the data chunk ends before the length its header gives
             path.write_bytes(raw[:-400])
-        with pytest.raises(CorpusError, match=r"x\.wav: "):
+        with pytest.raises(InputError, match=r"x\.wav: "):
             read_wav_mono(path)
