@@ -130,7 +130,10 @@ def gcc_phat(channels: np.ndarray, pairs: np.ndarray) -> np.ndarray:
             np.multiply(spec[i], conj[j], out=c[k])
         np.abs(c, out=m)
         np.maximum(m, PHAT_FLOOR, out=m)
-        c /= m  # m is cast to complex; dividing .real and .imag by m rounds otherwise
+        # numpy divides a complex by a real cast to complex as (a + b*0) * (1/m),
+        # so multiplying by the reciprocal gives the same bits in less time
+        np.divide(1.0, m, out=m)
+        c *= m
         np.mean(c, axis=1, out=mean[start : start + len(tile)])
     cc = np.fft.irfft(mean, DEFAULT_FFT_SIZE, axis=-1)
     return np.concatenate([cc[:, -half:], cc[:, :half]], axis=1)

@@ -16,12 +16,12 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import types
 import typing
 import zipfile
 
 import numpy as np
-from numpy.lib.npyio import NpzFile
 
 
 class InputError(ValueError):
@@ -159,21 +159,60 @@ def write_archive(path, header, **arrays) -> None:
         np.savez(fh, header=payload, **{name: np.asarray(a, dtype="<f4") for name, a in arrays.items()})
 
 
+# The npy 1.0 header np.savez writes for a C-ordered 1-D or 2-D array: magic,
+# header length, the dtype and the (P,) or (P, W) shape, space padding and a
+# newline. The dtype is one type code and size, so a subarray or structured
+# dtype cannot change the shape.
+_NPY_HEADER = re.compile(
+    rb"\x93NUMPY\x01\x00(..)\{'descr': '([<>|][a-z]\d+)', 'fortran_order': False, 'shape': \((\d+),(?: (\d+))?\), \} *\n",
+    re.DOTALL,
+)
+# Bytes of a member read at a time, copied on while in cache; the first read
+# holds any npy 1.0 header (at most 65545 bytes).
+_CHUNK = 1 << 18
+
+
+def _npy_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
+    """The array of a member with an :data:`_NPY_HEADER` header, read into a
+    new writable array (a checkpoint's arrays become buffers trained in
+    place); ValueError or TypeError for another header, an unknown dtype or
+    data of another size than the shape's. Matching the header costs far
+    less than numpy's reader, which evaluates it with ``ast.literal_eval``."""
+    info = zf.getinfo(name)
+    with zf.open(info) as fh:
+        chunk = fh.read(_CHUNK)  # all of a features.bin member
+        match = _NPY_HEADER.match(chunk)
+        if match is None or match.end() != 10 + int.from_bytes(match[1], "little"):
+            raise ValueError("not an npy 1.0 C-ordered 1-D or 2-D array")
+        dtype, shape = np.dtype(match[2]), tuple(int(n) for n in match.group(3, 4) if n is not None)
+        if math.prod(shape) * dtype.itemsize != info.file_size - match.end():
+            raise ValueError(f"{info.file_size - match.end()} bytes of data for {shape} {dtype}")
+        array = np.empty(shape, dtype)
+        data = memoryview(array.reshape(-1).view(np.uint8))
+        read = len(chunk) - match.end()
+        data[:read] = memoryview(chunk)[match.end() :]
+        for start in range(read, len(data), _CHUNK):  # the last read checks the CRC-32
+            fh.readinto(data[start : start + _CHUNK])
+    return array
+
+
 def read_archive(path, header_cls, members: tuple[str, ...], **expected):
     """(header, arrays) of an archive written by :func:`write_archive`: the
     header built as a header_cls with every field present, and the named
-    float32 members by name. The header fields in expected must hold those
-    values, compared in order before the header is built, so that a file of
-    another version (put first) is refused as such. Anything else raises
+    float32 members by name, writable. The header fields in expected must
+    hold those values, compared in order before the header is built, so
+    that a file of another version (put first) is refused as such. Anything
+    else, a member in another layout than np.savez writes too, raises
     InputError naming path and the member, or the header field's pointer."""
     with reading(path):
         arrays, member = {}, None  # member: the one being read, for the error message
         try:
-            with NpzFile(path) as data:  # BadZipFile unless an npz archive
+            with zipfile.ZipFile(path) as zf:  # BadZipFile unless a zip archive
+                names = zf.namelist()
                 for member in ("header", *members):
-                    if member in data:
-                        arrays[member] = data[member]  # BadZipFile on a failed CRC-32
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # OSError: left to reading
+                    if f"{member}.npy" in names:
+                        arrays[member] = _npy_member(zf, f"{member}.npy")  # BadZipFile on a failed CRC-32
+        except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:  # OSError: left to reading
             where = f"member {member!r}" if member else "file"
             raise InputError(f"unreadable {where}: {exc}") from exc
         for member in ("header", *members):

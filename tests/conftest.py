@@ -2,6 +2,7 @@
 archive editing."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -15,14 +16,17 @@ from wasnloc.signals import auralize
 TINY_GRID_N = 6
 
 
-def rewrite_npz(path, edit):
+def rewrite_npz(path, edit, versions=None):
     """Apply edit to the dict of an npz archive's members and write the
-    archive back in place."""
+    archive back in place as np.savez does, but for the members named in
+    versions, each written in that npy format version."""
     with np.load(path) as data:
         members = dict(data)
     edit(members)
-    with open(path, "wb") as fh:
-        np.savez(fh, **members)
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, array in members.items():
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asanyarray(array), version=(versions or {}).get(name))
 
 
 def write_header(path, payload: bytes):

@@ -7,6 +7,7 @@ import tempfile
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import TINY_GRID_N
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from wasnloc.dataset import (
     read_feature_cache,
 )
 from wasnloc.features import heatmap_from_csv
-from wasnloc.relnet import RelNetConfig, load_checkpoint
+from wasnloc.relnet import RelNetConfig, RelNetModel, load_checkpoint, save_checkpoint
 from wasnloc.signals import read_wav_mono
 from wasnloc.training import TrainConfig
 from wasnloc.typedjson import InputError, build
@@ -342,6 +343,23 @@ class TestWalkerProperties:
         src = Path(wasnloc.__file__).parent
         decoders = sorted(p.name for p in src.glob("*.py") if "json.loads" in p.read_text())
         assert decoders == ["typedjson.py"]
+
+    def test_archives_read_without_numpy_header_eval(self, tiny_dataset, tmp_path, monkeypatch):
+        """features.bin and checkpoints are read by matching each member's
+        npy header, not by numpy's reader, which evals the header dict."""
+        root, manifest = tiny_dataset
+        entry = manifest["splits"]["test"]["examples"][0]
+        config = RelNetConfig(grid_n=TINY_GRID_N, f_layer_sizes=(8, 36), g_layer_sizes=(8, 36))
+        save_checkpoint(RelNetModel.init_random(config, rng_seed=1), tmp_path / "model.ckpt")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy parsed an npy header")
+
+        monkeypatch.setattr(ast, "literal_eval", refuse)
+        monkeypatch.setattr(np.lib.format, "read_array", refuse)
+        gcc, slf, _ = read_feature_cache(root / entry["dir"] / "features.bin", TINY_GRID_N, entry, ("gcc", "slf"))
+        assert gcc.dtype == slf.dtype == np.float32
+        assert load_checkpoint(tmp_path / "model.ckpt").config == config
 
     def test_input_error_is_the_only_reader_error(self):
         """Every reader refuses bad input with typedjson.InputError; the

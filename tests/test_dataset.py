@@ -430,7 +430,7 @@ class TestFeatureCache:
         with pytest.raises(InputError, match=rf"{FEATURES_NAME}: unreadable file: File is not a zip file"):
             read()
 
-    @pytest.mark.parametrize("dtype", ["int16", "complex64"])
+    @pytest.mark.parametrize("dtype", ["int16", "complex64", ">f4"])
     def test_non_float32_member_recomputed(self, tiny_dataset, tmp_path, dtype):
         # same shape, other type: once served quantized or with a ComplexWarning
         def retype(members):
@@ -439,6 +439,23 @@ class TestFeatureCache:
         damage = lambda path: rewrite_npz(path, retype)  # noqa: E731
         read = self._damaged_cache(tiny_dataset, tmp_path, damage)
         with pytest.raises(InputError, match=rf"{FEATURES_NAME}: member 'slf' holds {dtype}, expected float32"):
+            read()
+
+    # a float32 (P, W) member in a layout other than np.savez writes for it:
+    # (edit of the array, npy format version)
+    OTHER_LAYOUTS = {
+        "fortran": (np.asfortranarray, None),
+        "3d": (lambda array: array[:, :, None], None),
+        "npy_2_0": (lambda array: array, (2, 0)),
+    }
+
+    @pytest.mark.parametrize("layout", OTHER_LAYOUTS)
+    def test_other_layout_member_recomputed(self, tiny_dataset, tmp_path, layout):
+        relay, version = self.OTHER_LAYOUTS[layout]
+        edit = lambda members: members.update(slf=relay(members["slf"]))  # noqa: E731
+        damage = lambda path: rewrite_npz(path, edit, {"slf": version})  # noqa: E731
+        read = self._damaged_cache(tiny_dataset, tmp_path, damage)
+        with pytest.raises(InputError, match=rf"{FEATURES_NAME}: unreadable member 'slf': not an npy 1.0 C-ordered"):
             read()
 
     # the model reading each member: gcc only a GCC model, meta any model

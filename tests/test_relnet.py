@@ -382,6 +382,23 @@ class TestCheckpoint:
         with pytest.raises(InputError, match=f"model.ckpt: member '{member}' holds float64, expected {dtype}"):
             load_checkpoint(path)
 
+    # the g member in a layout other than np.savez writes for a float32 (P,)
+    # array: (edit of the array, npy format version)
+    OTHER_LAYOUTS = {
+        "fortran": (lambda g: np.asfortranarray([g, g]), None),
+        "3d": (lambda g: g[None, None], None),
+        "npy_2_0": (lambda g: g, (2, 0)),
+    }
+
+    @pytest.mark.parametrize("layout", OTHER_LAYOUTS)
+    def test_other_layout_member_refused(self, tmp_path, layout):
+        relay, version = self.OTHER_LAYOUTS[layout]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(RelNetModel.init_random(small_config(), rng_seed=23), path)
+        rewrite_npz(path, lambda members: members.update(g=relay(members["g"])), {"g": version})
+        with pytest.raises(InputError, match="model.ckpt: unreadable member 'g': not an npy 1.0 C-ordered"):
+            load_checkpoint(path)
+
     def test_truncated_file(self, tmp_path):
         config = small_config()
         model = RelNetModel.init_random(config, rng_seed=8)

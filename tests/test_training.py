@@ -5,7 +5,14 @@ import pytest
 from test_mlp import _reference_adam_step, _reference_backward, _reference_forward
 
 from wasnloc import training
-from wasnloc.relnet import RelNetConfig, RelNetModel, mae_loss, relnet_forward_features
+from wasnloc.relnet import (
+    RelNetConfig,
+    RelNetModel,
+    load_checkpoint,
+    mae_loss,
+    relnet_forward_features,
+    save_checkpoint,
+)
 from wasnloc.training import (
     EpochStats,
     FeatureExample,
@@ -226,3 +233,25 @@ def test_best_weights_buffer_is_the_best_epochs_own():
     model.f.flat[:] = 0.0
     model.g.flat[:] = 0.0
     assert (best.f.flat == 1.0).all() and (best.g.flat == 1.0).all()
+
+
+def test_loaded_checkpoint_trains_on_like_the_saved_model(tmp_path):
+    """A model trained an epoch, saved, loaded and trained one more epoch
+    matches the one trained on in memory, in history and weights: the
+    loaded arrays are the stacks' own writable buffers, which Adam updates
+    in place."""
+    config = tiny_config()
+    train_set = synthetic_dataset(config, 12, seed=10)
+    val_set = synthetic_dataset(config, 6, seed=11)
+    cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=1, seed=2)
+    trained, _ = train(RelNetModel.init_random(config, rng_seed=6), train_set, val_set, cfg)
+    save_checkpoint(trained, tmp_path / "model.ckpt")
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    runs = [train(model, train_set, val_set, cfg) for model in (trained, loaded)]
+    (best, history), (loaded_best, loaded_history) = runs
+    assert [(h.epoch, h.train_loss, h.val_loss) for h in loaded_history] == [
+        (h.epoch, h.train_loss, h.val_loss) for h in history
+    ]
+    for a, b in ((trained, loaded), (best, loaded_best)):
+        assert np.array_equal(a.f.flat, b.f.flat) and np.array_equal(a.g.flat, b.g.flat)
+    assert not np.array_equal(loaded.f.flat, load_checkpoint(tmp_path / "model.ckpt").f.flat)
