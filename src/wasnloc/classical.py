@@ -10,8 +10,10 @@ configuration.
 
 :func:`pair_correlations` is the pair step they share with the relation
 network's features: it picks the pairs and the grid plane once and
-correlates all pairs in one batched call. Each localizer is a reduction
-of its rows over the pairs.
+correlates all pairs in one batched call. Each localizer rounds its rows
+to float32, as features.bin stores them, and reduces them over the pairs.
+Evaluation runs the same reductions on the cached rows, so an estimate
+from features.bin equals one from the WAVs bit for bit.
 """
 
 from __future__ import annotations
@@ -49,22 +51,29 @@ def enumerate_pairs(m: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(m), 2))
 
 
+def oriented_pairs(mics: np.ndarray) -> np.ndarray:
+    """The (P, 2) pairs of :func:`enumerate_pairs` for the (M, 3) mic
+    positions, each pair ordered by mic position (lexicographic x, y, z)
+    rather than by channel index, so relabeling the microphones only
+    reorders the rows."""
+    pairs = np.array(enumerate_pairs(len(mics)))
+    rank = np.argsort(np.lexsort(mics.T[::-1]))  # position order; ties keep index order
+    swap = rank[pairs[:, 1]] < rank[pairs[:, 0]]
+    pairs[swap] = pairs[swap, ::-1]
+    return pairs
+
+
 def pair_correlations(frame: np.ndarray, scene: Scene) -> tuple[np.ndarray, np.ndarray, float]:
     """The pair step every localizer shares on an (M, n) frame: (pairs,
     corr, z_plane).
 
-    ``pairs`` is the (P, 2) array of :func:`enumerate_pairs`, each pair
-    ordered by mic position (lexicographic x, y, z) rather than by channel
-    index, so relabeling the microphones only reorders the rows. ``corr``
-    holds their (P, DEFAULT_FFT_SIZE) :func:`gcc_phat` correlations and
-    z_plane is the mean mic height, the plane the search grid lies in.
+    ``pairs`` is the (P, 2) array of :func:`oriented_pairs`, ``corr`` their
+    (P, DEFAULT_FFT_SIZE) :func:`gcc_phat` correlations, and z_plane the
+    mean mic height, the plane the search grid lies in.
     """
     if len(frame) != scene.m:
         raise ValueError(f"frame has {len(frame)} channels but scene has {scene.m} mics")
-    pairs = np.array(enumerate_pairs(scene.m))
-    rank = np.argsort(np.lexsort(scene.mics.T[::-1]))  # position order; ties keep index order
-    swap = rank[pairs[:, 1]] < rank[pairs[:, 0]]
-    pairs[swap] = pairs[swap, ::-1]
+    pairs = oriented_pairs(scene.mics)
     return pairs, gcc_phat(frame, pairs), mean_mic_height(scene.mics)
 
 
@@ -87,26 +96,33 @@ def pick_peak(heatmap: np.ndarray, grid: Grid, mode: str) -> np.ndarray:
     return grid.cell_center(idx)
 
 
-def tdoa_localize(frame: np.ndarray, scene: Scene, grid: Grid) -> LocalizationResult:
+def slf_heatmap(slf: np.ndarray) -> np.ndarray:
+    """Spatial-likelihood map: the float64 sum of the float32 (P, n^2)
+    :func:`slf_project` rows of the pairs."""
+    return np.sum(slf, axis=0, dtype=np.float64)
+
+
+def tdoa_localize(
+    frame: np.ndarray | None, scene: Scene, grid: Grid, *, gcc: np.ndarray | None = None
+) -> LocalizationResult:
     """Least-squares TDOA localization on the grid (minimum picks the source).
 
-    Per pair, the measured TDOA is the GCC-PHAT peak lag, searched over the
-    central correlation bins the relation network also consumes, in
-    seconds; each cell sums over the pairs the squared difference against
-    its theoretical TDOA.
+    Per pair of :func:`oriented_pairs`, the measured TDOA is the peak lag of
+    its float32 central GCC-PHAT row, in seconds: the frame's rows, or the
+    cached ``gcc`` rows in their place; each cell sums over the pairs the
+    squared difference against its theoretical TDOA.
     """
-    pairs, corr, z_plane = pair_correlations(frame, scene)
-    measured = (np.argmax(central_lags(corr), axis=1) - DEFAULT_N_CENTRAL // 2) / DEFAULT_FS
-    theo = theoretical_tdoa_grid(scene.mics, pairs, grid, z_plane)
+    if gcc is None:
+        gcc = central_lags(pair_correlations(frame, scene)[1]).astype(np.float32)
+    measured = (np.argmax(gcc, axis=1) - DEFAULT_N_CENTRAL // 2) / DEFAULT_FS
+    theo = theoretical_tdoa_grid(scene.mics, oriented_pairs(scene.mics), grid, mean_mic_height(scene.mics))
     total = np.sum((theo - measured[:, None]) ** 2, axis=0)
     return LocalizationResult(pick_peak(total, grid, "min"), total)
 
 
 def slf_localize(frame: np.ndarray, scene: Scene, grid: Grid) -> LocalizationResult:
-    """Spatial-likelihood localization on the grid (maximum picks the source).
-
-    Sums the :func:`slf_project` maps of all pairs.
-    """
+    """Spatial-likelihood localization on the grid (maximum picks the source):
+    the :func:`slf_heatmap` of the frame's pairs."""
     pairs, corr, z_plane = pair_correlations(frame, scene)
-    total = np.sum(slf_project(corr, scene.mics, pairs, grid, z_plane), axis=0)
+    total = slf_heatmap(slf_project(corr, scene.mics, pairs, grid, z_plane).astype(np.float32))
     return LocalizationResult(pick_peak(total, grid, "max"), total)

@@ -5,7 +5,9 @@ Each example lives in its own directory: one float32 WAV per channel
 as scene.json and features.bin, a cache of the raw per-pair GCC/SLF
 features so training never touches audio again (a stale, unreadable or
 non-finite cache is recomputed from the WAVs), an archive like a
-checkpoint (:mod:`typedjson`). A JSON manifest at
+checkpoint (:mod:`typedjson`). The features are computed from the float32
+samples the WAVs hold, so a recompute from disk equals the cache bit for
+bit. A JSON manifest at
 the dataset root lists every example with its microphone count, room,
 true source position and seed.
 
@@ -77,7 +79,9 @@ FEATURES_NAME = "features.bin"
 # Version 2: SLF rows average the correlation over each cell's lag interval.
 # Version 3: the "version" member also holds the build settings.
 # Version 4: a JSON header (_FeaturesHeader) replaces the "version" member.
-FEATURES_VERSION = 4
+# Version 5: the rows are computed from the float32 samples of the WAVs, not
+# from the float64 signal before it was written.
+FEATURES_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,8 @@ def generate_example(config: DatasetConfig, split: str, index: int, out_root) ->
     except InfeasibleRoomError as exc:
         logger.warning("skipping %s/%05d: %s", split, index, exc)
         return None
-    received = add_noise(received, config.snr_db, [seed, 2])
+    # the samples as the WAVs hold them, which features.bin is computed from
+    received = add_noise(received, config.snr_db, [seed, 2]).astype(np.float32)
 
     example_dir = Path(out_root) / split / f"{index:05d}"
     example_dir.mkdir(parents=True, exist_ok=True)
@@ -325,21 +330,22 @@ def write_feature_cache(path, scene: Scene, grid_n: int, gcc: np.ndarray, slf: n
 
 
 def read_feature_cache(
-    path, grid_n: int, entry: dict, kinds: tuple[str, ...]
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+    path, grid_n: int, entry: dict, members: tuple[str, ...]
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """(gcc, slf, meta) of the example of a manifest entry from its features.bin.
 
-    Of the feature members "gcc" and "slf" only those named in kinds are
-    decoded (a model reads one); the other is None and goes unchecked.
-    InputError names the file, and the member or the header field where
-    there is one, if :func:`typedjson.read_archive` refuses the file (or
-    finds none), its header has another version, grid_n or scene field
-    than the entry's, or a member read has other than M(M-1)/2 rows of its
-    width or holds a value that is NaN or infinite.
+    Of the members "gcc", "slf" and "meta" only those named in members are
+    decoded (a model reads its feature kind and meta, a classical method
+    the one it reduces); the others are None and go unchecked. InputError
+    names the file, and the member or the header field where there is one,
+    if :func:`typedjson.read_archive` refuses the file (or finds none), its
+    header has another version, grid_n or scene field than the entry's, or
+    a member read has other than M(M-1)/2 rows of its width or holds a
+    value that is NaN or infinite.
     """
     scene = {name: entry[name] for name in ("m", "room", "t60", "source_xy")}
     expected = {"version": FEATURES_VERSION, "grid_n": grid_n, **scene}
-    _, arrays = read_archive(path, _FeaturesHeader, (*kinds, "meta"), **expected)
+    _, arrays = read_archive(path, _FeaturesHeader, members, **expected)
     pairs = entry["m"] * (entry["m"] - 1) // 2
     widths = {"gcc": DEFAULT_N_CENTRAL, "slf": grid_n**2, "meta": PAIR_METADATA_SIZE}
     for member, array in arrays.items():
@@ -348,7 +354,7 @@ def read_feature_cache(
         if not np.isfinite(array).all():
             row, col = np.argwhere(~np.isfinite(array))[0]
             raise InputError(f"member {member!r} holds {array[row, col]} at ({row}, {col})", path)
-    return arrays.get("gcc"), arrays.get("slf"), arrays["meta"]
+    return arrays.get("gcc"), arrays.get("slf"), arrays.get("meta")
 
 
 def load_example_dir(example_dir) -> tuple[np.ndarray, Scene]:
@@ -379,19 +385,28 @@ def load_example_dir(example_dir) -> tuple[np.ndarray, Scene]:
     return np.vstack(channels), scene
 
 
-def load_example(data_dir, entry: dict) -> tuple[np.ndarray, Scene]:
-    """The example of a manifest entry. The entry's m, room, t60 and
-    source_xy must equal its scene.json's exactly, since both are written
-    from the same floats; InputError naming the manifest and the example
-    otherwise."""
-    received, scene = load_example_dir(Path(data_dir) / entry["dir"])
+def example_scene(data_dir, entry: dict) -> Scene:
+    """The scene.json of a manifest entry's example; no WAV is read. The
+    entry's m, room, t60 and source_xy must equal the scene's exactly, since
+    both are written from the same floats; InputError naming the manifest
+    and the example otherwise."""
+    path = Path(data_dir) / entry["dir"] / "scene.json"
+    with reading(path):
+        scene = scene_from_json(path.read_bytes())
     for name, value in _scene_fields(scene).items():
         if entry[name] != value:
             raise InputError(
                 f"example {entry['dir']!r} has {name} {entry[name]!r}, but its scene.json has {value!r}",
                 Path(data_dir) / MANIFEST_NAME,
             )
-    return received, scene
+    return scene
+
+
+def load_example(data_dir, entry: dict) -> tuple[np.ndarray, Scene]:
+    """The example of a manifest entry, refused as :func:`example_scene`
+    refuses its scene.json before any WAV is read."""
+    example_scene(data_dir, entry)
+    return load_example_dir(Path(data_dir) / entry["dir"])
 
 
 def example_features(data_dir, entry: dict, config: RelNetConfig) -> np.ndarray:
@@ -405,7 +420,8 @@ def example_features(data_dir, entry: dict, config: RelNetConfig) -> np.ndarray:
     """
     cache_path = Path(data_dir) / entry["dir"] / FEATURES_NAME
     try:
-        return assemble_input(*read_feature_cache(cache_path, config.grid_n, entry, (config.feature_kind,)), config)
+        members = (config.feature_kind, "meta")
+        return assemble_input(*read_feature_cache(cache_path, config.grid_n, entry, members), config)
     except InputError as exc:
         logger.info("recomputing features: %s", exc)
     received, scene = load_example(data_dir, entry)

@@ -6,6 +6,14 @@ passed; the row then carries the mean and standard deviation of the per-
 checkpoint mean errors (training-seed spread). Classical methods need no
 checkpoint and leave the std column empty.
 
+Every method reads an example's pair features from its features.bin,
+which holds the float32 rows the localizers reduce: SLF sums the ``slf``
+rows, TDOA takes the peak lag of each ``gcc`` row, scored against the
+theoretical TDOAs of the mics in the example's scene.json. So a classical
+estimate equals the one ``localize`` computes from the WAVs bit for bit.
+An example whose cache is refused (missing, damaged, stale, or built on
+another grid than the one asked for) is recomputed from its WAVs.
+
 A network evaluates many examples per forward (:func:`relnet.forward_batch`,
 the forward training uses), so its heatmaps can differ from a one-example
 ``relnet_forward_features`` in the last float32 bits: the BLAS kernels
@@ -15,15 +23,27 @@ round a product of one row differently from one of many.
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .classical import pick_peak, slf_localize, tdoa_localize
-from .dataset import example_features, load_example, load_manifest, split_entries
+from .classical import LocalizationResult, pick_peak, slf_heatmap, tdoa_localize
+from .dataset import (
+    FEATURES_NAME,
+    example_features,
+    example_scene,
+    load_example,
+    load_manifest,
+    read_feature_cache,
+    split_entries,
+)
 from .features import DEFAULT_GRID_N, Grid, extract_frame, heatmap_to_pgm
-from .relnet import RelNetModel, forward_batch, load_checkpoint
+from .relnet import RelNetModel, forward_batch, load_checkpoint, raw_pair_features
+from .typedjson import InputError
+
+logger = logging.getLogger(__name__)
 
 METHODS = ("tdoa", "slf", "gnn-gcc", "gnn-slf")
 # Examples per network forward: their stacked pair rows (up to 21 each)
@@ -51,18 +71,35 @@ class EvalReport:
         return total / count
 
 
+def _classical_result(method: str, data_dir, entry: dict, grid: Grid) -> LocalizationResult:
+    """tdoa or slf on one example: the reduction of the one member of its
+    features.bin that the method needs (TDOA also reads the mic positions
+    from scene.json, refusing an entry that contradicts it), or of the rows
+    :func:`relnet.raw_pair_features` recomputes from its WAVs if the cache
+    is refused."""
+    scene = example_scene(data_dir, entry) if method == "tdoa" else None
+    path = Path(data_dir) / entry["dir"] / FEATURES_NAME
+    try:
+        gcc, slf, _ = read_feature_cache(path, grid.n, entry, ("gcc" if method == "tdoa" else "slf",))
+    except InputError as exc:
+        logger.info("recomputing features: %s", exc)
+        received, scene = load_example(data_dir, entry)
+        gcc, slf, _ = raw_pair_features(extract_frame(received), scene, grid.n)
+    if method == "tdoa":
+        return tdoa_localize(None, scene, grid, gcc=gcc)
+    heatmap = slf_heatmap(slf)
+    return LocalizationResult(pick_peak(heatmap, grid, "max"), heatmap)
+
+
 def _batch_estimates(
     method: str, data_dir, batch: list[dict], grids: list[Grid], models: list[RelNetModel | None]
 ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """(estimate, heatmap) per model and example of one batch. A classical
-    method decodes each example's WAVs; the networks share one read of
-    each example's pair features and each runs on the whole batch at once."""
+    method reads each example's cached rows (:func:`_classical_result`);
+    the networks share one read of each example's pair features and each
+    runs on the whole batch at once."""
     if models[0] is None:
-        localize = tdoa_localize if method == "tdoa" else slf_localize
-        results = []
-        for entry, grid in zip(batch, grids):
-            received, scene = load_example(data_dir, entry)
-            results.append(localize(extract_frame(received), scene, grid))
+        results = [_classical_result(method, data_dir, entry, grid) for entry, grid in zip(batch, grids)]
         return [[(r.estimate, r.heatmap) for r in results]]
     features = [example_features(data_dir, entry, models[0].config) for entry in batch]
     out = []

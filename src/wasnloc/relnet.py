@@ -149,17 +149,19 @@ def raw_pair_features(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unstandardized per-pair features for one example.
 
-    Returns (gcc, slf, meta): (P, DEFAULT_N_CENTRAL), (P, grid_n^2) and (P, 9)
-    arrays over the pairs of :func:`classical.pair_correlations`, which
-    orients each pair by position, not by channel index, so relabeling the
-    microphones only reorders the rows. Computing both feature kinds at
-    once lets dataset caches serve either model.
+    Returns (gcc, slf, meta): float32 (P, DEFAULT_N_CENTRAL), (P, grid_n^2)
+    and (P, 9) arrays over the pairs of :func:`classical.pair_correlations`,
+    which orients each pair by position, not by channel index, so relabeling
+    the microphones only reorders the rows. They are the rows features.bin
+    stores, and the gcc and slf rows are the ones the classical localizers
+    reduce. Computing both feature kinds at once lets dataset caches serve
+    either model.
     """
     pairs, corr, z_plane = pair_correlations(frame, scene)
     grid = Grid(scene.room.width, scene.room.length, grid_n)
     slf = slf_project(corr, scene.mics, pairs, grid, z_plane)
     meta = pair_metadata_vector(scene.mics[pairs[:, 0]], scene.mics[pairs[:, 1]], scene.room.dims)
-    return central_lags(corr), slf, meta
+    return central_lags(corr).astype(np.float32), slf.astype(np.float32), meta.astype(np.float32)
 
 
 def assemble_input(gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray, config: RelNetConfig) -> np.ndarray:

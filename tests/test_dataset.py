@@ -1,10 +1,11 @@
 import json
 import math
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 from conftest import TINY_GRID_N, rewrite_header, rewrite_npz, tiny_dataset_config
@@ -309,6 +310,34 @@ class TestManifest:
         with pytest.raises(InputError, match=pattern):
             load_split_features(tmp_path, manifest, "test", config)
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("m", lambda scene: scene["mics"].pop()),
+            ("room", lambda scene: scene["room"].update(width=2 * scene["room"]["width"])),
+        ],
+        ids=["m", "room"],
+    )
+    def test_scene_json_contradicting_entry_refused_by_tdoa(self, tiny_dataset, tmp_path, field, edit):
+        # the entry and features.bin agree; load_example and TDOA evaluation
+        # read scene.json (TDOA for the mics) and must refuse the
+        # contradiction there, before any WAV is read, while SLF evaluation
+        # reads only features.bin and is unchanged
+        root, manifest = tiny_dataset
+        shutil.copytree(root / "test", tmp_path / "test")
+        shutil.copy(root / "manifest.json", tmp_path / "manifest.json")
+        entry = manifest["splits"]["test"]["examples"][2]
+        scene_path = tmp_path / entry["dir"] / "scene.json"
+        scene = json.loads(scene_path.read_text())
+        edit(scene)
+        scene_path.write_text(json.dumps(scene))
+        pattern = rf"manifest\.json: example '{entry['dir']}' has {field} .*, but its scene\.json has "
+        with pytest.raises(InputError, match=pattern):
+            load_example(tmp_path, entry)
+        with pytest.raises(InputError, match=pattern):
+            evaluate("tdoa", tmp_path, "test", grid_n=TINY_GRID_N)
+        assert evaluate("slf", tmp_path, "test", grid_n=TINY_GRID_N) == evaluate("slf", root, "test", grid_n=TINY_GRID_N)
+
     def test_unknown_split_named(self, tiny_dataset):
         root, manifest = tiny_dataset
         with pytest.raises(InputError, match=r"manifest\.json: no split 'dev'"):
@@ -317,7 +346,7 @@ class TestManifest:
             evaluate("tdoa", root, "dev", grid_n=TINY_GRID_N)
 
 
-BOTH_KINDS = ("gcc", "slf")
+ALL_MEMBERS = ("gcc", "slf", "meta")
 
 
 class TestFeatureCache:
@@ -325,13 +354,11 @@ class TestFeatureCache:
         root, manifest = tiny_dataset
         entry = manifest["splits"]["val"]["examples"][0]
         config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
-        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry, BOTH_KINDS)
+        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry, ALL_MEMBERS)
         received, scene = load_example(root, entry)
         frame = extract_frame(received)
-        gcc2, slf2, meta2 = raw_pair_features(frame, scene, config.grid_n)
-        np.testing.assert_allclose(gcc, gcc2, atol=1e-6)
-        np.testing.assert_allclose(slf, slf2, atol=1e-6)
-        np.testing.assert_allclose(meta, meta2, atol=1e-6)
+        for cached, recomputed in zip((gcc, slf, meta), raw_pair_features(frame, scene, config.grid_n)):
+            assert np.array_equal(cached, recomputed)
 
     def test_example_features_uses_cache(self, tiny_dataset):
         root, manifest = tiny_dataset
@@ -340,7 +367,7 @@ class TestFeatureCache:
         feats = example_features(root, entry, config)
         pairs = entry["m"] * (entry["m"] - 1) // 2
         assert feats.shape == (pairs, TINY_GRID_N**2 + 9)
-        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry, BOTH_KINDS)
+        gcc, slf, meta = read_feature_cache(root / entry["dir"] / "features.bin", config.grid_n, entry, ALL_MEMBERS)
         np.testing.assert_array_equal(feats, assemble_input(gcc, slf, meta, config))
 
     def test_grid_mismatch_falls_back_to_recompute(self, tiny_dataset):
@@ -351,21 +378,37 @@ class TestFeatureCache:
         assert feats.shape[1] == 25 + 9
 
     def test_unversioned_cache_not_served(self, tiny_dataset, tmp_path):
-        # a features.bin from before the format version, or of version 3
-        # (a float64 "version" member of the build settings), is recomputed
+        # a features.bin from before the format version, of version 3 (a
+        # float64 "version" member of the build settings), or of version 4
+        # (rows from the float64 signal before it was written as float32)
+        # is recomputed
         root, manifest = tiny_dataset
         entry = manifest["splits"]["test"]["examples"][0]
         config = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
         expected = example_features(root, entry, config)
         copy = tmp_path / entry["dir"]
         shutil.copytree(root / entry["dir"], copy)
-        gcc, slf, meta = read_feature_cache(copy / "features.bin", config.grid_n, entry, BOTH_KINDS)
-        for older in ({}, {"version": np.array([3, 1024, 200, TINY_GRID_N, 500.0])}):
-            with open(copy / "features.bin", "wb") as fh:
+        path = copy / FEATURES_NAME
+        gcc, slf, meta = read_feature_cache(path, config.grid_n, entry, ALL_MEMBERS)
+
+        def savez(**older):
+            with open(path, "wb") as fh:
                 np.savez(fh, **older, gcc=gcc, slf=np.zeros_like(slf), meta=meta)
-            with pytest.raises(InputError, match="features.bin: no member 'header'"):
-                read_feature_cache(copy / "features.bin", config.grid_n, entry, BOTH_KINDS)
-            np.testing.assert_allclose(example_features(tmp_path, entry, config), expected, atol=1e-6)
+
+        def version_4():
+            shutil.copy(root / entry["dir"] / FEATURES_NAME, path)
+            rewrite_npz(path, lambda members: members.update(slf=np.zeros_like(slf)))
+            rewrite_header(path, lambda header: header.update(version=4))
+
+        for write, message in (
+            (savez, "no member 'header'"),
+            (lambda: savez(version=np.array([3, 1024, 200, TINY_GRID_N, 500.0])), "no member 'header'"),
+            (version_4, "header /version: version 4, expected 5"),
+        ):
+            write()
+            with pytest.raises(InputError, match=f"{FEATURES_NAME}: {message}"):
+                read_feature_cache(path, config.grid_n, entry, ALL_MEMBERS)
+            np.testing.assert_array_equal(example_features(tmp_path, entry, config), expected)
 
     @pytest.mark.parametrize("built_with", [{"frame_ms": 250.0}, {"fft_size": 512}])
     def test_cache_from_other_parameters_not_served(self, tmp_path, built_with):
@@ -378,7 +421,7 @@ class TestFeatureCache:
         rewrite_header(path, lambda header: header.update({field: value}))
         default = RelNetConfig(feature_kind="slf", grid_n=TINY_GRID_N)
         with pytest.raises(InputError, match=rf"{FEATURES_NAME}: header /{field}: "):
-            read_feature_cache(path, default.grid_n, entry, BOTH_KINDS)
+            read_feature_cache(path, default.grid_n, entry, ALL_MEMBERS)
         received, scene = load_example(tmp_path, entry)
         frame = extract_frame(received)
         expected = assemble_input(*raw_pair_features(frame, scene, default.grid_n), default)
@@ -398,7 +441,7 @@ class TestFeatureCache:
         received, scene = load_example(tmp_path, entry)
         expected = assemble_input(*raw_pair_features(extract_frame(received), scene, config.grid_n), config)
         np.testing.assert_array_equal(example_features(tmp_path, entry, config), expected)
-        return lambda: read_feature_cache(path, config.grid_n, entry, (kind,))
+        return lambda: read_feature_cache(path, config.grid_n, entry, (kind, "meta"))
 
     def test_truncated_cache_recomputed(self, tiny_dataset, tmp_path):
         def cut(path):
@@ -500,15 +543,30 @@ class TestFeatureCache:
         shutil.copytree(root / entry["dir"], tmp_path / entry["dir"])
         path = tmp_path / entry["dir"] / FEATURES_NAME
         config = RelNetConfig(feature_kind=kind, grid_n=TINY_GRID_N)
-        expected = assemble_input(*read_feature_cache(path, config.grid_n, entry, BOTH_KINDS), config)
+        expected = assemble_input(*read_feature_cache(path, config.grid_n, entry, ALL_MEMBERS), config)
 
         def drop_row(members):
             members[other] = members[other][:-1]
 
         rewrite_npz(path, drop_row)
-        cached = read_feature_cache(path, config.grid_n, entry, (kind,))
-        assert cached[BOTH_KINDS.index(other)] is None
+        cached = read_feature_cache(path, config.grid_n, entry, (kind, "meta"))
+        assert cached[ALL_MEMBERS.index(other)] is None
         np.testing.assert_array_equal(example_features(tmp_path, entry, config), expected)
+
+    @settings(max_examples=25, deadline=None)
+    @given(master_seed=st.integers(0, 10**6), m=st.integers(2, 8))
+    def test_recompute_from_wavs_equals_cache(self, tmp_path_factory, master_seed, m):
+        """The rows are computed from the float32 samples the WAVs hold, so
+        for any scene and mic count a recompute from an example's WAVs
+        equals its features.bin bit for bit."""
+        config = replace(tiny_dataset_config(master_seed=master_seed), test_mic_counts=(m,))
+        root = tmp_path_factory.mktemp("example")
+        entry = generate_example(config, "test", 0, root)
+        assume(entry is not None)  # an infeasible scene writes no example
+        cached = read_feature_cache(root / entry["dir"] / FEATURES_NAME, config.grid_n, entry, ALL_MEMBERS)
+        received, scene = load_example(root, entry)
+        for cached_rows, rows in zip(cached, raw_pair_features(extract_frame(received), scene, config.grid_n)):
+            assert np.array_equal(cached_rows, rows)
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(2, 8), grid_n=st.integers(2, 6), seed=st.integers(0, 2**16))
@@ -525,12 +583,12 @@ class TestFeatureCache:
         room = scene.room
         entry = {"m": m, "room": [room.width, room.length, room.height], "t60": room.t60,
                  "source_xy": scene.source[:2].tolist()}
-        for read, written in zip(read_feature_cache(path, grid_n, entry, BOTH_KINDS), arrays):
+        for read, written in zip(read_feature_cache(path, grid_n, entry, ALL_MEMBERS), arrays):
             assert read.dtype == np.float32 and np.array_equal(read, written)
         with np.load(path) as data:
             assert sorted(data.files) == ["gcc", "header", "meta", "slf"]
             header = json.loads(data["header"].tobytes())
-        built_with = {"version": 4, "fft_size": 1024, "n_central": 200, "frame_ms": 500.0, "grid_n": grid_n}
+        built_with = {"version": 5, "fft_size": 1024, "n_central": 200, "frame_ms": 500.0, "grid_n": grid_n}
         assert header == {**built_with, **entry}
 
     def test_load_split_features_targets(self, tiny_dataset):

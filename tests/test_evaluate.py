@@ -1,13 +1,22 @@
 import importlib
+import shutil
 
 import numpy as np
 import pytest
 from conftest import TINY_GRID_N
 
-from wasnloc.classical import pick_peak
-from wasnloc.dataset import example_features, load_manifest, load_split_features, split_entries
+from wasnloc import dataset, signals
+from wasnloc.classical import pick_peak, slf_localize, tdoa_localize
+from wasnloc.dataset import (
+    FEATURES_NAME,
+    example_features,
+    load_example_dir,
+    load_manifest,
+    load_split_features,
+    split_entries,
+)
 from wasnloc.evaluate import EvalReport, evaluate, write_report_csv
-from wasnloc.features import Grid
+from wasnloc.features import Grid, extract_frame
 from wasnloc.relnet import RelNetConfig, RelNetModel, load_checkpoint, relnet_forward_features, save_checkpoint
 from wasnloc.training import TrainConfig, train
 
@@ -169,6 +178,94 @@ class TestEvaluate:
         pgms = sorted(tmp_path.glob("*.pgm"))
         assert len(pgms) == 2
         assert pgms[0].read_bytes().startswith(b"P5\n")
+
+
+class TestClassicalFromCache:
+    """tdoa and slf evaluation reduce the float32 rows of each example's
+    features.bin, the rows ``localize`` computes from its WAVs, so every
+    estimate and heatmap equals the CLI path's, and an example whose cache
+    is refused is recomputed to the same result."""
+
+    @staticmethod
+    def _cli_results(data_dir, method, grid_n):
+        """The CLI's localize per test example: read the example directory,
+        take a frame, localize on the room's grid."""
+        localize = tdoa_localize if method == "tdoa" else slf_localize
+        results = {}
+        for entry in split_entries(data_dir, load_manifest(data_dir), "test"):
+            received, scene = load_example_dir(data_dir / entry["dir"])
+            grid = Grid(scene.room.width, scene.room.length, grid_n)
+            results[entry["dir"]] = localize(extract_frame(received), scene, grid)
+        return results
+
+    @staticmethod
+    def _evaluated(monkeypatch, data_dir, method, grid_n):
+        """evaluate's report, its (estimate, heatmap) per example, and the
+        examples it recomputed from the WAVs."""
+        estimates, recomputed = {}, []
+        batch_estimates, load_example = evaluate_module._batch_estimates, evaluate_module.load_example
+
+        def recording(method, data_dir, batch, grids, models):
+            out = batch_estimates(method, data_dir, batch, grids, models)
+            estimates.update((entry["dir"], result) for entry, result in zip(batch, out[0]))
+            return out
+
+        def counting(data_dir, entry):
+            recomputed.append(entry["dir"])
+            return load_example(data_dir, entry)
+
+        monkeypatch.setattr(evaluate_module, "_batch_estimates", recording)
+        monkeypatch.setattr(evaluate_module, "load_example", counting)
+        return evaluate(method, data_dir, "test", grid_n=grid_n), estimates, recomputed
+
+    @staticmethod
+    def _flip_header_byte(path):
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(b'"grid_n"') + 2] ^= 1  # inside the header member: its CRC-32 fails
+        path.write_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("method", ["tdoa", "slf"])
+    @pytest.mark.parametrize("case", ["cached", "damaged", "other_grid"])
+    def test_estimates_equal_cli_path(self, tiny_dataset, tmp_path, monkeypatch, method, case):
+        root, manifest = tiny_dataset
+        data_dir = tmp_path / "data"
+        shutil.copytree(root / "test", data_dir / "test")
+        shutil.copy(root / "manifest.json", data_dir / "manifest.json")
+        dirs = [entry["dir"] for entry in manifest["splits"]["test"]["examples"]]
+        grid_n, recompute = TINY_GRID_N, []
+        if case == "damaged":
+            (data_dir / dirs[0] / FEATURES_NAME).unlink()
+            self._flip_header_byte(data_dir / dirs[1] / FEATURES_NAME)
+            recompute = dirs[:2]
+        elif case == "other_grid":
+            grid_n, recompute = TINY_GRID_N + 1, dirs
+
+        report, estimates, recomputed = self._evaluated(monkeypatch, data_dir, method, grid_n)
+        assert recomputed == recompute
+        want = self._cli_results(data_dir, method, grid_n)
+        assert estimates.keys() == want.keys()
+        for name, (estimate, heatmap) in estimates.items():
+            assert np.array_equal(estimate, want[name].estimate)
+            assert np.array_equal(heatmap, want[name].heatmap)
+
+        entries = manifest["splits"]["test"]["examples"]
+        errors = np.array([np.linalg.norm(want[e["dir"]].estimate - np.asarray(e["source_xy"])) for e in entries])
+        ms = np.array([e["m"] for e in entries])
+        assert [(row.m, row.mean_error_m) for row in report.rows] == [
+            (m, float(errors[ms == m].mean())) for m in sorted(set(ms.tolist()))
+        ]
+
+    def test_valid_caches_decode_no_wav(self, tiny_dataset, monkeypatch):
+        root, _ = tiny_dataset
+        expected = {method: evaluate(method, root, "test", grid_n=TINY_GRID_N) for method in ("tdoa", "slf")}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a WAV was decoded")
+
+        monkeypatch.setattr(signals, "read_wav_mono", refuse)
+        monkeypatch.setattr(dataset, "read_wav_mono", refuse)
+        for method, report in expected.items():
+            assert evaluate(method, root, "test", grid_n=TINY_GRID_N) == report
 
 
 def test_report_csv(tmp_path):

@@ -4,7 +4,8 @@ The reference functions below are frozen copies of the per-pair code the
 batched stages replaced (one GCC-PHAT, TDOA grid, SLF map and metadata
 vector per call, pairs oriented by a tuple comparison of positions). The
 batched stages must reproduce them bit for bit, so that cached features and
-trained models do not change.
+trained models do not change. The raw pair features are the float32 rows
+features.bin stores, so they equal the reference rounded to float32.
 """
 
 import dataclasses
@@ -95,19 +96,22 @@ def test_batched_stages_equal_per_pair_reference(example, grid_n):
     assert pairs.tolist() == [list(p) for p in oriented]
     assert plane == z_plane
     gcc, slf, meta = raw_pair_features(frame, scene, grid_n)
+    assert gcc.dtype == slf.dtype == meta.dtype == np.float32
     tdoa = theoretical_tdoa_grid(mics, pairs, grid, z_plane)
-    assert np.array_equal(slf, slf_project(corr, mics, pairs, grid, z_plane))
+    assert np.array_equal(slf, slf_project(corr, mics, pairs, grid, z_plane).astype(np.float32))
 
     c0 = DEFAULT_FFT_SIZE // 2 - 100
     for row, (i, j) in enumerate(oriented):
         full = reference_gcc_phat(frame[i], frame[j], DEFAULT_FFT_SIZE)
         assert np.array_equal(corr[row], full)
-        assert np.array_equal(gcc[row], full[c0 : c0 + 200])
+        assert np.array_equal(gcc[row], full[c0 : c0 + 200].astype(np.float32))
         assert np.array_equal(tdoa[row], reference_tdoa_grid(mics[i], mics[j], grid, z_plane))
         assert np.array_equal(
-            slf[row], reference_slf_project(full, FS, mics[i], mics[j], grid, z_plane)
+            slf[row], reference_slf_project(full, FS, mics[i], mics[j], grid, z_plane).astype(np.float32)
         )
-        assert np.array_equal(meta[row], reference_pair_metadata(mics[i], mics[j], scene.room.dims))
+        assert np.array_equal(
+            meta[row], reference_pair_metadata(mics[i], mics[j], scene.room.dims).astype(np.float32)
+        )
 
 
 @settings(max_examples=15, deadline=None)
