@@ -358,16 +358,19 @@ def read_feature_cache(
 
 
 def load_example_dir(example_dir) -> tuple[np.ndarray, Scene]:
-    """Read one example's (M, n) channels and scene back from its directory.
-
-    The directory must hold exactly ch_00.wav .. ch_{M-1}.wav for the M of
-    scene.json, each of n samples at DEFAULT_FS; a missing or extra file,
-    or a channel of another rate or length, raises InputError naming it.
-    """
-    example_dir = Path(example_dir)
-    scene_path = example_dir / "scene.json"
+    """Read one example's (M, n) channels and scene back from its directory."""
+    scene_path = Path(example_dir) / "scene.json"
     with reading(scene_path):
         scene = scene_from_json(scene_path.read_bytes())
+    return _read_channels(example_dir, scene), scene
+
+
+def _read_channels(example_dir, scene: Scene) -> np.ndarray:
+    """The (M, n) channels of the scene's example directory, which must
+    hold exactly ch_00.wav .. ch_{M-1}.wav for the scene's M, each of n
+    samples at DEFAULT_FS; a missing or extra file, or a channel of
+    another rate or length, raises InputError naming it."""
+    example_dir = Path(example_dir)
     expected = {f"ch_{k:02d}.wav" for k in range(scene.m)}
     odd = sorted(expected ^ {p.name for p in example_dir.glob("ch_*.wav")})
     if odd:
@@ -382,7 +385,7 @@ def load_example_dir(example_dir) -> tuple[np.ndarray, Scene]:
         if channels and samples.size != channels[0].size:
             raise InputError(f"{samples.size} samples, but ch_00.wav has {channels[0].size}", wav)
         channels.append(samples)
-    return np.vstack(channels), scene
+    return np.vstack(channels)
 
 
 def example_scene(data_dir, entry: dict) -> Scene:
@@ -405,8 +408,8 @@ def example_scene(data_dir, entry: dict) -> Scene:
 def load_example(data_dir, entry: dict) -> tuple[np.ndarray, Scene]:
     """The example of a manifest entry, refused as :func:`example_scene`
     refuses its scene.json before any WAV is read."""
-    example_scene(data_dir, entry)
-    return load_example_dir(Path(data_dir) / entry["dir"])
+    scene = example_scene(data_dir, entry)
+    return _read_channels(Path(data_dir) / entry["dir"], scene), scene
 
 
 def example_features(data_dir, entry: dict, config: RelNetConfig) -> np.ndarray:

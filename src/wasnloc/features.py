@@ -155,10 +155,22 @@ def theoretical_tdoa_grid(
     3-D point above the cell center, matching the sign convention of
     :func:`gcc_phat` peaks.
     """
-    centers = grid.cell_centers()
-    q = np.column_stack([centers, np.full(centers.shape[0], z_plane)])
-    dist = np.linalg.norm(q[None, :, :] - np.asarray(mics, dtype=float)[:, None, :], axis=2)
+    dist = _lattice_distances(mics, grid, z_plane, corners=False).reshape(len(mics), -1)
     return (dist[pairs[:, 0]] - dist[pairs[:, 1]]) / SPEED_OF_SOUND
+
+
+def _lattice_distances(mics: np.ndarray, grid: Grid, z_plane: float, corners: bool) -> np.ndarray:
+    """(M, k, k) distances of each mic to the cell corners (k = n + 1) or
+    centers (k = n) at height z_plane, row u, column v, like the flat cell
+    index; the squares add up in x, y, z order, as ``np.linalg.norm``'s."""
+    n, mics = grid.n, np.asarray(mics, dtype=float)
+    steps = np.arange(n + 1) if corners else np.arange(n) + 0.5  # centers as in Grid.cell_centers
+    u, v = steps * grid.width / n, steps * grid.length / n
+    return np.sqrt(
+        (u[None, :, None] - mics[:, 0, None, None]) ** 2
+        + (v[None, None, :] - mics[:, 1, None, None]) ** 2
+        + ((z_plane - mics[:, 2]) ** 2)[:, None, None]
+    )
 
 
 def slf_project(
@@ -179,16 +191,7 @@ def slf_project(
     whenever neighbouring cells lie several lags apart. Lags outside the
     correlation clamp to its edge.
     """
-    n = grid.n
-    u = np.arange(n + 1) * grid.width / n
-    v = np.arange(n + 1) * grid.length / n
-    mics = np.asarray(mics, dtype=float)
-    # (M, n + 1, n + 1) corner lattice per mic; row u, column v, like the flat cell index
-    dist = np.sqrt(
-        (u[None, :, None] - mics[:, 0, None, None]) ** 2
-        + (v[None, None, :] - mics[:, 1, None, None]) ** 2
-        + ((z_plane - mics[:, 2]) ** 2)[:, None, None]
-    )
+    dist = _lattice_distances(mics, grid, z_plane, corners=True)
     lags = (dist[pairs[:, 0]] - dist[pairs[:, 1]]) * (DEFAULT_FS / SPEED_OF_SOUND)
     lo = np.minimum(lags[:, :-1], lags[:, 1:])
     hi = np.maximum(lags[:, :-1], lags[:, 1:])

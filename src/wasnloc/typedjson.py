@@ -4,9 +4,11 @@
 ``typing.get_type_hints``, reads every JSON artifact into dataclasses: the
 CLI's config files, each example's scene.json, the entries of a dataset's
 manifest and the header of each binary artifact (features.bin and
-checkpoints, both written by :func:`write_archive` and read by
-:func:`read_archive`). Errors are :class:`InputError`, at the JSON pointer
-of the offending value, which :func:`reading` prefixes with the file.
+checkpoints: npz archives that :func:`write_archive` writes with np.savez,
+so np.load opens them, and :func:`read_archive` reads from the zip records
+themselves, without zipfile, for about what reading the bytes costs).
+Errors are :class:`InputError`, at the JSON pointer of the offending
+value, which :func:`reading` prefixes with the file.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import functools
 import json
 import math
 import re
+import struct
 import types
 import typing
-import zipfile
+import zlib
 
 import numpy as np
 
@@ -67,15 +70,6 @@ def loads(text: str | bytes):
         raise InputError(f"/: not valid JSON: {exc}") from exc
 
 
-# The JSON values each scalar field type takes, and how an error names them.
-_SCALARS = {
-    int: (int, "an integer"),
-    float: ((int, float), "a number"),
-    bool: (bool, "true or false"),
-    str: (str, "a string"),
-}
-
-
 def convert(tp, value, path, defaults=True):
     """The JSON value converted to the type tp; InputError at path if it is
     not of that type. An int takes a JSON integer, a float any finite JSON
@@ -85,43 +79,60 @@ def convert(tp, value, path, defaults=True):
     pointer (path/k), a Literal one of its values, X | None null or an X, a
     dataclass an object (:func:`build`, which defaults is passed on to). Any
     other type raises TypeError, so a new config field cannot go unchecked."""
-    if tp in _SCALARS:
-        accepted, expected = _SCALARS[tp]
-        if isinstance(value, accepted) and (tp is bool or not isinstance(value, bool)):
+    return _converter(tp)(value, path, defaults)
+
+
+def _converter(tp):
+    """:func:`convert` of the type tp as a function of (value, path,
+    defaults), which looks up no rule for each value (hashing a Literal
+    alone takes about a microsecond). :func:`_fields` keeps one per field:
+    a cache by type would mix up Literals equal but for their order."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return functools.partial(build, tp)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        inner = _converter(args[0] if args[1] is type(None) else args[1])
+        return lambda value, path, defaults: None if value is None else inner(value, path, defaults)
+    if origin is tuple:
+        variadic = args[-1:] == (Ellipsis,)
+        items = [_converter(t) for t in args[: 1 if variadic else None]]
+        expected = "a list" if variadic else f"a list of {len(items)} entries"
+    elif origin is typing.Literal:
+        expected, values = f"one of {args}", tuple((type(a), a) for a in args)
+    elif tp in (int, float, bool, str):  # the JSON values each takes, and how an error names them
+        accepted = (int, float) if tp is float else tp
+        expected = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}[tp]
+    else:
+        expected = None
+
+    def conv(value, path, defaults):
+        if expected is None:
+            raise TypeError(f"{_pointer(path)}: no JSON rule for the type {tp!r}")
+        if origin is tuple:
+            if isinstance(value, list) and (variadic or len(value) == len(items)):
+                pairs = zip(items * len(value) if variadic else items, value)
+                return tuple([c(v, (path, k), defaults) for k, (c, v) in enumerate(pairs)])
+        elif origin is typing.Literal:
+            if (type(value), value) in values:  # type-strict: 1 is not 1.0 or true
+                return value
+        elif isinstance(value, accepted) and (tp is bool or not isinstance(value, bool)):
             try:
                 converted = tp(value)
             except OverflowError:  # a JSON integer beyond the float range
                 converted = math.inf
             if tp is not float or math.isfinite(converted):
                 return converted
-            expected = "a finite number"
-    elif dataclasses.is_dataclass(tp):
-        return build(tp, value, path, defaults)
-    else:
-        origin, args = typing.get_origin(tp), typing.get_args(tp)
-        if origin is tuple:
-            variadic = args[-1:] == (Ellipsis,)
-            if isinstance(value, list) and (variadic or len(value) == len(args)):
-                items = args[:1] * len(value) if variadic else args
-                return tuple(convert(t, v, (path, k), defaults) for k, (t, v) in enumerate(zip(items, value)))
-            expected = "a list" if variadic else f"a list of {len(args)} entries"
-        elif origin is typing.Literal:
-            if any(type(value) is type(a) and value == a for a in args):
-                return value
-            expected = f"one of {args}"
-        elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-            inner = args[0] if args[1] is type(None) else args[1]
-            return None if value is None else convert(inner, value, path, defaults)
-        else:
-            raise TypeError(f"{_pointer(path)}: no JSON rule for the type {tp!r}")
-    raise InputError(f"{_pointer(path)}: expected {expected}, got {value!r}")
+            raise InputError(f"{_pointer(path)}: expected a finite number, got {value!r}")
+        raise InputError(f"{_pointer(path)}: expected {expected}, got {value!r}")
+
+    return conv
 
 
 @functools.cache
 def _fields(cls) -> tuple[dict, list[str]]:
-    """cls's field types by name, and the names of the fields with no default."""
-    hints = typing.get_type_hints(cls)
-    return hints, [f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is dataclasses.MISSING]
+    """cls's converter of each field by name, and the fields with no default."""
+    converters = {name: _converter(tp) for name, tp in typing.get_type_hints(cls).items()}
+    return converters, [f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is dataclasses.MISSING]
 
 
 def build(cls, obj, path, defaults=True):
@@ -134,13 +145,13 @@ def build(cls, obj, path, defaults=True):
     which may have changed since the file was written."""
     if not isinstance(obj, dict):
         raise InputError(f"{_pointer(path)}: must be a JSON object")
-    hints, required = _fields(cls)
+    converters, required = _fields(cls)
     kwargs = {}
     for key, value in obj.items():
-        if key not in hints:
+        if key not in converters:
             raise InputError(f"{_pointer((path, key))}: unknown key")
-        kwargs[key] = convert(hints[key], value, (path, key), defaults)
-    for key in required if defaults else hints:
+        kwargs[key] = converters[key](value, (path, key), defaults)
+    for key in required if defaults else converters:
         if key not in kwargs:
             raise InputError(f"{_pointer((path, key))}: missing")
     try:
@@ -167,32 +178,56 @@ _NPY_HEADER = re.compile(
     rb"\x93NUMPY\x01\x00(..)\{'descr': '([<>|][a-z]\d+)', 'fortran_order': False, 'shape': \((\d+),(?: (\d+))?\), \} *\n",
     re.DOTALL,
 )
-# Bytes of a member read at a time, copied on while in cache; the first read
-# holds any npy 1.0 header (at most 65545 bytes).
-_CHUNK = 1 << 18
+# The zip records np.savez writes (zip64 sizes in local headers only): a signature and the fields read.
+_END = struct.Struct("<4s6xH2LH")  # entry count, directory size and offset, comment length
+_ENTRY = struct.Struct("<4s4x2H4x3L3H8xL")  # flags, method, CRC-32, sizes, name/extra/comment lengths, offset
+_LOCAL = struct.Struct("<4s22x2H")  # name and extra lengths
 
 
-def _npy_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
-    """The array of a member with an :data:`_NPY_HEADER` header, read into a
-    new writable array (a checkpoint's arrays become buffers trained in
-    place); ValueError or TypeError for another header, an unknown dtype or
-    data of another size than the shape's. Matching the header costs far
-    less than numpy's reader, which evaluates it with ``ast.literal_eval``."""
-    info = zf.getinfo(name)
-    with zf.open(info) as fh:
-        chunk = fh.read(_CHUNK)  # all of a features.bin member
-        match = _NPY_HEADER.match(chunk)
-        if match is None or match.end() != 10 + int.from_bytes(match[1], "little"):
-            raise ValueError("not an npy 1.0 C-ordered 1-D or 2-D array")
-        dtype, shape = np.dtype(match[2]), tuple(int(n) for n in match.group(3, 4) if n is not None)
-        if math.prod(shape) * dtype.itemsize != info.file_size - match.end():
-            raise ValueError(f"{info.file_size - match.end()} bytes of data for {shape} {dtype}")
-        array = np.empty(shape, dtype)
-        data = memoryview(array.reshape(-1).view(np.uint8))
-        read = len(chunk) - match.end()
-        data[:read] = memoryview(chunk)[match.end() :]
-        for start in range(read, len(data), _CHUNK):  # the last read checks the CRC-32
-            fh.readinto(data[start : start + _CHUNK])
+def _directory(fh) -> tuple[dict[bytes, tuple], int]:
+    """The zip file fh's central directory entries (flags, method, CRC-32,
+    sizes, offset) by member name, and its offset, where member data ends."""
+    end = fh.seek(0, 2) - _END.size
+    fh.seek(max(end, 0))
+    signature, count, size, offset, comment = _END.unpack(fh.read(_END.size).ljust(_END.size, b"\0"))
+    if signature != b"PK\x05\x06" or comment or offset + size != end:  # np.savez writes no comment
+        raise ValueError("File is not a zip file")
+    fh.seek(offset)
+    directory, table, pos = {}, fh.read(size), 0
+    for _ in range(count):  # struct.error if the entries run past the directory
+        signature, *entry, n_name, n_extra, n_comment, local = _ENTRY.unpack_from(table, pos)
+        if signature != b"PK\x01\x02":
+            raise ValueError("Bad magic number for central directory")
+        directory[table[pos + _ENTRY.size : pos + _ENTRY.size + n_name]] = (*entry, local)
+        pos += _ENTRY.size + n_name + n_extra + n_comment
+    return directory, offset
+
+
+def _npy_member(fh, name: str, entry: tuple, end: int) -> np.ndarray:
+    """The member name of the zip file fh read into a new writable array (a
+    checkpoint's become buffers trained in place): ValueError or TypeError
+    unless it is stored, before end, as its directory entry says, under an
+    :data:`_NPY_HEADER` header, and of the entry's CRC-32."""
+    flags, method, crc, packed, size, local = entry
+    if flags & ~0x800 or method or packed != size or 0xFFFFFFFF in (size, local):  # 0x800: a UTF-8 name
+        raise ValueError(f"compressed, encrypted or zip64 (method {method}, flags {flags:#x}, {packed} of {size} B)")
+    fh.seek(local)
+    signature, n_name, n_extra = _LOCAL.unpack(fh.read(_LOCAL.size))
+    if signature != b"PK\x03\x04" or fh.read(n_name) != name.encode():
+        raise ValueError("local header does not match the central directory")
+    if fh.seek(n_extra, 1) + size > end:
+        raise ValueError(f"{size} bytes of data run past the central directory")
+    head = fh.read(10)
+    head += fh.read(int.from_bytes(head[8:], "little"))
+    match = _NPY_HEADER.fullmatch(head)  # so the header is as long as it says
+    if match is None:
+        raise ValueError("not an npy 1.0 C-ordered 1-D or 2-D array")
+    dtype, shape = np.dtype(match[2]), tuple(int(n) for n in match.group(3, 4) if n is not None)
+    if math.prod(shape) * dtype.itemsize != size - len(head):
+        raise ValueError(f"{size - len(head)} bytes of data for {shape} {dtype}")
+    data = (array := np.empty(shape, dtype)).reshape(-1).view(np.uint8)
+    if fh.readinto(data) != len(data) or zlib.crc32(data, zlib.crc32(head)) != crc:
+        raise ValueError(f"Bad CRC-32 for file {name!r}")
     return array
 
 
@@ -207,19 +242,18 @@ def read_archive(path, header_cls, members: tuple[str, ...], **expected):
     with reading(path):
         arrays, member = {}, None  # member: the one being read, for the error message
         try:
-            with zipfile.ZipFile(path) as zf:  # BadZipFile unless a zip archive
-                names = zf.namelist()
+            with open(path, "rb") as fh:
+                directory, end = _directory(fh)
                 for member in ("header", *members):
-                    if f"{member}.npy" in names:
-                        arrays[member] = _npy_member(zf, f"{member}.npy")  # BadZipFile on a failed CRC-32
-        except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:  # OSError: left to reading
+                    if (entry := directory.get(f"{member}.npy".encode())) is not None:
+                        arrays[member] = _npy_member(fh, f"{member}.npy", entry, end)
+        except (ValueError, TypeError, struct.error) as exc:  # OSError: left to reading
             where = f"member {member!r}" if member else "file"
             raise InputError(f"unreadable {where}: {exc}") from exc
         for member in ("header", *members):
             if member not in arrays:
                 raise InputError(f"no member {member!r}")
-            dtype = np.dtype(np.uint8 if member == "header" else "<f4")
-            if arrays[member].dtype != dtype:
+            if arrays[member].dtype != (dtype := np.dtype(np.uint8 if member == "header" else "<f4")):
                 raise InputError(f"member {member!r} holds {arrays[member].dtype}, expected {dtype}")
         try:
             obj = loads(arrays.pop("header").tobytes())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wasnloc.features import (
     DEFAULT_FFT_SIZE,
@@ -177,6 +179,25 @@ class TestTheoreticalTdoaGrid:
         mics = np.array([[1.0, 1.0, 1.5], [4.0, 3.0, 1.2]])
         ij, ji = theoretical_tdoa_grid(mics, np.array([[0, 1], [1, 0]]), grid, 1.3)
         np.testing.assert_allclose(ij, -ji, atol=1e-15)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        mics=st.lists(st.tuples(st.floats(-5.0, 30.0), st.floats(-5.0, 30.0), st.floats(0.0, 6.0)), min_size=2, max_size=9),
+        room=st.tuples(st.floats(0.1, 30.0), st.floats(0.1, 30.0)),
+        n=st.integers(2, 40),
+        z_plane=st.floats(0.0, 6.0),
+    )
+    def test_equals_norm_of_offsets_bit_for_bit(self, mics, room, n, z_plane):
+        """For any M >= 2 and room, every TDOA is the difference of the
+        np.linalg.norm distances from the 3-D cell centers, bit for bit."""
+        mics = np.array(mics)
+        grid = Grid(*room, n)
+        pairs = np.array([(i, j) for i in range(len(mics)) for j in range(len(mics)) if i != j])
+        centers = grid.cell_centers()
+        q = np.column_stack([centers, np.full(len(centers), z_plane)])
+        dist = np.linalg.norm(q[None, :, :] - mics[:, None, :], axis=2)
+        expected = (dist[pairs[:, 0]] - dist[pairs[:, 1]]) / SPEED_OF_SOUND
+        assert np.array_equal(theoretical_tdoa_grid(mics, pairs, grid, z_plane), expected)
 
 
 class TestSlfProject:
