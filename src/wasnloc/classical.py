@@ -8,12 +8,13 @@ SLF method averages the correlation over the lags each cell's footprint
 spans (maximum wins). Both run for any M >= 2 with no training or
 configuration.
 
-:func:`pair_correlations` is the pair step they share with the relation
-network's features: it picks the pairs and the grid plane once and
-correlates all pairs in one batched call. Each localizer rounds its rows
-to float32, as features.bin stores them, and reduces them over the pairs.
-Evaluation runs the same reductions on the cached rows, so an estimate
-from features.bin equals one from the WAVs bit for bit.
+:func:`raw_pair_features` is the one pair step of every localizer, the
+relation network's too: it picks the pairs, correlates them all in one
+batched call, and returns the float32 rows features.bin stores. TDOA
+reduces the ``gcc`` rows (:func:`tdoa_localize`), SLF the ``slf`` rows
+(:func:`slf_result`). Evaluation runs the same reductions on the cached
+rows, so an estimate from features.bin equals one from the WAVs bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .features import (
     theoretical_tdoa_grid,
 )
 from .rir import DEFAULT_FS
-from .scenes import Scene
+from .scenes import Scene, pair_metadata_vector
 
 
 @dataclass(eq=False)
@@ -63,18 +64,29 @@ def oriented_pairs(mics: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def pair_correlations(frame: np.ndarray, scene: Scene) -> tuple[np.ndarray, np.ndarray, float]:
-    """The pair step every localizer shares on an (M, n) frame: (pairs,
-    corr, z_plane).
+def raw_pair_features(
+    frame: np.ndarray, scene: Scene, grid_n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float32 (gcc, slf, meta) rows of an (M, n) frame: (P,
+    DEFAULT_N_CENTRAL), (P, grid_n^2) and (P, 9) arrays over the pairs of
+    :func:`oriented_pairs`, so relabeling the microphones only reorders
+    the rows.
 
-    ``pairs`` is the (P, 2) array of :func:`oriented_pairs`, ``corr`` their
-    (P, DEFAULT_FFT_SIZE) :func:`gcc_phat` correlations, and z_plane the
-    mean mic height, the plane the search grid lies in.
+    All pairs are correlated in one :func:`gcc_phat` call; ``gcc`` holds
+    each correlation's central lags, ``slf`` its projection onto the
+    grid_n grid over the room footprint in the plane of the mean mic
+    height, ``meta`` the pair metadata. These are the rows features.bin
+    stores; computing both feature kinds at once lets a cache serve either
+    localizer and either model.
     """
     if len(frame) != scene.m:
         raise ValueError(f"frame has {len(frame)} channels but scene has {scene.m} mics")
     pairs = oriented_pairs(scene.mics)
-    return pairs, gcc_phat(frame, pairs), mean_mic_height(scene.mics)
+    corr = gcc_phat(frame, pairs)
+    grid = Grid(scene.room.width, scene.room.length, grid_n)
+    slf = slf_project(corr, scene.mics, pairs, grid, mean_mic_height(scene.mics))
+    meta = pair_metadata_vector(scene.mics[pairs[:, 0]], scene.mics[pairs[:, 1]], scene.room.dims)
+    return central_lags(corr).astype(np.float32), slf.astype(np.float32), meta.astype(np.float32)
 
 
 def pick_peak(heatmap: np.ndarray, grid: Grid, mode: str) -> np.ndarray:
@@ -96,10 +108,12 @@ def pick_peak(heatmap: np.ndarray, grid: Grid, mode: str) -> np.ndarray:
     return grid.cell_center(idx)
 
 
-def slf_heatmap(slf: np.ndarray) -> np.ndarray:
-    """Spatial-likelihood map: the float64 sum of the float32 (P, n^2)
-    :func:`slf_project` rows of the pairs."""
-    return np.sum(slf, axis=0, dtype=np.float64)
+def slf_result(slf: np.ndarray, grid: Grid) -> LocalizationResult:
+    """Spatial-likelihood localization from the float32 (P, n^2) ``slf``
+    rows of :func:`raw_pair_features`: their float64 sum is the map, its
+    maximum the estimate."""
+    heatmap = np.sum(slf, axis=0, dtype=np.float64)
+    return LocalizationResult(pick_peak(heatmap, grid, "max"), heatmap)
 
 
 def tdoa_localize(
@@ -108,12 +122,13 @@ def tdoa_localize(
     """Least-squares TDOA localization on the grid (minimum picks the source).
 
     Per pair of :func:`oriented_pairs`, the measured TDOA is the peak lag of
-    its float32 central GCC-PHAT row, in seconds: the frame's rows, or the
-    cached ``gcc`` rows in their place; each cell sums over the pairs the
-    squared difference against its theoretical TDOA.
+    its float32 central GCC-PHAT row, in seconds: the ``gcc`` rows of the
+    frame's :func:`raw_pair_features`, or the cached rows passed as
+    ``gcc`` in their place; each cell sums over the pairs the squared
+    difference against its theoretical TDOA.
     """
     if gcc is None:
-        gcc = central_lags(pair_correlations(frame, scene)[1]).astype(np.float32)
+        gcc = raw_pair_features(frame, scene, grid.n)[0]
     measured = (np.argmax(gcc, axis=1) - DEFAULT_N_CENTRAL // 2) / DEFAULT_FS
     theo = theoretical_tdoa_grid(scene.mics, oriented_pairs(scene.mics), grid, mean_mic_height(scene.mics))
     total = np.sum((theo - measured[:, None]) ** 2, axis=0)
@@ -121,8 +136,9 @@ def tdoa_localize(
 
 
 def slf_localize(frame: np.ndarray, scene: Scene, grid: Grid) -> LocalizationResult:
-    """Spatial-likelihood localization on the grid (maximum picks the source):
-    the :func:`slf_heatmap` of the frame's pairs."""
-    pairs, corr, z_plane = pair_correlations(frame, scene)
-    total = slf_heatmap(slf_project(corr, scene.mics, pairs, grid, z_plane).astype(np.float32))
-    return LocalizationResult(pick_peak(total, grid, "max"), total)
+    """Spatial-likelihood localization on the grid over the scene's room
+    (maximum picks the source): the :func:`slf_result` of the frame's
+    :func:`raw_pair_features`."""
+    if (grid.width, grid.length) != (scene.room.width, scene.room.length):
+        raise ValueError(f"grid {grid.width} x {grid.length} m is not the room's footprint")
+    return slf_result(raw_pair_features(frame, scene, grid.n)[1], grid)

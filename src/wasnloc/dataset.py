@@ -32,6 +32,7 @@ from typing import Literal
 
 import numpy as np
 
+from .classical import raw_pair_features
 from .features import (
     DEFAULT_FFT_SIZE,
     DEFAULT_FRAME_MS,
@@ -45,7 +46,6 @@ from .relnet import (
     ArchiveHeader,
     RelNetConfig,
     assemble_input,
-    raw_pair_features,
     target_map,
 )
 from .rir import DEFAULT_FS, InfeasibleRoomError

@@ -7,12 +7,13 @@ checkpoint mean errors (training-seed spread). Classical methods need no
 checkpoint and leave the std column empty.
 
 Every method reads an example's pair features from its features.bin,
-which holds the float32 rows the localizers reduce: SLF sums the ``slf``
-rows, TDOA takes the peak lag of each ``gcc`` row, scored against the
-theoretical TDOAs of the mics in the example's scene.json. So a classical
-estimate equals the one ``localize`` computes from the WAVs bit for bit.
-An example whose cache is refused (missing, damaged, stale, or built on
-another grid than the one asked for) is recomputed from its WAVs.
+which holds the float32 rows of :func:`classical.raw_pair_features`, the
+rows the localizers reduce: SLF by :func:`classical.slf_result`, TDOA by
+:func:`classical.tdoa_localize` with the cached ``gcc`` rows and the mics
+of the example's scene.json. So a classical estimate equals the one
+``localize`` computes from the WAVs bit for bit. An example whose cache is
+refused (missing, damaged, stale, or built on another grid than the one
+asked for) is recomputed from its WAVs.
 
 A network evaluates many examples per forward (:func:`relnet.forward_batch`,
 the forward training uses), so its heatmaps can differ from a one-example
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import LocalizationResult, pick_peak, slf_heatmap, tdoa_localize
+from .classical import LocalizationResult, pick_peak, raw_pair_features, slf_result, tdoa_localize
 from .dataset import (
     FEATURES_NAME,
     example_features,
@@ -40,7 +41,7 @@ from .dataset import (
     split_entries,
 )
 from .features import DEFAULT_GRID_N, Grid, extract_frame, heatmap_to_pgm
-from .relnet import RelNetModel, forward_batch, load_checkpoint, raw_pair_features
+from .relnet import RelNetModel, forward_batch, load_checkpoint
 from .typedjson import InputError
 
 logger = logging.getLogger(__name__)
@@ -73,11 +74,10 @@ class EvalReport:
 
 def _classical_result(method: str, data_dir, entry: dict, grid: Grid) -> LocalizationResult:
     """tdoa or slf on one example: the reduction of the one member of its
-    features.bin that the method needs (TDOA also reads the mic positions
+    features.bin that the method needs (TDOA then reads the mic positions
     from scene.json, refusing an entry that contradicts it), or of the rows
-    :func:`relnet.raw_pair_features` recomputes from its WAVs if the cache
-    is refused."""
-    scene = example_scene(data_dir, entry) if method == "tdoa" else None
+    :func:`classical.raw_pair_features` recomputes from its WAVs if the
+    cache is refused. Either way scene.json is parsed once."""
     path = Path(data_dir) / entry["dir"] / FEATURES_NAME
     try:
         gcc, slf, _ = read_feature_cache(path, grid.n, entry, ("gcc" if method == "tdoa" else "slf",))
@@ -85,10 +85,9 @@ def _classical_result(method: str, data_dir, entry: dict, grid: Grid) -> Localiz
         logger.info("recomputing features: %s", exc)
         received, scene = load_example(data_dir, entry)
         gcc, slf, _ = raw_pair_features(extract_frame(received), scene, grid.n)
-    if method == "tdoa":
-        return tdoa_localize(None, scene, grid, gcc=gcc)
-    heatmap = slf_heatmap(slf)
-    return LocalizationResult(pick_peak(heatmap, grid, "max"), heatmap)
+    else:
+        scene = example_scene(data_dir, entry) if method == "tdoa" else None
+    return tdoa_localize(None, scene, grid, gcc=gcc) if method == "tdoa" else slf_result(slf, grid)
 
 
 def _batch_estimates(
@@ -113,24 +112,24 @@ def load_models(method: str, checkpoints: list | None) -> list[RelNetModel]:
     """The networks a gnn-* method runs, from checkpoints (paths or loaded
     RelNetModels). ValueError if there is none, if one was trained on
     another feature kind than the method's, or if they do not all share
-    one ``grid_n``."""
+    one ``grid_n``; the message names the checkpoint by its path, or a
+    loaded one as "checkpoint k" (k counting from 1)."""
     if not checkpoints:
         raise ValueError(f"method {method!r} needs at least one checkpoint")
     kind = method.removeprefix("gnn-")
-    models = []
-    for ckpt in checkpoints:
+    models, names = [], []
+    for k, ckpt in enumerate(checkpoints, 1):
         model = ckpt if isinstance(ckpt, RelNetModel) else load_checkpoint(ckpt)
+        name = f"checkpoint {k if ckpt is model else ckpt}"
         if model.config.feature_kind != kind:
-            raise ValueError(
-                f"checkpoint feature kind {model.config.feature_kind!r} "
-                f"does not match method {method!r}"
-            )
+            raise ValueError(f"{name}: feature kind {model.config.feature_kind!r} does not match method {method!r}")
         if models and model.config.grid_n != models[0].config.grid_n:
             raise ValueError(
-                f"checkpoint {ckpt} has grid_n {model.config.grid_n}, but the first "
-                f"checkpoint has {models[0].config.grid_n}; all must share one grid"
+                f"{name}: grid_n {model.config.grid_n}, but {names[0]} "
+                f"has {models[0].config.grid_n}; all must share one grid"
             )
         models.append(model)
+        names.append(name)
     return models
 
 

@@ -10,9 +10,9 @@ order-free and keeps its scale as the pair count grows (10 pairs at M = 5,
 matter which counts it was trained on. The relation network of Santoro et
 al. (2017) sums its relations; the mean differs only by the factor 1 / P.
 
-The pair signals come from the batched pair step the classical localizers
-use (:func:`classical.pair_correlations`), so F sees the same correlations
-and SLF maps that classical SLF sums.
+The pair rows come from the pair step of the classical localizers,
+:func:`classical.raw_pair_features`, so F sees the same central GCC-PHAT
+lags that TDOA reduces and the same SLF maps that classical SLF sums.
 
 One forward, :func:`forward_batch`, serves training, evaluation and
 single-example localization: it stacks the pairs of many examples into one
@@ -34,17 +34,10 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .classical import LocalizationResult, pair_correlations, pick_peak
-from .features import (
-    DEFAULT_FFT_SIZE,
-    DEFAULT_GRID_N,
-    DEFAULT_N_CENTRAL,
-    Grid,
-    central_lags,
-    slf_project,
-)
+from .classical import LocalizationResult, pick_peak, raw_pair_features
+from .features import DEFAULT_FFT_SIZE, DEFAULT_GRID_N, DEFAULT_N_CENTRAL, Grid
 from .mlp import Mlp, layer_shapes
-from .scenes import Scene, pair_metadata_vector
+from .scenes import Scene
 from .typedjson import InputError, read_archive, write_archive
 
 PAIR_METADATA_SIZE = 9
@@ -142,26 +135,6 @@ def standardize_features(raw: np.ndarray, kind: str) -> np.ndarray:
         out /= np.where(span > 0, span, np.inf)  # constant rows become zeros
         return out
     raise ValueError(f"unknown feature kind {kind!r}")
-
-
-def raw_pair_features(
-    frame: np.ndarray, scene: Scene, grid_n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unstandardized per-pair features for one example.
-
-    Returns (gcc, slf, meta): float32 (P, DEFAULT_N_CENTRAL), (P, grid_n^2)
-    and (P, 9) arrays over the pairs of :func:`classical.pair_correlations`,
-    which orients each pair by position, not by channel index, so relabeling
-    the microphones only reorders the rows. They are the rows features.bin
-    stores, and the gcc and slf rows are the ones the classical localizers
-    reduce. Computing both feature kinds at once lets dataset caches serve
-    either model.
-    """
-    pairs, corr, z_plane = pair_correlations(frame, scene)
-    grid = Grid(scene.room.width, scene.room.length, grid_n)
-    slf = slf_project(corr, scene.mics, pairs, grid, z_plane)
-    meta = pair_metadata_vector(scene.mics[pairs[:, 0]], scene.mics[pairs[:, 1]], scene.room.dims)
-    return central_lags(corr).astype(np.float32), slf.astype(np.float32), meta.astype(np.float32)
 
 
 def assemble_input(gcc: np.ndarray, slf: np.ndarray, meta: np.ndarray, config: RelNetConfig) -> np.ndarray:

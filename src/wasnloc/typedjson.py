@@ -1,12 +1,13 @@
 """JSON artifacts read into typed dataclasses, checked against the field types.
 
-:func:`loads` is the package's one JSON decoder, and one walker, driven by
-``typing.get_type_hints``, reads every JSON artifact into dataclasses: the
-CLI's config files, each example's scene.json, the entries of a dataset's
-manifest and the header of each binary artifact (features.bin and
-checkpoints: npz archives that :func:`write_archive` writes with np.savez,
-so np.load opens them, and :func:`read_archive` reads from the zip records
-themselves, without zipfile, for about what reading the bytes costs).
+:func:`loads` is the package's one JSON decoder, and one walker,
+:func:`build`, driven by ``typing.get_type_hints``, reads every JSON
+artifact into dataclasses: the CLI's config files, each example's
+scene.json, the entries of a dataset's manifest and the header of each
+binary artifact (features.bin and checkpoints: npz archives that
+:func:`write_archive` writes with np.savez, so np.load opens them, and
+:func:`read_archive` reads from the zip records themselves, without
+zipfile, for about what reading the bytes costs).
 Errors are :class:`InputError`, at the JSON pointer of the offending
 value, which :func:`reading` prefixes with the file.
 """
@@ -70,23 +71,20 @@ def loads(text: str | bytes):
         raise InputError(f"/: not valid JSON: {exc}") from exc
 
 
-def convert(tp, value, path, defaults=True):
-    """The JSON value converted to the type tp; InputError at path if it is
-    not of that type. An int takes a JSON integer, a float any finite JSON
-    number (never NaN or Infinity, which Python's json module reads), a
-    bool true or false, a str a string (a bool is never a number); a
-    tuple a list of the right length, each entry converted at its own
-    pointer (path/k), a Literal one of its values, X | None null or an X, a
-    dataclass an object (:func:`build`, which defaults is passed on to). Any
-    other type raises TypeError, so a new config field cannot go unchecked."""
-    return _converter(tp)(value, path, defaults)
-
-
 def _converter(tp):
-    """:func:`convert` of the type tp as a function of (value, path,
-    defaults), which looks up no rule for each value (hashing a Literal
-    alone takes about a microsecond). :func:`_fields` keeps one per field:
-    a cache by type would mix up Literals equal but for their order."""
+    """A function of (value, path, defaults) that returns the JSON value
+    converted to the type tp, or raises InputError at path if it is not of
+    that type. An int takes a JSON integer, a float any finite JSON number
+    (never NaN or Infinity, which Python's json module reads), a bool true
+    or false, a str a string (a bool is never a number); a tuple a list of
+    the right length, each entry converted at its own pointer (path/k), a
+    Literal one of its values, X | None null or an X, a dataclass an object
+    (:func:`build`, which defaults is passed on to). Any other type raises
+    TypeError on its first value, so a new config field cannot go
+    unchecked. The rule is chosen once, not for each value (hashing a
+    Literal alone takes about a microsecond); :func:`_fields` keeps one
+    converter per field, since a cache by type would mix up Literals equal
+    but for their order."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if dataclasses.is_dataclass(tp):
         return functools.partial(build, tp)
@@ -137,7 +135,7 @@ def _fields(cls) -> tuple[dict, list[str]]:
 
 def build(cls, obj, path, defaults=True):
     """The dataclass cls from a JSON object whose keys name its fields,
-    each value converted by :func:`convert` with its field's type. An
+    each value converted by the :func:`_converter` of its field's type. An
     unknown key, a bad value or a missing field with no default raises
     InputError at its own pointer, a value the dataclass rejects at the
     object's. With defaults False every field must be present, in nested

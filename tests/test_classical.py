@@ -144,6 +144,12 @@ class TestSlfLocalize:
         np.testing.assert_array_equal(base.estimate, swapped.estimate)
         np.testing.assert_allclose(swapped.heatmap, base.heatmap, rtol=1e-9)
 
+    def test_grid_off_the_room_refused(self):
+        # the slf rows are projected onto the room's footprint
+        scene = planar_scene()
+        with pytest.raises(ValueError, match="not the room's footprint"):
+            slf_localize(anechoic_frame(scene), scene, Grid(4.0, 4.0))
+
     def test_runs_for_any_mic_count(self):
         # localizers need no reconfiguration across M
         for m in (2, 3, 4, 6):

@@ -401,6 +401,38 @@ class TestWalkerProperties:
                 unused += [f"{path.name}:{node.lineno}: {name}" for name in names if name not in used]
         assert unused == []
 
+    def test_no_public_name_only_tests_use(self):
+        """Every public top-level function or class in src/ is referenced
+        outside its own definition: by its module, another module (a
+        re-export from __init__.py counts) or the benchmark, which also
+        names functions by string (spans.TARGETS, CLOCK_CHECKPOINTS)."""
+
+        def names(tree, strings=False):
+            found = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    found |= {alias.name for alias in node.names}
+                elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    found.add(node.value)
+            return found
+
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        used = set().union(*(names(ast.parse(p.read_text()), strings=True) for p in bench.glob("*.py")))
+        modules = {p.stem: ast.parse(p.read_text()) for p in Path(wasnloc.__file__).parent.glob("*.py")}
+        unused = []
+        for stem, tree in sorted(modules.items()):
+            elsewhere = used.union(*(names(other) for name, other in modules.items() if name != stem))
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                    own = set().union(*(names(other) for other in tree.body if other is not node))
+                    if node.name not in elsewhere | own:
+                        unused.append(f"{stem}.{node.name}")
+        assert unused == []
+
 
 def _simulate(config_path):
     args = build_parser().parse_args(["simulate", "--config", str(config_path), "--out", str(config_path.parent)])

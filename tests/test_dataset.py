@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 from conftest import TINY_GRID_N, rewrite_header, rewrite_npz, tiny_dataset_config
 
+from wasnloc.classical import raw_pair_features
 from wasnloc.dataset import (
     FEATURES_NAME,
     SPLITS,
@@ -26,7 +27,7 @@ from wasnloc.dataset import (
 )
 from wasnloc.evaluate import evaluate
 from wasnloc.features import Grid, extract_frame
-from wasnloc.relnet import RelNetConfig, RelNetModel, assemble_input, raw_pair_features, target_map
+from wasnloc.relnet import RelNetConfig, RelNetModel, assemble_input, target_map
 from wasnloc.scenes import SceneDistribution, sample_scene, scene_from_json
 from wasnloc.signals import SourceSignalConfig, read_wav_mono, write_wav
 from wasnloc.typedjson import InputError

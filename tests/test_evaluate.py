@@ -1,4 +1,5 @@
 import importlib
+import re
 import shutil
 
 import numpy as np
@@ -85,8 +86,11 @@ class TestEvaluate:
 
     def test_gnn_feature_kind_mismatch_rejected(self, tiny_dataset, tiny_checkpoint):
         root, _ = tiny_dataset
-        with pytest.raises(ValueError):
-            evaluate("gnn-gcc", root, split="test", checkpoints=[tiny_checkpoint])
+        model = load_checkpoint(tiny_checkpoint)
+        # a path names the checkpoint, a loaded model its place in the list
+        for checkpoints, name in (([tiny_checkpoint], tiny_checkpoint), ([model], 1)):
+            with pytest.raises(ValueError, match=re.escape(f"checkpoint {name}: feature kind 'slf' does not")):
+                evaluate("gnn-gcc", root, split="test", checkpoints=checkpoints)
 
     def test_multiple_checkpoints_fill_std(self, tiny_dataset, tiny_checkpoint):
         root, _ = tiny_dataset
@@ -140,8 +144,14 @@ class TestEvaluate:
         )
         path = tmp_path / "other.ckpt"
         save_checkpoint(other, path)
-        with pytest.raises(ValueError, match=f"{path}.* grid_n {TINY_GRID_N + 1}.* {TINY_GRID_N}"):
-            evaluate("gnn-slf", root, split="test", checkpoints=[tiny_checkpoint, path])
+        n = TINY_GRID_N
+        for checkpoints, message in (
+            ([tiny_checkpoint, path], f"checkpoint {path}: grid_n {n + 1}, but checkpoint {tiny_checkpoint} has {n};"),
+            ([tiny_checkpoint, other], f"checkpoint 2: grid_n {n + 1}, but checkpoint {tiny_checkpoint} has {n};"),
+            ([load_checkpoint(tiny_checkpoint), path], f"checkpoint {path}: grid_n {n + 1}, but checkpoint 1 has {n};"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                evaluate("gnn-slf", root, split="test", checkpoints=checkpoints)
 
     def test_gnn_gcc_end_to_end(self, tiny_dataset, tmp_path):
         root, manifest = tiny_dataset
@@ -254,6 +264,23 @@ class TestClassicalFromCache:
         assert [(row.m, row.mean_error_m) for row in report.rows] == [
             (m, float(errors[ms == m].mean())) for m in sorted(set(ms.tolist()))
         ]
+
+    @pytest.mark.parametrize("method", ["tdoa", "slf"])
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_scene_json_parsed_at_most_once(self, tiny_dataset, monkeypatch, method, refused):
+        """TDOA parses each example's scene.json once, for its mics; SLF
+        only where the cache is refused (here: built on another grid)."""
+        root, manifest = tiny_dataset
+        parsed, scene_from_json = [], dataset.scene_from_json
+
+        def counting(raw):
+            parsed.append(raw)
+            return scene_from_json(raw)
+
+        monkeypatch.setattr(dataset, "scene_from_json", counting)
+        evaluate(method, root, "test", grid_n=TINY_GRID_N + refused)
+        n_examples = len(manifest["splits"]["test"]["examples"])
+        assert len(set(parsed)) == len(parsed) == (n_examples if method == "tdoa" or refused else 0)
 
     def test_valid_caches_decode_no_wav(self, tiny_dataset, monkeypatch):
         root, _ = tiny_dataset

@@ -17,10 +17,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import room_grid
 
-from wasnloc.classical import pair_correlations, slf_localize, tdoa_localize
+from wasnloc.classical import oriented_pairs, raw_pair_features, slf_localize, tdoa_localize
 from wasnloc import features as features_module
-from wasnloc.features import DEFAULT_FFT_SIZE, Grid, gcc_phat, slf_project, theoretical_tdoa_grid
-from wasnloc.relnet import raw_pair_features
+from wasnloc.features import (
+    DEFAULT_FFT_SIZE,
+    Grid,
+    gcc_phat,
+    mean_mic_height,
+    slf_project,
+    theoretical_tdoa_grid,
+)
 from wasnloc.rir import DEFAULT_FS as FS, SPEED_OF_SOUND
 from wasnloc.scenes import SceneDistribution, sample_scene
 
@@ -92,9 +98,10 @@ def test_batched_stages_equal_per_pair_reference(example, grid_n):
     oriented = []
     for i, j in itertools.combinations(range(scene.m), 2):
         oriented.append((j, i) if tuple(mics[j]) < tuple(mics[i]) else (i, j))
-    pairs, corr, plane = pair_correlations(frame, scene)
+    pairs = oriented_pairs(mics)
     assert pairs.tolist() == [list(p) for p in oriented]
-    assert plane == z_plane
+    assert mean_mic_height(mics) == z_plane
+    corr = gcc_phat(frame, pairs)
     gcc, slf, meta = raw_pair_features(frame, scene, grid_n)
     assert gcc.dtype == slf.dtype == meta.dtype == np.float32
     tdoa = theoretical_tdoa_grid(mics, pairs, grid, z_plane)

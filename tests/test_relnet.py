@@ -10,6 +10,7 @@ from conftest import TINY_GRID_N, anechoic_frame, planar_scene, rewrite_header, 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wasnloc.classical import raw_pair_features
 from wasnloc.cli import train_configs_from_obj
 from wasnloc.dataset import FEATURES_NAME, example_features, load_example, read_feature_cache
 from wasnloc.features import DEFAULT_FFT_SIZE, DEFAULT_N_CENTRAL, Grid, extract_frame
@@ -21,7 +22,6 @@ from wasnloc.relnet import (
     gnn_localize,
     load_checkpoint,
     mae_loss,
-    raw_pair_features,
     relnet_forward_features,
     save_checkpoint,
     standardize_features,

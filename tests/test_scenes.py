@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wasnloc.classical import raw_pair_features
 from wasnloc.scenes import (
     PlacementError,
     RoomSpec,
@@ -16,7 +17,6 @@ from wasnloc.scenes import (
     scene_from_json,
     scene_to_json,
 )
-from wasnloc.relnet import raw_pair_features
 from wasnloc.typedjson import InputError
 
 

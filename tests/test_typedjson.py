@@ -21,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import TINY_GRID_N, rewrite_npz
 
 from wasnloc.dataset import FEATURES_NAME, _FeaturesHeader, read_feature_cache
-from wasnloc.typedjson import InputError, convert, read_archive, write_archive
+from wasnloc.typedjson import InputError, build, read_archive, write_archive
 
 ALL_MEMBERS = ("gcc", "slf", "meta")
 
@@ -197,7 +197,8 @@ class Inner:
 
 
 # (type, JSON value, path, defaults, the result or the message of the
-# InputError at its pointer)
+# InputError at its pointer): the value is read by build as the one field
+# of a dataclass, named by the path's last key
 CONVERT_CASES = [
     (int, 3, ["a"], True, 3),
     (int, True, ["a"], True, "/a: expected an integer, got True"),
@@ -243,14 +244,21 @@ CONVERT_CASES = [
 ]
 
 
+def read_field(tp, value, path, defaults=True):
+    """value read by build as the field path[-1], of the type tp, of a
+    one-field dataclass at the pointer path[:-1]."""
+    one = dataclasses.make_dataclass("One", [(path[-1], tp)])
+    return getattr(build(one, {path[-1]: value}, path[:-1], defaults), path[-1])
+
+
 @pytest.mark.parametrize("tp, value, path, defaults, want", CONVERT_CASES)
 def test_convert_table(tp, value, path, defaults, want):
     if isinstance(want, str) and want.startswith("/"):
         with pytest.raises(InputError) as info:
-            convert(tp, value, path, defaults)
+            read_field(tp, value, path, defaults)
         assert str(info.value) == want
     else:
-        got = convert(tp, value, path, defaults)
+        got = read_field(tp, value, path, defaults)
         assert got == want and type(got) is type(want)
         if isinstance(want, tuple):
             assert [type(v) for v in got] == [type(v) for v in want]
@@ -258,5 +266,5 @@ def test_convert_table(tp, value, path, defaults, want):
 
 @pytest.mark.parametrize("tp", [dict, list, tuple, int | str, typing.Any])
 def test_convert_unknown_type_raises_type_error(tp):
-    with pytest.raises(TypeError, match=r"^/a/b: no JSON rule for the type "):
-        convert(tp, {}, (["a"], "b"))
+    with pytest.raises(TypeError, match=r"^/a: no JSON rule for the type "):
+        read_field(tp, {}, ["a"])
